@@ -9,11 +9,10 @@ import argparse
 import dataclasses
 import sys
 
+from dualformer.blocks import MODES
 from dualformer.data import make_shapes
 from dualformer.model import build_model, get_preset
 from dualformer.train import train_toy
-
-MODES = ("parallel", "series", "conv_only", "attn_only", "intra_only", "inter_only")
 
 
 def main() -> int:

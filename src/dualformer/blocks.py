@@ -14,7 +14,7 @@ width one after the other instead of side by side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,14 @@ from .tensor import ShapeError, Tensor, concat, gelu, narrow
 
 MBCONV_EXPANSION = 4
 MODES = ("parallel", "series", "conv_only", "attn_only", "intra_only", "inter_only")
+
+
+def split_channels(channels: int, split_ratio: float, mode: str) -> tuple[int, int]:
+    """(conv, attention) branch widths of a block; series runs both at full width."""
+    if mode == "series":
+        return channels, channels
+    conv = int(round(channels * split_ratio))
+    return conv, channels - conv
 
 
 # -- inverted bottleneck branch ---------------------------------------------
@@ -133,7 +141,6 @@ def make_mhpa(
         up_b=zeros_param(channels * k * k),
         heads=heads,
         shared_norms=shared,
-        norm_rng=np.random.default_rng(rng.integers(2**63)) if cfg.resample_norms else None,
     )
 
 
@@ -143,6 +150,7 @@ def make_mhpa(
 @dataclass
 class DualBlockParams:
     channels: int
+    mode: str  # one of MODES
     conv_channels: int  # width of the convolutional share under a split
     mbconv: MBConvParams | None
     mhpa: MhpaParams | None
@@ -162,28 +170,19 @@ def make_dual_block(
 ) -> DualBlockParams:
     if mode not in MODES:
         raise ValueError(f"unknown block mode {mode!r}, expected one of {MODES}")
-    if mode == "series":
-        conv_c, attn_c = channels, channels
-    else:
-        conv_c = int(round(channels * split_ratio))
-        attn_c = channels - conv_c
-        if conv_c < 1 or attn_c < 1:
-            raise ShapeError(
-                f"split_ratio {split_ratio} leaves an empty branch at {channels} channels"
-            )
-    cfg = MhpaConfig(
-        downsample_rate=mhpa_cfg.downsample_rate,
-        hash_bits=mhpa_cfg.hash_bits,
-        num_heads=mhpa_cfg.num_heads,
-        attend={"intra_only": "intra_only", "inter_only": "inter_only"}.get(mode, "full"),
-        share_partitions=mhpa_cfg.share_partitions,
-        resample_norms=mhpa_cfg.resample_norms,
-    )
+    conv_c, attn_c = split_channels(channels, split_ratio, mode)
+    if conv_c < 1 or attn_c < 1:
+        raise ShapeError(
+            f"split_ratio {split_ratio} leaves an empty branch at {channels} channels"
+        )
+    attend = mode if mode in ("intra_only", "inter_only") else "full"
+    cfg = replace(mhpa_cfg, attend=attend)
     need_conv = mode != "attn_only"
     need_attn = mode != "conv_only"
     hidden = int(round(channels * ffn_ratio))
     return DualBlockParams(
         channels=channels,
+        mode=mode,
         conv_channels=conv_c,
         mbconv=make_mbconv(conv_c, rng) if need_conv else None,
         mhpa=make_mhpa(attn_c, cfg, rng) if need_attn else None,
@@ -197,18 +196,15 @@ def make_dual_block(
 def dual_block_forward(
     x: Tensor,
     p: DualBlockParams,
-    mode: str,
     train: bool = False,
     frozen_iter=None,
     trace: list | None = None,
     trace_tag: dict | None = None,
 ) -> Tensor:
-    if mode not in MODES:
-        raise ValueError(f"unknown block mode {mode!r}, expected one of {MODES}")
     if x.shape[1] != p.channels:
         raise ShapeError(f"block built for {p.channels} channels, input has {x.shape[1]}")
 
-    if mode == "series":
+    if p.mode == "series":
         y = mbconv_forward(x, p.mbconv, train)
         y = mhpa_forward(y, p.mhpa, p.mhpa_cfg, frozen_iter, trace, trace_tag)
     else:

@@ -13,10 +13,8 @@ from __future__ import annotations
 import struct
 from typing import BinaryIO
 
-import numpy as np
-
-from .model import Model, build_model, config_from_text, config_to_text, iter_state
-from .tensor_io import TensorFormatError, read_tensor_stream, write_tensor_stream
+from .model import ConfigError, Model, build_model, config_from_text, config_to_text, iter_state
+from .tensor_io import TensorFormatError, _read_exact, read_tensor_stream, write_tensor_stream
 
 MAGIC = b"DFCK"
 VERSION = 1
@@ -24,13 +22,6 @@ VERSION = 1
 
 class CheckpointError(ValueError):
     """Malformed checkpoint or config mismatch."""
-
-
-def _read_exact(stream: BinaryIO, n: int) -> bytes:
-    buf = stream.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, got {len(buf)}")
-    return buf
 
 
 def write_checkpoint_stream(stream: BinaryIO, model: Model) -> None:
@@ -49,25 +40,31 @@ def write_checkpoint_stream(stream: BinaryIO, model: Model) -> None:
 
 
 def read_checkpoint_stream(stream: BinaryIO):
-    """Returns (config, {name: f32 array})."""
-    if _read_exact(stream, 4) != MAGIC:
-        raise CheckpointError("bad checkpoint magic")
-    (version,) = struct.unpack("<I", _read_exact(stream, 4))
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (text_len,) = struct.unpack("<I", _read_exact(stream, 4))
-    cfg = config_from_text(_read_exact(stream, text_len).decode("utf-8"))
-    (count,) = struct.unpack("<I", _read_exact(stream, 4))
-    state = {}
-    order = []
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", _read_exact(stream, 4))
-        name = _read_exact(stream, name_len).decode("utf-8")
-        try:
-            state[name] = read_tensor_stream(stream)
-        except TensorFormatError as exc:
-            raise CheckpointError(f"entry {name!r}: {exc}") from exc
-        order.append(name)
+    """Returns (config, {name: f32 array}, entry names in file order).
+
+    Malformed bytes of any kind raise :class:`CheckpointError`.
+    """
+    try:
+        if _read_exact(stream, 4) != MAGIC:
+            raise CheckpointError("bad checkpoint magic")
+        (version,) = struct.unpack("<I", _read_exact(stream, 4))
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        (text_len,) = struct.unpack("<I", _read_exact(stream, 4))
+        cfg = config_from_text(_read_exact(stream, text_len).decode("utf-8"))
+        (count,) = struct.unpack("<I", _read_exact(stream, 4))
+        state = {}
+        order = []
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", _read_exact(stream, 4))
+            name = _read_exact(stream, name_len).decode("utf-8")
+            try:
+                state[name] = read_tensor_stream(stream)
+            except TensorFormatError as exc:
+                raise CheckpointError(f"entry {name!r}: {exc}") from exc
+            order.append(name)
+    except (TensorFormatError, ConfigError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     return cfg, state, order
 
 

@@ -61,6 +61,8 @@ def _atomic_write(path: str, payload, binary: bool = False) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .blocks import MODES  # loads numpy, so only after _pin_threads
+
     parser = argparse.ArgumentParser(
         prog="dualformer",
         description="Dual-branch backbone with partition-wise attention.",
@@ -84,15 +86,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common_flags(parser, root=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _MODES = ("parallel", "series", "conv_only", "attn_only", "intra_only", "inter_only")
-
     def model_source(p, ckpt: bool = False):
         g = p.add_mutually_exclusive_group(required=False)
         g.add_argument("--preset", help="preset name (T, XS, S, B, Micro)")
         g.add_argument("--config", help="path to a key=value config file")
         if ckpt:
             g.add_argument("--ckpt", help="path to a checkpoint")
-        p.add_argument("--mode", choices=_MODES, help="override the block mode")
+        p.add_argument("--mode", choices=MODES, help="override the block mode")
 
     p = sub.add_parser("build", help="materialize a model and save a checkpoint")
     model_source(p)

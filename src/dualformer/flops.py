@@ -7,7 +7,7 @@ Biases, normalizations, activations and comparisons are free.
 """
 from __future__ import annotations
 
-from .blocks import MBCONV_EXPANSION
+from .blocks import MBCONV_EXPANSION, split_channels
 from .model import Model, ModelConfig, NUM_STAGES
 
 
@@ -73,10 +73,7 @@ def ffn_flops(h: int, w: int, channels: int, hidden: int) -> int:
 def block_flops(h: int, w: int, cfg: ModelConfig, stage: int) -> dict:
     """One dual block of `stage` (0-based) at grid h x w."""
     c = cfg.channels[stage]
-    conv_c = int(round(c * cfg.split_ratio))
-    attn_c = cfg.attn_channels(stage)
-    if cfg.mode == "series":
-        conv_c = c
+    conv_c, attn_c = split_channels(c, cfg.split_ratio, cfg.mode)
     parts = {"conv": 0, "attn": 0}
     if cfg.mode != "attn_only":
         parts["conv"] = mbconv_flops(h, w, conv_c)

@@ -7,9 +7,8 @@ and the two views are fused back per token. Around the heads sit a strided
 depthwise downsample and a channel-to-spatial expansion that restores the
 input resolution through a skip connection.
 
-Shape grammar: public single-instance ops take (n, d) token matrices plus a
-:class:`~dualformer.partition.Partition`; the layer-level forward runs the
-same math batched as (batch, n, d) per head.
+Shape grammar: the attention ops take (..., n, d) tokens with an integer
+bucket assignment of shape (..., n); any leading axes are batch axes.
 
 Division safety: every data-dependent denominator in the intra weighting
 carries +1e-6, and intra inputs are expected to be nonnegative (the layer
@@ -25,7 +24,7 @@ import numpy as np
 
 from .conv import conv2d
 from .norms import layer_norm_channels
-from .partition import NormVectors, Partition, PartitionError, hash_codes
+from .partition import NormVectors, hash_codes
 from .tensor import (
     ShapeError,
     Tensor,
@@ -46,22 +45,6 @@ from .tensor import (
 )
 
 EPS = 1e-6
-
-
-@dataclass
-class HeadLayout:
-    """How a branch width splits into attention heads."""
-
-    num_heads: int
-    head_dim: int
-
-    def __post_init__(self):
-        if self.num_heads < 1 or self.head_dim < 1:
-            raise ShapeError(f"bad head layout: {self.num_heads} x {self.head_dim}")
-
-    @property
-    def width(self) -> int:
-        return self.num_heads * self.head_dim
 
 
 @dataclass
@@ -87,7 +70,6 @@ class MhpaConfig:
     num_heads: int = 1
     attend: str = "full"  # full | intra_only | inter_only
     share_partitions: bool = False
-    resample_norms: bool = False
 
     @property
     def num_clusters(self) -> int:
@@ -106,12 +88,9 @@ class MhpaParams:
     up_b: Tensor  # (C*k*k,)
     heads: list[MhpaHeadParams] = field(default_factory=list)
     shared_norms: NormVectors | None = None
-    norm_rng: np.random.Generator | None = None
 
 
-# -- batched cores ------------------------------------------------------------
-# x is (..., n, d) with an integer assignment of shape (..., n); the public
-# single-instance ops below are the same code with no batch axes.
+# -- attention ops --------------------------------------------------------
 
 
 def segment_counts(assign: np.ndarray, num_clusters: int) -> np.ndarray:
@@ -122,20 +101,34 @@ def segment_counts(assign: np.ndarray, num_clusters: int) -> np.ndarray:
     return counts.reshape(assign.shape[:-1] + (num_clusters,))
 
 
-def _intra_core(x: Tensor, x_tilde: Tensor, assign: np.ndarray, num_clusters: int) -> Tensor:
+def intra_partition_attention(
+    x: Tensor, x_tilde: Tensor, assign: np.ndarray, num_clusters: int
+) -> Tensor:
+    """Reweight tokens inside each bucket.
+
+    Per bucket and per channel: w_i = x_i / (sum_j x_j + eps), then
+    out_i = (w_i * x̃_i) / (sum_j w_j + eps). ``x`` supplies the weights and
+    is expected to be nonnegative (gate it upstream); ``x_tilde`` supplies
+    the values.
+    """
     sums = segment_sum(x, assign, num_clusters)
     w = x / (gather_segments(sums, assign) + EPS)
     wsums = segment_sum(w, assign, num_clusters)
     return (w * x_tilde) / (gather_segments(wsums, assign) + EPS)
 
 
-def _inter_core(
-    x_tilde: Tensor,
-    assign: np.ndarray,
-    num_clusters: int,
-    counts: np.ndarray,
-    head: MhpaHeadParams,
+def inter_partition_attention(
+    x_tilde: Tensor, assign: np.ndarray, num_clusters: int, head: MhpaHeadParams
 ) -> Tensor:
+    """Bucket descriptors scaled by normalized importance.
+
+    Each bucket's descriptor is the mean of its tokens; a two-layer
+    importance predictor scores every bucket and a softmax over buckets
+    (restricted to non-empty ones) produces coefficients summing to one.
+    Returns one row per bucket, (..., num_clusters, d), zeros for empty
+    buckets.
+    """
+    counts = segment_counts(assign, num_clusters)
     # per-bucket mean descriptor; empty buckets stay exactly zero
     sums = segment_sum(x_tilde, assign, num_clusters)
     inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)[..., None]
@@ -154,75 +147,14 @@ def _inter_core(
     return mul(descr, coeff)
 
 
-def _aggregate_core(
-    intra: Tensor, inter: Tensor, assign: np.ndarray, head: MhpaHeadParams
-) -> Tensor:
-    scattered = gather_segments(inter, assign)
-    fused = concat([intra, scattered], axis=-1)
-    return add_bias(matmul(fused, head.agg_w), head.agg_b, axis=-1)
-
-
-# -- public single-instance ops ----------------------------------------------
-
-
-def _check_tokens(x: Tensor, p: Partition, name: str) -> None:
-    if x.ndim != 2:
-        raise ShapeError(f"{name}: tokens must be (n, d), got {x.shape}")
-    if x.shape[0] != p.num_tokens:
-        raise ShapeError(
-            f"{name}: partition covers {p.num_tokens} tokens, input has {x.shape[0]}"
-        )
-
-
-def intra_partition_attention(x: Tensor, x_tilde: Tensor, p: Partition) -> Tensor:
-    """Reweight tokens inside each bucket.
-
-    Per bucket and per channel: w_i = x_i / (sum_j x_j + eps), then
-    out_i = (w_i * x̃_i) / (sum_j w_j + eps). ``x`` supplies the weights and
-    is expected to be nonnegative (gate it upstream); ``x_tilde`` supplies
-    the values.
-    """
-    _check_tokens(x, p, "intra_partition_attention")
-    if x_tilde.shape != x.shape:
-        raise ShapeError(
-            f"intra_partition_attention: value shape {x_tilde.shape} != weight shape {x.shape}"
-        )
-    return _intra_core(x, x_tilde, p.assignment, p.num_clusters)
-
-
-def inter_partition_attention(x_tilde: Tensor, p: Partition, head: MhpaHeadParams) -> Tensor:
-    """Bucket descriptors scaled by normalized importance.
-
-    Each bucket's descriptor is the mean of its tokens; a two-layer
-    importance predictor scores every bucket and a softmax over buckets
-    (restricted to non-empty ones) produces coefficients summing to one.
-    Returns one row per bucket, zeros for empty buckets.
-    """
-    _check_tokens(x_tilde, p, "inter_partition_attention")
-    return _inter_core(x_tilde, p.assignment, p.num_clusters, p.counts, head)
-
-
 def global_local_aggregate(
-    intra: Tensor, inter: Tensor, p: Partition, head: MhpaHeadParams
+    intra: Tensor, inter: Tensor, assign: np.ndarray, head: MhpaHeadParams
 ) -> Tensor:
     """Fuse per-token and per-bucket views: look up each token's bucket row,
     concatenate along channels, project 2d -> d."""
-    _check_tokens(intra, p, "global_local_aggregate")
-    if inter.ndim != 2 or inter.shape[0] != p.num_clusters:
-        raise ShapeError(
-            f"global_local_aggregate: bucket rows {inter.shape} != K={p.num_clusters}"
-        )
-    return _aggregate_core(intra, inter, p.assignment, head)
-
-
-def space_to_channel(x: Tensor, rate: int) -> Tensor:
-    """Fold rate x rate spatial tiles into channels (inverse of channel_to_spatial)."""
-    b, c, h, w = x.shape
-    if h % rate or w % rate:
-        raise ShapeError(f"space_to_channel: {h}x{w} not divisible by rate {rate}")
-    r = reshape(x, (b, c, h // rate, rate, w // rate, rate))
-    r = transpose(r, (0, 1, 3, 5, 2, 4))
-    return reshape(r, (b, c * rate * rate, h // rate, w // rate))
+    scattered = gather_segments(inter, assign)
+    fused = concat([intra, scattered], axis=-1)
+    return add_bias(matmul(fused, head.agg_w), head.agg_b, axis=-1)
 
 
 def channel_to_spatial(x: Tensor, rate: int, skip: Tensor) -> Tensor:
@@ -270,20 +202,19 @@ def mhpa_head_forward(
         raise ShapeError(
             f"mhpa_head_forward: assignment {assign.shape} does not match tokens {tokens.shape}"
         )
-    counts = segment_counts(assign, num_clusters)
     gate = sigmoid(tokens)
     x_tilde = add_bias(matmul(tokens, head.token_w), head.token_b, axis=-1)
 
     if attend == "inter_only":
         intra = constant(np.zeros_like(x_tilde.data), dtype=x_tilde.dtype)
     else:
-        intra = _intra_core(gate, x_tilde, assign, num_clusters)
+        intra = intra_partition_attention(gate, x_tilde, assign, num_clusters)
     if attend == "intra_only":
         shape = x_tilde.shape[:-2] + (num_clusters, x_tilde.shape[-1])
         inter = constant(np.zeros(shape), dtype=x_tilde.dtype)
     else:
-        inter = _inter_core(x_tilde, assign, num_clusters, counts, head)
-    out = _aggregate_core(intra, inter, assign, head)
+        inter = inter_partition_attention(x_tilde, assign, num_clusters, head)
+    out = global_local_aggregate(intra, inter, assign, head)
     return out, assign
 
 
@@ -327,10 +258,9 @@ def mhpa_forward(
         if frozen_iter is not None:
             shared_assign = np.asarray(next(frozen_iter))
         else:
-            beta = params.shared_norms.beta
-            if cfg.resample_norms and params.norm_rng is not None:
-                beta = params.norm_rng.standard_normal(beta.shape)
-            shared_assign = hash_codes(toks.data.astype(np.float64, copy=False), beta)
+            shared_assign = hash_codes(
+                toks.data.astype(np.float64, copy=False), params.shared_norms.beta
+            )
         if trace is not None:
             trace.append(
                 {**(trace_tag or {}), "head": None, "assignment": shared_assign.copy(),
@@ -344,9 +274,6 @@ def mhpa_forward(
             assign = shared_assign
         elif frozen_iter is not None:
             assign = np.asarray(next(frozen_iter))
-        elif cfg.resample_norms and params.norm_rng is not None:
-            beta = params.norm_rng.standard_normal(head.norms.beta.shape)
-            assign = hash_codes(sl.data.astype(np.float64, copy=False), beta)
         else:
             assign = None
         out, assign = mhpa_head_forward(sl, head, K, assign=assign, attend=cfg.attend)

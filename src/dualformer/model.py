@@ -21,11 +21,10 @@ from .blocks import (
     make_dual_block,
     make_patch_embed,
     patch_embed_forward,
+    split_channels,
 )
 from .init import trunc_normal, zeros_param
 from .mhpa import MhpaConfig
-from .norms import BatchNorm2d
-from .partition import NormVectors
 from .tensor import ShapeError, Tensor, add_bias, constant, matmul, tmean
 
 NUM_STAGES = 4
@@ -39,7 +38,7 @@ class ConfigError(ValueError):
 
 def default_heads(channels: int, split_ratio: float = 0.5) -> int:
     """Largest divisor of the attention-branch width not above channels/32."""
-    branch = channels - int(round(channels * split_ratio))
+    _, branch = split_channels(channels, split_ratio, "parallel")
     cap = max(1, channels // 32)
     for h in range(min(cap, branch), 0, -1):
         if branch % h == 0:
@@ -60,7 +59,6 @@ class ModelConfig:
     num_classes: int = 1000
     mode: str = "parallel"
     share_partitions: bool = False
-    resample_norms: bool = False
 
     def validate(self) -> None:
         for fname in ("depths", "channels", "heads", "hash_bits", "downsample_rates"):
@@ -79,31 +77,22 @@ class ModelConfig:
             c = self.channels[i]
             if c % 2:
                 raise ConfigError(f"stage {i + 1}: channels must be even, got {c}")
-            branch = self.attn_channels(i)
-            if branch < 1 or int(round(c * self.split_ratio)) < 1:
+            # checked in every mode, so a valid config stays valid under --mode
+            if min(split_channels(c, self.split_ratio, "parallel")) < 1:
                 raise ConfigError(f"stage {i + 1}: split leaves an empty branch at {c} channels")
+            _, branch = split_channels(c, self.split_ratio, self.mode)
             if branch % self.heads[i]:
                 raise ConfigError(
                     f"stage {i + 1}: attention width {branch} not divisible by "
                     f"{self.heads[i]} heads"
                 )
 
-    def attn_channels(self, stage: int) -> int:
-        c = self.channels[stage]
-        if self.mode == "series":
-            return c
-        return c - int(round(c * self.split_ratio))
-
     def mhpa_config(self, stage: int) -> MhpaConfig:
         return MhpaConfig(
             downsample_rate=self.downsample_rates[stage],
             hash_bits=self.hash_bits[stage],
             num_heads=self.heads[stage],
-            attend={"intra_only": "intra_only", "inter_only": "inter_only"}.get(
-                self.mode, "full"
-            ),
             share_partitions=self.share_partitions,
-            resample_norms=self.resample_norms,
         )
 
 
@@ -141,8 +130,7 @@ def get_preset(name: str) -> ModelConfig:
 _INT_TUPLES = ("depths", "channels", "heads", "hash_bits", "downsample_rates")
 _FIELD_ORDER = (
     "name", "depths", "channels", "heads", "hash_bits", "downsample_rates",
-    "split_ratio", "ffn_ratio", "num_classes", "mode",
-    "share_partitions", "resample_norms",
+    "split_ratio", "ffn_ratio", "num_classes", "mode", "share_partitions",
 )
 
 
@@ -170,24 +158,31 @@ def config_from_text(text: str) -> ModelConfig:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
         key, val = line.split("=", 1)
         kv[key.strip()] = val.strip()
+    # configs written before norm resampling was removed carry this line
+    legacy = kv.pop("resample_norms", "false")
+    if legacy != "false":
+        raise ConfigError(f"resample_norms={legacy} is no longer supported")
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(kv) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     args = {}
     for key, val in kv.items():
-        if key in _INT_TUPLES:
-            args[key] = tuple(int(v) for v in val.split(","))
-        elif key in ("split_ratio", "ffn_ratio"):
-            args[key] = float(val)
-        elif key == "num_classes":
-            args[key] = int(val)
-        elif key in ("share_partitions", "resample_norms"):
-            if val not in ("true", "false"):
-                raise ConfigError(f"{key} must be true or false, got {val!r}")
-            args[key] = val == "true"
-        else:
-            args[key] = val
+        try:
+            if key in _INT_TUPLES:
+                args[key] = tuple(int(v) for v in val.split(","))
+            elif key in ("split_ratio", "ffn_ratio"):
+                args[key] = float(val)
+            elif key == "num_classes":
+                args[key] = int(val)
+            elif key == "share_partitions":
+                if val not in ("true", "false"):
+                    raise ValueError("expected true or false")
+                args[key] = val == "true"
+            else:
+                args[key] = val
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}: cannot parse {val!r}: {exc}") from exc
     cfg = ModelConfig(**args)
     cfg.validate()
     return cfg
@@ -281,7 +276,6 @@ def _forward(
             x = dual_block_forward(
                 x,
                 block,
-                model.config.mode,
                 train=train,
                 frozen_iter=frozen_iter,
                 trace=trace,
@@ -325,47 +319,39 @@ def capture_partitions(model: Model, images, train: bool = False) -> list:
 # -- state walking -----------------------------------------------------------
 
 
+def _leaves(obj, prefix: str = ""):
+    """Yield (name, Tensor or ndarray) over a params tree.
+
+    Deterministic order: dataclass field order, list index order.
+    """
+    if isinstance(obj, (Tensor, np.ndarray)):
+        yield prefix, obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            if f.name not in ("config", "dtype"):
+                yield from _leaves(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name)
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, f"{prefix}[{i}]")
+    # scalars, strings and None carry no state
+
+
 def iter_state(obj, prefix: str = ""):
     """Yield (name, array, kind) over every tensor in a params tree.
 
-    Deterministic order: dataclass field order, list index order. Learnable
-    tensors are kind 'param'; running stats and hash hyperplanes are
-    'buffer'.
+    Learnable tensors are kind 'param'; running stats and hash hyperplanes
+    are 'buffer'.
     """
-    if isinstance(obj, Tensor):
-        yield prefix, obj.data, "param" if obj.requires_grad else "buffer"
-    elif isinstance(obj, np.ndarray):
-        yield prefix, obj, "buffer"
-    elif isinstance(obj, (BatchNorm2d, NormVectors)) or dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            name = f.name
-            if name in ("config", "dtype"):
-                continue
-            yield from iter_state(getattr(obj, name), f"{prefix}.{name}" if prefix else name)
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            yield from iter_state(v, f"{prefix}[{i}]")
-    # scalars, strings, None, rng objects carry no state
+    for name, leaf in _leaves(obj, prefix):
+        if isinstance(leaf, Tensor):
+            yield name, leaf.data, "param" if leaf.requires_grad else "buffer"
+        else:
+            yield name, leaf, "buffer"
 
 
 def named_parameters(model: Model) -> list[tuple[str, Tensor]]:
-    out = []
-
-    def walk(obj, prefix=""):
-        if isinstance(obj, Tensor):
-            if obj.requires_grad:
-                out.append((prefix, obj))
-        elif dataclasses.is_dataclass(obj) and not isinstance(obj, np.random.Generator):
-            for f in dataclasses.fields(obj):
-                if f.name in ("config", "dtype"):
-                    continue
-                walk(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name)
-        elif isinstance(obj, (list, tuple)):
-            for i, v in enumerate(obj):
-                walk(v, f"{prefix}[{i}]")
-
-    walk(model)
-    return out
+    """(name, Tensor) for every learnable tensor, in :func:`iter_state` order."""
+    return [(n, t) for n, t in _leaves(model) if isinstance(t, Tensor) and t.requires_grad]
 
 
 def count_params(model: Model) -> int:

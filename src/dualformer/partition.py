@@ -72,10 +72,6 @@ class Partition:
         if self.counts.shape != (self.num_clusters,) or int(self.counts.sum()) != n:
             raise PartitionError("counts do not tally with the assignment")
 
-    @property
-    def num_tokens(self) -> int:
-        return self.assignment.shape[0]
-
 
 def _as_array(tokens) -> np.ndarray:
     if isinstance(tokens, Tensor):

@@ -32,10 +32,6 @@ def default_dtype():
     return _default
 
 
-def dtype_name() -> str:
-    return "f64" if _default == np.float64 else "f32"
-
-
 @contextlib.contextmanager
 def precision(name):
     """Temporarily switch the default dtype. Used by tests and the grad audit."""

@@ -50,10 +50,6 @@ class no_grad:
         return False
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class OpNode:
     """Record of one forward op: name, parent tensors, backward closure."""
 
@@ -108,12 +104,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data, False, None)
 
     def zero_grad(self) -> None:
         self.grad = None

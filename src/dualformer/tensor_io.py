@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ def write_tensor_stream(fh, arr: np.ndarray) -> None:
 def _read_exact(fh, n: int) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
-        raise TensorFormatError(f"truncated tensor blob: wanted {n} bytes, got {len(buf)}")
+        raise TensorFormatError(f"truncated stream: wanted {n} bytes, got {len(buf)}")
     return buf
 
 
@@ -53,6 +54,8 @@ def read_tensor_stream(fh) -> np.ndarray:
     count = 1
     for d in dims:
         count *= d
+    if 4 * count > sys.maxsize:
+        raise TensorFormatError(f"implausible tensor shape {dims}")
     payload = _read_exact(fh, 4 * count)
     arr = np.frombuffer(payload, dtype="<f4", count=count).reshape(dims)
     return arr.copy()  # frombuffer views are read-only

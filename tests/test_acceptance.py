@@ -47,7 +47,6 @@ from dualformer.mhpa import (
     inter_partition_attention,
     intra_partition_attention,
     mhpa_head_forward,
-    space_to_channel,
 )
 from dualformer.model import (
     PRESETS,
@@ -63,7 +62,6 @@ from dualformer.analysis import high_frequency_mean, radial_log_amplitude
 from dualformer.norms import batch_norm, layer_norm_channels, make_batch_norm
 from dualformer.partition import (
     NormVectors,
-    Partition,
     kmeans_assign,
     kmeans_objective,
     lsh_assign,
@@ -325,23 +323,22 @@ def test_check_02_loop_oracle_equivalence():
             d = int(r.integers(1, 9))
             k = int(r.integers(1, 9))
             assign = r.integers(0, k, size=n)
-            p = Partition(assign, k)
             head = rand_head(r, d)
 
             x = np.abs(r.normal(size=(n, d))) + 0.1
             xt = r.normal(size=(n, d))
-            got = intra_partition_attention(constant(x), constant(xt), p).data
+            got = intra_partition_attention(constant(x), constant(xt), assign, k).data
             worst["intra"] = max(worst["intra"],
                                  np.abs(got - oracle_intra(x, xt, assign, k)).max())
 
-            got = inter_partition_attention(constant(xt), p, head).data
+            got = inter_partition_attention(constant(xt), assign, k, head).data
             worst["inter"] = max(worst["inter"],
                                  np.abs(got - oracle_inter(xt, assign, k, head)).max())
 
             intra_np = r.normal(size=(n, d))
             inter_np = r.normal(size=(k, d))
             got = global_local_aggregate(
-                constant(intra_np), constant(inter_np), p, head
+                constant(intra_np), constant(inter_np), assign, head
             ).data
             worst["aggregate"] = max(
                 worst["aggregate"],
@@ -402,7 +399,6 @@ def op_inventory(r):
     a = lambda: leaf(r, 3, 4)
     pos = lambda: leaf(r, 3, 4, positive=True)
     assign = r.integers(0, 3, size=6)
-    p = Partition(assign, 3)
     head = rand_head(r, 4)
     bn = make_batch_norm(3, np.float64)
     cases = [
@@ -441,13 +437,12 @@ def op_inventory(r):
          [leaf(r, 2, 3, 4, 4)]),
         ("vanilla_attention", vanilla_attention,
          [leaf(r, 6, 4), leaf(r, 4, 3), leaf(r, 4, 3), leaf(r, 4, 3)]),
-        ("intra_attention", lambda x, xt: intra_partition_attention(x, xt, p),
+        ("intra_attention", lambda x, xt: intra_partition_attention(x, xt, assign, 3),
          [leaf(r, 6, 4, positive=True), leaf(r, 6, 4)]),
-        ("inter_attention", lambda xt: inter_partition_attention(xt, p, head),
+        ("inter_attention", lambda xt: inter_partition_attention(xt, assign, 3, head),
          [leaf(r, 6, 4)]),
-        ("aggregate", lambda i1, i2: global_local_aggregate(i1, i2, p, head),
+        ("aggregate", lambda i1, i2: global_local_aggregate(i1, i2, assign, head),
          [leaf(r, 6, 4), leaf(r, 3, 4)]),
-        ("space_to_channel", lambda x: space_to_channel(x, 2), [leaf(r, 2, 3, 4, 4)]),
         ("channel_to_spatial", lambda x, s: channel_to_spatial(x, 2, s),
          [leaf(r, 1, 8, 2, 2), leaf(r, 1, 2, 4, 4)]),
     ]
@@ -621,11 +616,11 @@ def test_check_09_invariant_suite():
     with precision.precision("f64"):
         for _ in range(CASES):  # bucket coefficients form a probability vector
             n, d, k = int(r.integers(1, 33)), int(r.integers(1, 9)), int(r.integers(1, 9))
-            p = Partition(r.integers(0, k, size=n), k)
+            assign = r.integers(0, k, size=n)
             head = rand_head(r, d)
             xt = r.normal(size=(n, d)) + 0.5
-            out = inter_partition_attention(constant(xt), p, head).data
-            counts = np.bincount(p.assignment, minlength=k)
+            out = inter_partition_attention(constant(xt), assign, k, head).data
+            counts = np.bincount(assign, minlength=k)
             total = 0.0
             recoverable = True
             for c in range(k):
@@ -634,7 +629,7 @@ def test_check_09_invariant_suite():
                         problems.append("empty bucket not zero")
                         recoverable = False
                     continue
-                descr = xt[p.assignment == c].mean(axis=0)
+                descr = xt[assign == c].mean(axis=0)
                 denom = float(descr @ descr)
                 if denom < 1e-12:
                     recoverable = False
@@ -650,8 +645,9 @@ def test_check_09_invariant_suite():
             d = int(r.integers(1, 9))
             x = r.uniform(1.0, 3.0, size=(1, d))
             xt = r.uniform(-0.5, 0.5, size=(1, d))
-            p = Partition(np.zeros(1, dtype=np.int64), 1)
-            out = intra_partition_attention(constant(x), constant(xt), p).data
+            out = intra_partition_attention(
+                constant(x), constant(xt), np.zeros(1, dtype=np.int64), 1
+            ).data
             if np.abs(out - xt).max() > 2e-6:
                 problems.append("singleton identity")
                 break
@@ -665,11 +661,9 @@ def test_check_09_invariant_suite():
             for c in range(k):
                 idx = np.flatnonzero(assign == c)
                 perm[idx] = idx[r.permutation(idx.size)]
-            base = intra_partition_attention(
-                constant(x), constant(xt), Partition(assign, k)
-            ).data
+            base = intra_partition_attention(constant(x), constant(xt), assign, k).data
             shuf = intra_partition_attention(
-                constant(x[perm]), constant(xt[perm]), Partition(assign[perm], k)
+                constant(x[perm]), constant(xt[perm]), assign[perm], k
             ).data
             if np.abs(shuf - base[perm]).max() > 1e-9:
                 problems.append("permutation equivariance")

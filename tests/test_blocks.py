@@ -97,8 +97,9 @@ def block_cfg(heads=2):
 @pytest.mark.parametrize("mode", MODES)
 def test_block_exact_identity_at_init(mode):
     p = make_dual_block(8, mode, block_cfg(), rng(10))
+    assert p.mode == mode
     x = rand_map(rng(11), 8)
-    out = dual_block_forward(x, p, mode)
+    out = dual_block_forward(x, p)
     assert np.array_equal(out.data, x.data)
 
 
@@ -121,7 +122,7 @@ def test_parallel_matches_manual_composition_bitwise():
     p = make_dual_block(8, "parallel", block_cfg(), r)
     perturb(p, r)
     x = rand_map(rng(14), 8)
-    out = dual_block_forward(x, p, "parallel")
+    out = dual_block_forward(x, p)
 
     conv_c = p.conv_channels
     xc = narrow(x, 1, 0, conv_c)
@@ -141,8 +142,8 @@ def test_series_differs_from_parallel():
     perturb(pp, rng(17))
     perturb(ps, rng(17))
     x = rand_map(rng(18), 8)
-    a = dual_block_forward(x, pp, "parallel")
-    b = dual_block_forward(x, ps, "series")
+    a = dual_block_forward(x, pp)
+    b = dual_block_forward(x, ps)
     assert not np.allclose(a.data, b.data, atol=1e-5)
 
 
@@ -160,7 +161,7 @@ def test_conv_only_equals_mbconv_on_its_half():
     p = make_dual_block(8, "conv_only", block_cfg(), r)
     p.mbconv.proj_w.data[:] = 0.05 * r.normal(size=p.mbconv.proj_w.shape)
     x = rand_map(rng(22), 8)
-    out = dual_block_forward(x, p, "conv_only")
+    out = dual_block_forward(x, p)
     # attention half passes through untouched (ffn still zero)
     conv_c = p.conv_channels
     attn_half_in = x.data[:, conv_c:]
@@ -175,7 +176,7 @@ def test_attn_only_leaves_conv_half_untouched():
     p = make_dual_block(8, "attn_only", block_cfg(), r)
     p.mhpa.up_w.data[:] = 0.05 * r.normal(size=p.mhpa.up_w.shape)
     x = rand_map(rng(24), 8)
-    out = dual_block_forward(x, p, "attn_only")
+    out = dual_block_forward(x, p)
     conv_c = p.conv_channels
     assert np.allclose(out.data[:, :conv_c], x.data[:, :conv_c], atol=1e-6)
     assert not np.allclose(out.data[:, conv_c:], x.data[:, conv_c:], atol=1e-6)
@@ -187,9 +188,9 @@ def test_block_frozen_iter_replays_partitions():
     perturb(p, r)
     x = rand_map(rng(26), 8)
     trace = []
-    out1 = dual_block_forward(x, p, "parallel", trace=trace, trace_tag={"stage": 1, "block": 0})
+    out1 = dual_block_forward(x, p, trace=trace, trace_tag={"stage": 1, "block": 0})
     frozen = iter([e["assignment"] for e in trace])
-    out2 = dual_block_forward(x, p, "parallel", frozen_iter=frozen)
+    out2 = dual_block_forward(x, p, frozen_iter=frozen)
     assert np.array_equal(out1.data, out2.data)
     assert all(e["stage"] == 1 for e in trace)
 

@@ -17,6 +17,17 @@ def run(*args, timeout=180):
     )
 
 
+def test_import_leaves_numpy_unloaded():
+    # --threads pins BLAS through the environment, which works only while
+    # numpy is not loaded yet; the package import must not pull it in
+    code = "import sys, dualformer.cli; print('numpy' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_count_micro_total():
     res = run("count", "--preset", "Micro")
     assert res.returncode == 0

@@ -18,10 +18,9 @@ from dualformer.mhpa import (
     inter_partition_attention,
     intra_partition_attention,
     mhpa_head_forward,
-    space_to_channel,
 )
 from dualformer.norms import batch_norm, layer_norm_channels, make_batch_norm
-from dualformer.partition import NormVectors, Partition
+from dualformer.partition import NormVectors
 from dualformer.tensor import (
     Tensor,
     add,
@@ -194,46 +193,44 @@ def _head(r, d):
     )
 
 
-def _partition(r, n, k):
-    return Partition(r.integers(0, k, size=n), k)
+def _assign(r, n, k):
+    return r.integers(0, k, size=n)
 
 
 def test_intra_partition_grad():
     r = np.random.default_rng(14)
-    p = _partition(r, 10, 4)
+    assign = _assign(r, 10, 4)
     x = leaf(r, (10, 3), offset=1.5, scale=0.3)  # weights stay positive
     xt = leaf(r, (10, 3))
-    check(lambda a, b: intra_partition_attention(a, b, p), [x, xt])
+    check(lambda a, b: intra_partition_attention(a, b, assign, 4), [x, xt])
 
 
 def test_inter_partition_grad():
     r = np.random.default_rng(15)
-    p = _partition(r, 12, 4)
+    assign = _assign(r, 12, 4)
     head = _head(r, 3)
     xt = leaf(r, (12, 3))
     check(
-        lambda a, w1, b1, w2, b2: inter_partition_attention(a, p, head),
+        lambda a, w1, b1, w2, b2: inter_partition_attention(a, assign, 4, head),
         [xt, head.imp_w1, head.imp_b1, head.imp_w2, head.imp_b2],
     )
 
 
 def test_aggregate_grad():
     r = np.random.default_rng(16)
-    p = _partition(r, 8, 4)
+    assign = _assign(r, 8, 4)
     head = _head(r, 3)
     intra = leaf(r, (8, 3))
     inter = leaf(r, (4, 3))
     check(
-        lambda a, b, w, bias: global_local_aggregate(a, b, p, head),
+        lambda a, b, w, bias: global_local_aggregate(a, b, assign, head),
         [intra, inter, head.agg_w, head.agg_b],
     )
 
 
-def test_space_channel_roundtrip_grads():
+def test_channel_to_spatial_grad():
     r = np.random.default_rng(17)
-    x = leaf(r, (2, 3, 4, 4))
     skip = leaf(r, (2, 1, 8, 8))
-    check(lambda a: space_to_channel(a, 2), [x])
     y = leaf(r, (2, 4, 4, 4))
     check(lambda a, s: channel_to_spatial(a, 2, s), [y, skip])
 

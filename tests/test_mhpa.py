@@ -17,10 +17,9 @@ from dualformer.mhpa import (
     mhpa_forward,
     mhpa_head_forward,
     partition_to_grayscale,
-    space_to_channel,
 )
 from dualformer.blocks import make_mhpa
-from dualformer.partition import NormVectors, Partition, hash_codes
+from dualformer.partition import NormVectors, hash_codes
 from dualformer.tensor import ShapeError, Tensor, constant, sigmoid
 
 
@@ -89,8 +88,8 @@ def make_head(r, d):
     )
 
 
-def rand_partition(r, n, k):
-    return Partition(r.integers(0, k, size=n), k)
+def rand_assign(r, n, k):
+    return r.integers(0, k, size=n)
 
 
 # -- intra ---------------------------------------------------------------
@@ -101,8 +100,7 @@ def test_intra_frozen_hand_case():
     # outputs are w_i * values: [0.25*4, 0.75*2] = [1.0, 1.5] up to eps
     x = constant([[2.0], [6.0]])
     xt = constant([[4.0], [2.0]])
-    p = Partition(np.array([0, 0]), 1)
-    out = intra_partition_attention(x, xt, p).data
+    out = intra_partition_attention(x, xt, np.array([0, 0]), 1).data
     assert np.allclose(out, [[1.0], [1.5]], atol=1e-5)
 
 
@@ -115,17 +113,17 @@ def test_intra_matches_oracle_many_instances():
             k = int(r.integers(1, 9))
             x = np.abs(r.normal(size=(n, d))) + 0.1
             xt = r.normal(size=(n, d))
-            p = rand_partition(r, n, k)
-            got = intra_partition_attention(constant(x), constant(xt), p).data
-            assert np.allclose(got, intra_oracle(x, xt, p.assignment, k), atol=1e-6)
+            assign = rand_assign(r, n, k)
+            got = intra_partition_attention(constant(x), constant(xt), assign, k).data
+            assert np.allclose(got, intra_oracle(x, xt, assign, k), atol=1e-6)
 
 
 def test_intra_shape_mismatch_rejected():
-    p = Partition(np.zeros(3, dtype=np.int64), 2)
+    assign = np.zeros(3, dtype=np.int64)
     with pytest.raises(ShapeError):
-        intra_partition_attention(constant(np.ones((3, 2))), constant(np.ones((3, 3))), p)
+        intra_partition_attention(constant(np.ones((3, 2))), constant(np.ones((3, 3))), assign, 2)
     with pytest.raises(ShapeError):
-        intra_partition_attention(constant(np.ones((4, 2))), constant(np.ones((4, 2))), p)
+        intra_partition_attention(constant(np.ones((4, 2))), constant(np.ones((4, 2))), assign, 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -145,9 +143,7 @@ def test_intra_singleton_identity(weight, value, seed):
     assign = np.zeros(n, dtype=np.int64)
     assign[lone] = 1  # token sits alone in bucket 1
     with precision.precision("f64"):
-        out = intra_partition_attention(
-            constant(x), constant(xt), Partition(assign, 2)
-        ).data
+        out = intra_partition_attention(constant(x), constant(xt), assign, 2).data
     assert abs(out[lone, 0] - value) <= 2e-6
 
 
@@ -162,10 +158,10 @@ def test_inter_matches_oracle_many_instances():
             d = int(r.integers(1, 9))
             k = int(r.integers(1, 9))
             xt = r.normal(size=(n, d))
-            p = rand_partition(r, n, k)
+            assign = rand_assign(r, n, k)
             head = make_head(r, d)
-            got = inter_partition_attention(constant(xt), p, head).data
-            want = inter_oracle(xt, p.assignment, k, head)
+            got = inter_partition_attention(constant(xt), assign, k, head).data
+            want = inter_oracle(xt, assign, k, head)
             assert np.allclose(got, want, atol=1e-6)
 
 
@@ -173,8 +169,8 @@ def test_inter_single_bucket_returns_descriptor():
     r = np.random.default_rng(2)
     with precision.precision("f64"):
         xt = r.normal(size=(7, 3))
-        p = Partition(np.zeros(7, dtype=np.int64), 1)
-        out = inter_partition_attention(constant(xt), p, make_head(r, 3)).data
+        assign = np.zeros(7, dtype=np.int64)
+        out = inter_partition_attention(constant(xt), assign, 1, make_head(r, 3)).data
     # coefficient over a single bucket is exactly one
     assert np.allclose(out[0], xt.mean(axis=0), atol=1e-12)
 
@@ -183,8 +179,7 @@ def test_inter_empty_buckets_are_zero_rows():
     r = np.random.default_rng(3)
     xt = r.normal(size=(5, 2)).astype(np.float32)
     assign = np.array([0, 0, 3, 3, 3])
-    p = Partition(assign, 8)
-    out = inter_partition_attention(constant(xt), p, make_head(r, 2)).data
+    out = inter_partition_attention(constant(xt), assign, 8, make_head(r, 2)).data
     for k in range(8):
         if k not in (0, 3):
             assert np.all(out[k] == 0.0)
@@ -196,13 +191,12 @@ def test_inter_zeroed_predictor_gives_uniform_coefficients():
     with precision.precision("f64"):
         xt = r.normal(size=(8, 3))
         assign = np.array([0, 0, 1, 1, 2, 2, 3, 3])
-        p = Partition(assign, 4)
         head = make_head(r, 3)
         head.imp_w1.data[:] = 0.0
         head.imp_b1.data[:] = 0.0
         head.imp_w2.data[:] = 0.0
         head.imp_b2.data[:] = 0.0
-        out = inter_partition_attention(constant(xt), p, head).data
+        out = inter_partition_attention(constant(xt), assign, 4, head).data
         for k in range(4):
             want = 0.25 * xt[assign == k].mean(axis=0)
             assert np.allclose(out[k], want, atol=1e-12)
@@ -213,17 +207,17 @@ def test_inter_zeroed_predictor_gives_uniform_coefficients():
 def test_inter_coefficients_sum_to_one(n, d, k, seed):
     r = np.random.default_rng(seed)
     xt = r.normal(size=(n, d)) + 1.0  # keep descriptors away from zero
-    p = rand_partition(r, n, k)
+    assign = rand_assign(r, n, k)
     with precision.precision("f64"):
         head = make_head(r, d)
-        out = inter_partition_attention(constant(xt), p, head).data
+        out = inter_partition_attention(constant(xt), assign, k, head).data
     total = 0.0
     recovered = False
-    counts = p.counts
+    counts = np.bincount(assign, minlength=k)
     descr = np.zeros((k, d))
     for kk in range(k):
         if counts[kk]:
-            descr[kk] = xt[p.assignment == kk].mean(axis=0)
+            descr[kk] = xt[assign == kk].mean(axis=0)
             c = int(np.argmax(np.abs(descr[kk])))
             if abs(descr[kk, c]) > 1e-6:
                 total += out[kk, c] / descr[kk, c]
@@ -242,22 +236,23 @@ def test_aggregate_matches_oracle_many_instances():
             n = int(r.integers(1, 33))
             d = int(r.integers(1, 9))
             k = int(r.integers(1, 9))
-            p = rand_partition(r, n, k)
+            assign = rand_assign(r, n, k)
             head = make_head(r, d)
             intra = r.normal(size=(n, d))
             inter = r.normal(size=(k, d))
-            got = global_local_aggregate(constant(intra), constant(inter), p, head).data
-            want = aggregate_oracle(intra, inter, p.assignment, head)
+            got = global_local_aggregate(constant(intra), constant(inter), assign, head).data
+            want = aggregate_oracle(intra, inter, assign, head)
             assert np.allclose(got, want, atol=1e-6)
 
 
 def test_aggregate_wrong_bucket_rows_rejected():
+    # bucket id 3 has no row in a 3-row bucket table
     r = np.random.default_rng(6)
-    p = rand_partition(r, 5, 4)
+    assign = np.array([0, 1, 2, 3, 3])
     head = make_head(r, 3)
     with pytest.raises(ShapeError):
         global_local_aggregate(
-            constant(np.ones((5, 3))), constant(np.ones((3, 3))), p, head
+            constant(np.ones((5, 3))), constant(np.ones((3, 3))), assign, head
         )
 
 
@@ -289,24 +284,10 @@ def test_channel_to_spatial_matches_loop_oracle():
         assert np.allclose(got, c2s_oracle(x, rate) + skip, atol=1e-12)
 
 
-def test_space_channel_roundtrip():
-    r = np.random.default_rng(8)
-    x = r.normal(size=(2, 3, 6, 8)).astype(np.float32)
-    zeros = constant(np.zeros_like(x))
-    folded = space_to_channel(constant(x), 2)
-    back = channel_to_spatial(folded, 2, zeros)
-    assert np.array_equal(back.data, x)
-
-
 def test_channel_to_spatial_skip_shape_enforced():
     x = constant(np.ones((1, 4, 2, 2)))
     with pytest.raises(ShapeError):
         channel_to_spatial(x, 2, constant(np.ones((1, 1, 3, 4))))
-
-
-def test_space_to_channel_requires_divisible_grid():
-    with pytest.raises(ShapeError):
-        space_to_channel(constant(np.ones((1, 2, 5, 4))), 2)
 
 
 # -- head pipeline ---------------------------------------------------------
@@ -319,15 +300,14 @@ def test_head_forward_composes_public_ops():
         head = make_head(r, d)
         tokens = r.normal(size=(n, d))
         assign = hash_codes(tokens, head.norms.beta)
-        p = Partition(assign, k)
         t = constant(tokens)
         out, used = mhpa_head_forward(t, head, k)
         assert np.array_equal(used, assign)
         gate = sigmoid(t)
         xt = constant(tokens @ head.token_w.data + head.token_b.data)
-        intra = intra_partition_attention(gate, xt, p)
-        inter = inter_partition_attention(xt, p, head)
-        want = global_local_aggregate(intra, inter, p, head)
+        intra = intra_partition_attention(gate, xt, assign, k)
+        inter = inter_partition_attention(xt, assign, k, head)
+        want = global_local_aggregate(intra, inter, assign, head)
         assert np.allclose(out.data, want.data, atol=1e-10)
 
 
@@ -379,11 +359,9 @@ def test_within_cluster_permutation_equivariance(n, d, k, seed):
     perm = np.arange(n)
     perm[members] = members[r.permutation(members.size)]
     with precision.precision("f64"):
-        base = intra_partition_attention(
-            constant(x), constant(xt), Partition(assign, k)
-        ).data
+        base = intra_partition_attention(constant(x), constant(xt), assign, k).data
         shuffled = intra_partition_attention(
-            constant(x[perm]), constant(xt[perm]), Partition(assign[perm], k)
+            constant(x[perm]), constant(xt[perm]), assign[perm], k
         ).data
     assert np.allclose(shuffled, base[perm], atol=1e-9)
 
@@ -435,17 +413,6 @@ def test_shared_partitions_trace_once():
     mhpa_forward(x, params, cfg, trace=trace)
     assert len(trace) == 1
     assert trace[0]["head"] is None
-
-
-def test_resample_norms_changes_partitions_between_calls():
-    r = np.random.default_rng(6)
-    cfg = MhpaConfig(downsample_rate=1, hash_bits=3, num_heads=1, resample_norms=True)
-    params = make_mhpa(8, cfg, r)
-    x = constant(r.normal(size=(1, 8, 6, 6)).astype(np.float32))
-    t1, t2 = [], []
-    mhpa_forward(x, params, cfg, trace=t1)
-    mhpa_forward(x, params, cfg, trace=t2)
-    assert not np.array_equal(t1[0]["assignment"], t2[0]["assignment"])
 
 
 def test_partition_to_grayscale_levels():

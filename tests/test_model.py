@@ -2,9 +2,12 @@
 flop formulas, checkpoints."""
 import dataclasses
 import io
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualformer.checkpoint import (
     CheckpointError,
@@ -109,6 +112,25 @@ def test_config_text_rejects_bad_bool():
     )
     with pytest.raises(ConfigError):
         config_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "line", ["depths=1,x,1,1", "split_ratio=abc", "num_classes=4.5", "channels=16,,64,128"]
+)
+def test_config_text_rejects_non_numeric_values(line):
+    key = line.split("=")[0]
+    text = config_to_text(PRESETS["Micro"]) + line + "\n"
+    with pytest.raises(ConfigError, match=key):
+        config_from_text(text)
+
+
+def test_config_text_legacy_resample_norms_line():
+    # checkpoints written before norm resampling was removed carry this line
+    text = config_to_text(PRESETS["Micro"])
+    assert "resample_norms" not in text
+    assert config_from_text(text + "resample_norms=false\n") == PRESETS["Micro"]
+    with pytest.raises(ConfigError):
+        config_from_text(text + "resample_norms=true\n")
 
 
 # -- parameter accounting --------------------------------------------------
@@ -342,3 +364,62 @@ def test_checkpoint_stream_is_deterministic():
     write_checkpoint_stream(a, build_model(get_preset("Micro"), seed=7))
     write_checkpoint_stream(b, build_model(get_preset("Micro"), seed=7))
     assert a.getvalue() == b.getvalue()
+
+
+@pytest.fixture(scope="module")
+def micro_ckpt():
+    buf = io.BytesIO()
+    write_checkpoint_stream(buf, build_model(get_preset("Micro"), seed=0))
+    return buf.getvalue()
+
+
+def _config_span(raw):
+    (text_len,) = struct.unpack("<I", raw[8:12])
+    return 12, 12 + text_len
+
+
+def _patched(raw, offset, new):
+    return raw[:offset] + new + raw[offset + len(new):]
+
+
+def test_checkpoint_non_utf8_config_is_checkpoint_error(micro_ckpt):
+    start, _ = _config_span(micro_ckpt)
+    with pytest.raises(CheckpointError) as exc:
+        read_checkpoint_stream(io.BytesIO(_patched(micro_ckpt, start, b"\xff")))
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+
+def test_checkpoint_non_utf8_entry_name_is_checkpoint_error(micro_ckpt):
+    _, end = _config_span(micro_ckpt)
+    name_at = end + 4 + 4  # entry count, then the first name length
+    with pytest.raises(CheckpointError) as exc:
+        read_checkpoint_stream(io.BytesIO(_patched(micro_ckpt, name_at, b"\xff")))
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+
+@pytest.mark.parametrize("old,new", [(b"depths=1", b"depths=x"), (b"depths=", b"dexths=")])
+def test_checkpoint_corrupt_config_is_checkpoint_error(micro_ckpt, old, new):
+    start, end = _config_span(micro_ckpt)
+    at = micro_ckpt.index(old, start, end)
+    with pytest.raises(CheckpointError) as exc:
+        read_checkpoint_stream(io.BytesIO(_patched(micro_ckpt, at, new)))
+    assert isinstance(exc.value.__cause__, ConfigError)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_checkpoint_reader_fuzz_raises_only_checkpoint_error(micro_ckpt, data):
+    # the format has no checksum yet, so a corrupted payload may load silently;
+    # what may not happen is any error other than CheckpointError
+    raw = bytearray(micro_ckpt)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="keep")]
+    else:
+        # half the edits land in the header, config text and first entries
+        where = st.one_of(st.integers(0, 1023), st.integers(0, len(raw) - 1))
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            raw[data.draw(where, label="at")] = data.draw(st.integers(0, 255), label="byte")
+    try:
+        read_checkpoint_stream(io.BytesIO(bytes(raw)))
+    except CheckpointError:
+        pass

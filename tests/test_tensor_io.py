@@ -75,6 +75,12 @@ def test_absurd_rank_rejected():
         read_tensor_stream(io.BytesIO(buf))
 
 
+def test_overflowing_dims_rejected():
+    buf = b"DFT1" + struct.pack("<9I", 8, *[0xFFFFFFFF] * 8)
+    with pytest.raises(TensorFormatError):
+        read_tensor_stream(io.BytesIO(buf))
+
+
 def test_file_roundtrip_and_trailing_bytes(tmp_path):
     path = tmp_path / "t.dft"
     arr = np.arange(6, dtype=np.float32).reshape(2, 3)
