@@ -110,8 +110,7 @@ def dump_partitions(model: Model, images, out_dir: str, sample: int = 0) -> list
         if assign.ndim == 2:
             assign = assign[sample]
         gray = partition_to_grayscale(assign, entry["num_clusters"], entry["shape"])
-        head = "shared" if entry["head"] is None else f"h{entry['head']}"
-        name = f"stage{entry['stage']}_block{entry['block']}_{head}.pgm"
+        name = f"stage{entry['stage']}_block{entry['block']}_h{entry['head']}.pgm"
         path = os.path.join(out_dir, name)
         write_pgm(path, gray)
         paths.append(path)

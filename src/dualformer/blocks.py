@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .conv import conv2d, conv_out_size
+from .conv import conv2d
 from .init import ones_param, trunc_normal, zeros_param
 from .mhpa import MhpaConfig, MhpaHeadParams, MhpaParams, mhpa_forward
 from .norms import BatchNorm2d, batch_norm, layer_norm_channels, make_batch_norm
@@ -129,9 +129,6 @@ def make_mhpa(
                 norms=NormVectors(rng.standard_normal((cfg.hash_bits, d))),
             )
         )
-    shared = None
-    if cfg.share_partitions:
-        shared = NormVectors(rng.standard_normal((cfg.hash_bits, channels)))
     return MhpaParams(
         ln_gamma=ones_param(channels),
         ln_beta=zeros_param(channels),
@@ -140,7 +137,6 @@ def make_mhpa(
         up_w=zeros_param((channels * k * k, channels, 1, 1)),  # residual terminal
         up_b=zeros_param(channels * k * k),
         heads=heads,
-        shared_norms=shared,
     )
 
 
@@ -256,9 +252,3 @@ def patch_embed_forward(x: Tensor, p: PatchEmbedParams, train: bool = False) -> 
         if i + 1 < len(p.convs):
             x = gelu(x)
     return x
-
-
-def patch_embed_out_size(size: int, num_convs: int) -> int:
-    for _ in range(num_convs):
-        size = conv_out_size(size, 3, 2, 1)
-    return size

@@ -21,7 +21,7 @@ VERSION = 1
 
 
 class CheckpointError(ValueError):
-    """Malformed checkpoint or config mismatch."""
+    """Malformed checkpoint, or one that does not fit the model it describes."""
 
 
 def write_checkpoint_stream(stream: BinaryIO, model: Model) -> None:
@@ -73,23 +73,12 @@ def save_checkpoint(path: str, model: Model) -> None:
         write_checkpoint_stream(fh, model)
 
 
-def load_checkpoint(path: str, expected_config=None) -> Model:
-    """Rebuild a model from a checkpoint file.
-
-    If ``expected_config`` is given, the stored config must match it
-    exactly; the error names both sides otherwise.
-    """
+def load_checkpoint(path: str) -> Model:
+    """Rebuild a model from a checkpoint file."""
     with open(path, "rb") as fh:
         cfg, state, order = read_checkpoint_stream(fh)
         if fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
-    if expected_config is not None and cfg != expected_config:
-        raise CheckpointError(
-            f"checkpoint config (name={cfg.name}, channels={cfg.channels}, "
-            f"depths={cfg.depths}) does not match expected "
-            f"(name={expected_config.name}, channels={expected_config.channels}, "
-            f"depths={expected_config.depths})"
-        )
     model = build_model(cfg, seed=0)
     slots = list(iter_state(model))
     names = [n for n, _, _ in slots]

@@ -13,6 +13,12 @@ import numpy as np
 
 from .tensor import Tensor, constant
 
+# Smallest denominator of the relative error. Central differences on an O(1)
+# objective carry ~1e-9 roundoff noise, so without it elements whose true
+# gradient sits below the finite-difference noise could never certify at any
+# tolerance; below FLOOR they are compared on that absolute scale instead.
+FLOOR = 1e-4
+
 
 def grad_check(
     fn: Callable[..., Tensor],
@@ -20,7 +26,6 @@ def grad_check(
     eps: float = 1e-5,
     max_checks_per_input: int | None = None,
     seed: int = 0,
-    floor: float = 1e-4,
 ) -> float:
     """Audit ``fn`` at ``inputs`` and return the worst relative error.
 
@@ -30,10 +35,7 @@ def grad_check(
     ``requires_grad`` is perturbed, unless ``max_checks_per_input`` caps the
     count, in which case a seeded subsample of elements is audited (needed
     for whole-model audits, where exhaustive differencing is days of work).
-
-    The relative error divides by ``max(|analytic|, |numeric|, floor)``;
-    without the floor, elements whose true gradient sits below the
-    finite-difference noise could never certify at any tolerance.
+    The relative error divides by ``max(|analytic|, |numeric|, FLOOR)``.
     """
     rng = np.random.default_rng(seed)
     inputs = list(inputs)
@@ -70,9 +72,6 @@ def grad_check(
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             a = float(analytic[i])
-            # central differences on an O(1) objective carry ~1e-9 roundoff
-            # noise, so elements whose true gradient sits below `floor` are
-            # compared on that absolute scale instead of their own magnitude
-            denom = max(abs(a), abs(numeric), floor)
+            denom = max(abs(a), abs(numeric), FLOOR)
             worst = max(worst, abs(a - numeric) / denom)
     return worst

@@ -28,6 +28,7 @@ from .partition import NormVectors, hash_codes
 from .tensor import (
     ShapeError,
     Tensor,
+    _segment_offsets,
     add_bias,
     concat,
     constant,
@@ -69,7 +70,6 @@ class MhpaConfig:
     hash_bits: int = 3
     num_heads: int = 1
     attend: str = "full"  # full | intra_only | inter_only
-    share_partitions: bool = False
 
     @property
     def num_clusters(self) -> int:
@@ -87,17 +87,14 @@ class MhpaParams:
     up_w: Tensor  # (C*k*k, C, 1, 1)
     up_b: Tensor  # (C*k*k,)
     heads: list[MhpaHeadParams] = field(default_factory=list)
-    shared_norms: NormVectors | None = None
 
 
 # -- attention ops --------------------------------------------------------
 
 
 def segment_counts(assign: np.ndarray, num_clusters: int) -> np.ndarray:
-    lead = int(np.prod(assign.shape[:-1], dtype=np.int64)) if assign.ndim > 1 else 1
-    flat = assign.reshape(lead, -1).astype(np.int64, copy=False)
-    offs = flat + num_clusters * np.arange(lead, dtype=np.int64)[:, None]
-    counts = np.bincount(offs.reshape(-1), minlength=lead * num_clusters)
+    offs = _segment_offsets(assign, num_clusters)
+    counts = np.bincount(offs.reshape(-1), minlength=offs.shape[0] * num_clusters)
     return counts.reshape(assign.shape[:-1] + (num_clusters,))
 
 
@@ -253,31 +250,12 @@ def mhpa_forward(
     n = hs * ws
     toks = transpose(reshape(down, (b, c, n)), (0, 2, 1))  # (B, n, C)
 
-    shared_assign = None
-    if cfg.share_partitions:
-        if frozen_iter is not None:
-            shared_assign = np.asarray(next(frozen_iter))
-        else:
-            shared_assign = hash_codes(
-                toks.data.astype(np.float64, copy=False), params.shared_norms.beta
-            )
-        if trace is not None:
-            trace.append(
-                {**(trace_tag or {}), "head": None, "assignment": shared_assign.copy(),
-                 "shape": (hs, ws), "num_clusters": K}
-            )
-
     outs = []
     for hi, head in enumerate(params.heads):
         sl = narrow(toks, 2, hi * d, d)
-        if shared_assign is not None:
-            assign = shared_assign
-        elif frozen_iter is not None:
-            assign = np.asarray(next(frozen_iter))
-        else:
-            assign = None
+        assign = np.asarray(next(frozen_iter)) if frozen_iter is not None else None
         out, assign = mhpa_head_forward(sl, head, K, assign=assign, attend=cfg.attend)
-        if trace is not None and not cfg.share_partitions:
+        if trace is not None:
             trace.append(
                 {**(trace_tag or {}), "head": hi, "assignment": assign.copy(),
                  "shape": (hs, ws), "num_clusters": K}

@@ -58,7 +58,6 @@ class ModelConfig:
     ffn_ratio: float = 4.0
     num_classes: int = 1000
     mode: str = "parallel"
-    share_partitions: bool = False
 
     def validate(self) -> None:
         for fname in ("depths", "channels", "heads", "hash_bits", "downsample_rates"):
@@ -92,7 +91,6 @@ class ModelConfig:
             downsample_rate=self.downsample_rates[stage],
             hash_bits=self.hash_bits[stage],
             num_heads=self.heads[stage],
-            share_partitions=self.share_partitions,
         )
 
 
@@ -128,20 +126,16 @@ def get_preset(name: str) -> ModelConfig:
 # -- flat key=value config text -----------------------------------------------
 
 _INT_TUPLES = ("depths", "channels", "heads", "hash_bits", "downsample_rates")
-_FIELD_ORDER = (
-    "name", "depths", "channels", "heads", "hash_bits", "downsample_rates",
-    "split_ratio", "ffn_ratio", "num_classes", "mode", "share_partitions",
-)
+# options since removed; configs written before carry them as false
+_RETIRED_KEYS = ("resample_norms", "share_partitions")
 
 
 def config_to_text(cfg: ModelConfig) -> str:
     lines = []
-    for key in _FIELD_ORDER:
-        val = getattr(cfg, key)
+    for f in dataclasses.fields(cfg):
+        key, val = f.name, getattr(cfg, f.name)
         if key in _INT_TUPLES:
             val = ",".join(str(int(v)) for v in val)
-        elif isinstance(val, bool):
-            val = "true" if val else "false"
         elif isinstance(val, float):
             val = repr(val)
         lines.append(f"{key}={val}")
@@ -158,10 +152,10 @@ def config_from_text(text: str) -> ModelConfig:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
         key, val = line.split("=", 1)
         kv[key.strip()] = val.strip()
-    # configs written before norm resampling was removed carry this line
-    legacy = kv.pop("resample_norms", "false")
-    if legacy != "false":
-        raise ConfigError(f"resample_norms={legacy} is no longer supported")
+    for key in _RETIRED_KEYS:
+        val = kv.pop(key, "false")
+        if val != "false":
+            raise ConfigError(f"{key}={val} is no longer supported")
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(kv) - known
     if unknown:
@@ -175,10 +169,6 @@ def config_from_text(text: str) -> ModelConfig:
                 args[key] = float(val)
             elif key == "num_classes":
                 args[key] = int(val)
-            elif key == "share_partitions":
-                if val not in ("true", "false"):
-                    raise ValueError("expected true or false")
-                args[key] = val == "true"
             else:
                 args[key] = val
         except ValueError as exc:
@@ -288,14 +278,14 @@ def _forward(
     return logits, captured
 
 
-def forward(model: Model, images, train: bool = False, frozen=None, trace=None) -> Tensor:
+def forward(model: Model, images, train: bool = False, frozen=None) -> Tensor:
     """Images (B, 3, H, W) to logits (B, num_classes).
 
     ``frozen`` is a flat sequence of partition assignments consumed in
-    traversal order (the format :func:`capture_partitions` emits); ``trace``
-    is an optional list that records every partition the forward makes.
+    traversal order: the ``"assignment"`` entries :func:`capture_partitions`
+    returns.
     """
-    logits, _ = _forward(model, images, train, frozen, trace, None)
+    logits, _ = _forward(model, images, train, frozen, None, None)
     return logits
 
 

@@ -11,14 +11,15 @@ Payloads are always written as float32; float64 tensors round on save.
 """
 from __future__ import annotations
 
-import io
 import struct
 import sys
-from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"DFT1"
+# On a real file one fh.read(n) allocates all n bytes before it reads any, so
+# a corrupt size field would raise MemoryError; reads above this go by chunks.
+READ_CHUNK = 1 << 20
 
 
 class TensorFormatError(ValueError):
@@ -37,7 +38,11 @@ def write_tensor_stream(fh, arr: np.ndarray) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
+    buf = fh.read(min(n, READ_CHUNK))
+    if len(buf) < n:
+        buf = bytearray(buf)
+        while len(buf) < n and (part := fh.read(min(n - len(buf), READ_CHUNK))):
+            buf += part
     if len(buf) != n:
         raise TensorFormatError(f"truncated stream: wanted {n} bytes, got {len(buf)}")
     return buf
@@ -60,22 +65,3 @@ def read_tensor_stream(fh) -> np.ndarray:
     arr = np.frombuffer(payload, dtype="<f4", count=count).reshape(dims)
     return arr.copy()  # frombuffer views are read-only
 
-
-def save_tensor(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        write_tensor_stream(fh, arr)
-
-
-def load_tensor(path) -> np.ndarray:
-    p = Path(path)
-    with open(p, "rb") as fh:
-        arr = read_tensor_stream(fh)
-        if fh.read(1):
-            raise TensorFormatError(f"{p}: trailing bytes after tensor payload")
-    return arr
-
-
-def tensor_bytes(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    write_tensor_stream(buf, arr)
-    return buf.getvalue()

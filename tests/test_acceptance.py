@@ -528,6 +528,7 @@ def test_check_05_partitioner_throughput():
 # -- 6: toy training reaches accuracy ----------------------------------------
 
 
+@pytest.mark.slow
 def test_check_06_toy_training_accuracy(toy_run):
     _, report, elapsed = toy_run
     acc = report.final_val_acc
@@ -544,6 +545,7 @@ def test_check_06_toy_training_accuracy(toy_run):
 # -- 7: mode ablation ordering ------------------------------------------------
 
 
+@pytest.mark.slow
 def test_check_07_ablation_ordering(ablation_runs):
     par = ablation_runs["parallel"][1]
     ser = ablation_runs["series"][1]
@@ -569,6 +571,7 @@ def stage3_high_freq(model):
     return high_frequency_mean(radii, db, cutoff=0.75)
 
 
+@pytest.mark.slow
 def test_check_08_fourier_high_frequency_gap(ablation_runs):
     dual = stage3_high_freq(ablation_runs["parallel"][0])
     attn = stage3_high_freq(ablation_runs["attn_only"][0])

@@ -15,7 +15,6 @@ from dualformer.blocks import (
     mbconv_forward,
     mhpa_forward,
     patch_embed_forward,
-    patch_embed_out_size,
 )
 from dualformer.mhpa import MhpaConfig
 from dualformer.norms import layer_norm_channels
@@ -204,7 +203,6 @@ def test_patch_embed_halves_per_conv():
     x = constant(r.normal(size=(2, 3, 32, 32)).astype(np.float32))
     out = patch_embed_forward(x, stem)
     assert out.shape == (2, 16, 8, 8)
-    assert patch_embed_out_size(32, 2) == 8
 
 
 def test_patch_embed_single_conv_transition():

@@ -17,6 +17,7 @@ from dualformer.mhpa import (
     mhpa_forward,
     mhpa_head_forward,
     partition_to_grayscale,
+    segment_counts,
 )
 from dualformer.blocks import make_mhpa
 from dualformer.partition import NormVectors, hash_codes
@@ -183,6 +184,18 @@ def test_inter_empty_buckets_are_zero_rows():
     for k in range(8):
         if k not in (0, 3):
             assert np.all(out[k] == 0.0)
+
+
+def test_segment_counts_per_row_and_range_checked():
+    assign = np.array([[0, 2, 2], [1, 1, 3]])
+    assert segment_counts(assign, 4).tolist() == [[1, 0, 2, 0], [0, 2, 0, 1]]
+    assert segment_counts(assign[0], 4).tolist() == [1, 0, 2, 0]
+    # id 4 in the first row would otherwise land in the second row's bucket 0
+    bad = np.array([[0, 4, 2], [1, 1, 3]])
+    with pytest.raises(ShapeError):
+        segment_counts(bad, 4)
+    with pytest.raises(ShapeError):
+        segment_counts(np.array([[0, -1]]), 4)
 
 
 def test_inter_zeroed_predictor_gives_uniform_coefficients():
@@ -402,17 +415,6 @@ def test_layer_rejects_indivisible_grid():
     x = constant(np.ones((1, 8, 5, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
         mhpa_forward(x, params, cfg)
-
-
-def test_shared_partitions_trace_once():
-    r = np.random.default_rng(5)
-    cfg = MhpaConfig(downsample_rate=1, hash_bits=2, num_heads=2, share_partitions=True)
-    params = make_mhpa(8, cfg, r)
-    x = constant(r.normal(size=(1, 8, 3, 3)).astype(np.float32))
-    trace = []
-    mhpa_forward(x, params, cfg, trace=trace)
-    assert len(trace) == 1
-    assert trace[0]["head"] is None
 
 
 def test_partition_to_grayscale_levels():

@@ -107,10 +107,8 @@ def test_config_text_rejects_unknown_key():
 
 
 def test_config_text_rejects_bad_bool():
-    text = config_to_text(PRESETS["Micro"]).replace(
-        "share_partitions=false", "share_partitions=maybe"
-    )
-    with pytest.raises(ConfigError):
+    text = config_to_text(PRESETS["Micro"]) + "share_partitions=maybe\n"
+    with pytest.raises(ConfigError, match="share_partitions"):
         config_from_text(text)
 
 
@@ -124,13 +122,22 @@ def test_config_text_rejects_non_numeric_values(line):
         config_from_text(text)
 
 
-def test_config_text_legacy_resample_norms_line():
-    # checkpoints written before norm resampling was removed carry this line
+def test_config_text_legacy_resample_norms_line(micro_ckpt):
+    # checkpoints written before these options were removed carry them as false
     text = config_to_text(PRESETS["Micro"])
-    assert "resample_norms" not in text
-    assert config_from_text(text + "resample_norms=false\n") == PRESETS["Micro"]
-    with pytest.raises(ConfigError):
-        config_from_text(text + "resample_norms=true\n")
+    for key in ("resample_norms", "share_partitions"):
+        assert key not in text
+        assert config_from_text(f"{text}{key}=false\n") == PRESETS["Micro"]
+        for val in ("true", "maybe"):
+            with pytest.raises(ConfigError, match=key):
+                config_from_text(f"{text}{key}={val}\n")
+    start, end = _config_span(micro_ckpt)
+    line = b"share_partitions=true\n"
+    patched = (micro_ckpt[:8] + struct.pack("<I", end - start + len(line))
+               + micro_ckpt[start:end] + line + micro_ckpt[end:])
+    with pytest.raises(CheckpointError) as exc:
+        read_checkpoint_stream(io.BytesIO(patched))
+    assert isinstance(exc.value.__cause__, ConfigError)
 
 
 # -- parameter accounting --------------------------------------------------
@@ -258,8 +265,8 @@ def test_forward_features_stage_shapes():
 def test_trace_replay_full_model_bitwise():
     model = build_model(get_preset("Micro"), seed=3)
     x = np.random.default_rng(3).normal(size=(2, 3, 32, 32)).astype(np.float32)
-    trace = []
-    out1 = forward(model, x, trace=trace)
+    out1 = forward(model, x)
+    trace = capture_partitions(model, x)
     assert len(trace) == sum(get_preset("Micro").heads)  # one block per stage
     out2 = forward(model, x, frozen=[e["assignment"] for e in trace])
     assert np.array_equal(out1.data, out2.data)
@@ -334,14 +341,18 @@ def test_checkpoint_roundtrip_bitwise_forward(tmp_path):
     assert loaded.config == model.config
 
 
-def test_checkpoint_expected_config_mismatch_names_both(tmp_path):
-    model = build_model(get_preset("Micro"), seed=0)
-    path = str(tmp_path / "m.ckpt")
-    save_checkpoint(path, model)
-    with pytest.raises(CheckpointError) as exc:
-        load_checkpoint(path, expected_config=get_preset("T"))
-    msg = str(exc.value)
-    assert "Micro" in msg and "T" in msg
+def test_checkpoint_huge_dim_in_file_is_checkpoint_error(tmp_path):
+    # a file read of the size a corrupt header claims must not be allocated
+    # up front; an in-memory stream cannot show this, a real file can
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), build_model(get_preset("Micro"), seed=0))
+    raw = path.read_bytes()
+    name = b"stem.convs[0][0]"
+    at = raw.index(name) + len(name) + 4 + 4  # tensor magic, then the rank
+    assert struct.unpack("<I", raw[at - 4:at]) == (4,)
+    path.write_bytes(_patched(raw, at, struct.pack("<I", 0x7FFFFFFF)))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

@@ -6,20 +6,21 @@ import numpy as np
 import pytest
 
 from dualformer.tensor_io import (
+    READ_CHUNK,
     TensorFormatError,
-    load_tensor,
     read_tensor_stream,
-    save_tensor,
-    tensor_bytes,
     write_tensor_stream,
 )
 
 
-def roundtrip(arr):
+def encoded(arr):
     buf = io.BytesIO()
     write_tensor_stream(buf, arr)
-    buf.seek(0)
-    return read_tensor_stream(buf)
+    return buf.getvalue()
+
+
+def roundtrip(arr):
+    return read_tensor_stream(io.BytesIO(encoded(arr)))
 
 
 def test_roundtrip_exact_f32():
@@ -50,7 +51,7 @@ def test_non_contiguous_input_serializes_in_c_order():
 
 def test_layout_bytes():
     arr = np.array([[1.0, 2.0]], dtype=np.float32)
-    raw = tensor_bytes(arr)
+    raw = encoded(arr)
     assert raw[:4] == b"DFT1"
     rank = struct.unpack("<I", raw[4:8])[0]
     dims = struct.unpack("<2I", raw[8:16])
@@ -64,7 +65,7 @@ def test_bad_magic_rejected():
 
 
 def test_truncated_payload_rejected():
-    raw = tensor_bytes(np.ones((2, 2), dtype=np.float32))
+    raw = encoded(np.ones((2, 2), dtype=np.float32))
     with pytest.raises(TensorFormatError):
         read_tensor_stream(io.BytesIO(raw[:-3]))
 
@@ -81,12 +82,14 @@ def test_overflowing_dims_rejected():
         read_tensor_stream(io.BytesIO(buf))
 
 
-def test_file_roundtrip_and_trailing_bytes(tmp_path):
+
+def test_multi_chunk_payload_from_file(tmp_path):
+    # a payload over one read chunk goes through the chunked path of a real file
+    arr = np.arange(READ_CHUNK // 4 + 5, dtype=np.float32)
     path = tmp_path / "t.dft"
-    arr = np.arange(6, dtype=np.float32).reshape(2, 3)
-    save_tensor(str(path), arr)
-    assert np.array_equal(load_tensor(str(path)), arr)
-    with open(path, "ab") as fh:
-        fh.write(b"junk")
-    with pytest.raises(TensorFormatError):
-        load_tensor(str(path))
+    path.write_bytes(encoded(arr))
+    with open(path, "rb") as fh:
+        assert np.array_equal(read_tensor_stream(fh), arr)
+    path.write_bytes(encoded(arr)[:-3])
+    with open(path, "rb") as fh, pytest.raises(TensorFormatError, match="truncated"):
+        read_tensor_stream(fh)
