@@ -69,7 +69,7 @@ def high_frequency_mean(radii: np.ndarray, db: np.ndarray, cutoff: float = 0.75)
 
 def fourier_report(model: Model, images, stage: int, num_bins: int = 64) -> dict:
     """Spectrum of the feature map leaving `stage` (1-based) on a batch."""
-    _, feats = forward_features(model, images, stage)
+    feats = forward_features(model, images, stage)
     radii, db = radial_log_amplitude(feats, num_bins)
     return {
         "stage": stage,
@@ -102,13 +102,14 @@ def dump_partitions(model: Model, images, out_dir: str, sample: int = 0) -> list
     Returns the written paths. File names carry stage, block and head so a
     directory listing reads as the traversal order.
     """
+    batch = images.shape[0]
+    if not 0 <= sample < batch:
+        raise ValueError(f"sample {sample} outside the batch of {batch}")
     trace = capture_partitions(model, images)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for entry in trace:
-        assign = entry["assignment"]
-        if assign.ndim == 2:
-            assign = assign[sample]
+        assign = entry["assignment"][sample]
         gray = partition_to_grayscale(assign, entry["num_clusters"], entry["shape"])
         name = f"stage{entry['stage']}_block{entry['block']}_h{entry['head']}.pgm"
         path = os.path.join(out_dir, name)

@@ -128,18 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=224)
     p.add_argument("--width", type=int, default=224)
 
-    p = sub.add_parser("bench", help="throughput measurements")
-    p.add_argument("what", nargs="?", choices=("partition", "forward"), default="partition")
-    p.add_argument("--preset", default="Micro", help="forward bench model")
-    p.add_argument("--n", type=int, default=3136, help="partition bench tokens")
-    p.add_argument("--d", type=int, default=64, help="partition bench width")
-    p.add_argument("--clusters", type=int, default=8)
-    p.add_argument("--repeats", type=int, default=9)
-    p.add_argument("--kmeans-iters", type=int, default=5)
-    p.add_argument("--batch", type=int, default=2)
-    p.add_argument("--res", type=int, default=224, help="forward bench resolution")
-    p.add_argument("--out", help="write rows as CSV here")
-
     p = sub.add_parser("fourier", help="radial spectrum of a stage's features")
     model_source(p, ckpt=True)
     p.add_argument("--stage", type=int, default=3)
@@ -304,32 +292,6 @@ def _dispatch(args) -> int:
                   f"blocks {entry['blocks']:>14d}")
         print(f"head       {report['head']:>16d}")
         print(f"total      {report['total']:>16d}")
-        return 0
-
-    if args.command == "bench":
-        from .bench import forward_throughput, partition_comparison, rows_to_csv
-
-        if args.what == "partition":
-            result = partition_comparison(
-                n=args.n,
-                d=args.d,
-                num_clusters=args.clusters,
-                repeats=args.repeats,
-                seed=args.seed,
-                kmeans_iters=args.kmeans_iters,
-            )
-            rows = [result["lsh"], result["kmeans"]]
-            print(f"speedup {result['speedup']:.2f}x", file=sys.stderr)
-        else:
-            from .model import build_model
-
-            model = build_model(_resolve_config(args, default_preset="Micro"), seed=args.seed)
-            rows = [
-                forward_throughput(
-                    model, batch=args.batch, height=args.res, width=args.res, seed=args.seed
-                )
-            ]
-        _emit(args.out, rows_to_csv(rows))
         return 0
 
     if args.command == "fourier":

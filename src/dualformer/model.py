@@ -150,8 +150,10 @@ def config_from_text(text: str) -> ModelConfig:
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, val = line.split("=", 1)
-        kv[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in kv:
+            raise ConfigError(f"config line {lineno}: key {key!r} given twice")
+        kv[key] = val
     for key in _RETIRED_KEYS:
         val = kv.pop(key, "false")
         if val != "false":
@@ -238,14 +240,8 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
     )
 
 
-def _forward(
-    model: Model,
-    images,
-    train: bool,
-    frozen,
-    trace,
-    capture_stage,
-):
+def _features(model: Model, images, train: bool, frozen, trace, stages: int = NUM_STAGES):
+    """Stem, then stages 1..``stages``; returns the feature map leaving the last."""
     if not isinstance(images, Tensor):
         images = constant(np.asarray(images), dtype=model.dtype)
     elif images.dtype != model.dtype:
@@ -258,8 +254,7 @@ def _forward(
 
     frozen_iter = iter(frozen) if frozen is not None else None
     x = patch_embed_forward(images, model.stem, train)
-    captured = None
-    for si, stage in enumerate(model.stages):
+    for si, stage in enumerate(model.stages[:stages]):
         if stage.embed is not None:
             x = patch_embed_forward(x, stage.embed, train)
         for bi, block in enumerate(stage.blocks):
@@ -271,11 +266,7 @@ def _forward(
                 trace=trace,
                 trace_tag={"stage": si + 1, "block": bi + 1},
             )
-        if capture_stage == si + 1:
-            captured = x
-    pooled = tmean(x, axis=(2, 3))  # (B, C)
-    logits = add_bias(matmul(pooled, model.head_w), model.head_b, axis=-1)
-    return logits, captured
+    return x
 
 
 def forward(model: Model, images, train: bool = False, frozen=None) -> Tensor:
@@ -285,24 +276,25 @@ def forward(model: Model, images, train: bool = False, frozen=None) -> Tensor:
     traversal order: the ``"assignment"`` entries :func:`capture_partitions`
     returns.
     """
-    logits, _ = _forward(model, images, train, frozen, None, None)
-    return logits
+    x = _features(model, images, train, frozen, None)
+    pooled = tmean(x, axis=(2, 3))  # (B, C)
+    return add_bias(matmul(pooled, model.head_w), model.head_b, axis=-1)
 
 
-def forward_features(
-    model: Model, images, stage: int, train: bool = False
-) -> tuple[Tensor, Tensor]:
-    """Forward that also returns the feature map leaving ``stage`` (1-based)."""
+def forward_features(model: Model, images, stage: int) -> Tensor:
+    """Eval-mode feature map leaving ``stage`` (1-based); later stages do not run."""
     if not 1 <= stage <= NUM_STAGES:
         raise ConfigError(f"stage must be 1..{NUM_STAGES}, got {stage}")
-    logits, captured = _forward(model, images, train, None, None, stage)
-    return logits, captured
+    return _features(model, images, False, None, None, stage)
 
 
 def capture_partitions(model: Model, images, train: bool = False) -> list:
-    """Run a forward and return the partition trace (one entry per hash site)."""
+    """Run the stages and return the partition trace (one entry per hash site).
+
+    The head has no hash sites, so it does not run.
+    """
     trace: list = []
-    _forward(model, images, train, None, trace, None)
+    _features(model, images, train, None, trace)
     return trace
 
 

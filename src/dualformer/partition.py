@@ -7,7 +7,6 @@ plain integer arrays and never carry gradients.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,49 +192,3 @@ def kmeans_assign(tokens, num_clusters: int, max_iters: int = 5, seed: int = 0) 
         num_clusters=num_clusters,
         centroids=centers.copy(),
     )
-
-
-def partition_throughput(
-    method: str,
-    n: int,
-    d: int,
-    size_param: int,
-    repeats: int = 9,
-    seed: int = 0,
-    kmeans_iters: int = 5,
-) -> dict:
-    """Time one partitioner on a fixed random token buffer.
-
-    ``size_param`` is the hash bit count for ``"lsh"`` and the cluster count
-    for ``"kmeans"``. Returns median/p10/p90 tokens-per-second over
-    ``repeats`` timed runs (after one warmup); the token buffer is shared
-    statistics-wise so the two methods see identical inputs for a seed.
-    """
-    rng = np.random.default_rng(seed)
-    tokens = rng.standard_normal((n, d))
-    if method == "lsh":
-        norms = sample_norm_vectors(size_param, d, rng)
-        run = lambda: lsh_assign(tokens, norms)  # noqa: E731
-        k = norms.num_clusters
-    elif method == "kmeans":
-        run = lambda: kmeans_assign(tokens, size_param, max_iters=kmeans_iters, seed=seed)  # noqa: E731
-        k = size_param
-    else:
-        raise PartitionError(f"unknown method {method!r}, expected 'lsh' or 'kmeans'")
-
-    run()  # warmup
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - t0)
-    rates = np.sort(n / np.asarray(times))
-    return {
-        "method": method,
-        "n": n,
-        "d": d,
-        "K": k,
-        "median_tokens_per_sec": float(np.median(rates)),
-        "p10": float(np.quantile(rates, 0.10)),
-        "p90": float(np.quantile(rates, 0.90)),
-    }

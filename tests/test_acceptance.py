@@ -18,7 +18,6 @@ import pytest
 
 from dualformer import precision
 from dualformer.attention import vanilla_attention
-from dualformer.bench import partition_comparison
 from dualformer.blocks import (
     dual_block_forward,
     ffn_forward,
@@ -65,6 +64,7 @@ from dualformer.partition import (
     kmeans_assign,
     kmeans_objective,
     lsh_assign,
+    sample_norm_vectors,
 )
 from dualformer.tensor import (
     Tensor,
@@ -511,10 +511,27 @@ def test_check_04_attention_cost_scaling():
 
 
 def test_check_05_partitioner_throughput():
+    # one token buffer for both partitioners; K=8 is 3 hash bits
+    n, d, repeats = 3136, 64, 9
     start = time.perf_counter()
-    out = partition_comparison(n=3136, d=64, num_clusters=8, repeats=9, kmeans_iters=5)
+    rng = np.random.default_rng(0)
+    tokens = rng.standard_normal((n, d))
+    norms = sample_norm_vectors(3, d, rng)
+    runs = {
+        "lsh": lambda: lsh_assign(tokens, norms),
+        "kmeans": lambda: kmeans_assign(tokens, norms.num_clusters, max_iters=5, seed=0),
+    }
+    rates = {}
+    for name, run in runs.items():
+        run()  # warm-up
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t0)
+        rates[name] = n / float(np.median(times))
     elapsed = time.perf_counter() - start
-    speedup = out["speedup"]
+    speedup = rates["lsh"] / rates["kmeans"]
     ok = speedup >= MIN_SPEEDUP and elapsed < 120.0
     line = verdict(
         5,
@@ -566,7 +583,7 @@ def test_check_07_ablation_ordering(ablation_runs):
 
 def stage3_high_freq(model):
     probe, _ = make_shapes(64, seed=99, size=FOURIER_PROBE_SIZE)
-    _, feats = forward_features(model, probe, 3)
+    feats = forward_features(model, probe, 3)
     radii, db = radial_log_amplitude(feats, num_bins=FOURIER_BINS)
     return high_frequency_mean(radii, db, cutoff=0.75)
 

@@ -1,11 +1,16 @@
 """End-to-end runs of the installed command line tool."""
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualformer.model import PRESETS, config_from_text
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(*args, timeout=180):
@@ -115,19 +120,6 @@ def test_train_metrics_to_stdout_when_no_path(tmp_path):
     assert res.stdout.startswith("epoch,train_loss,val_loss,val_acc")
 
 
-def test_bench_partition_csv():
-    res = run(
-        "bench", "partition", "--n", "64", "--d", "8", "--clusters", "4",
-        "--repeats", "2", "--kmeans-iters", "2",
-    )
-    assert res.returncode == 0
-    lines = res.stdout.strip().split("\n")
-    assert lines[0].startswith("method,")
-    methods = {l.split(",")[0] for l in lines[1:]}
-    assert methods == {"lsh", "kmeans"}
-    assert "speedup" in res.stderr
-
-
 def test_fourier_spectrum_csv():
     res = run("fourier", "--preset", "Micro", "--stage", "2", "--n", "8", "--bins", "6")
     assert res.returncode == 0
@@ -143,6 +135,16 @@ def test_partitions_dump(tmp_path):
     files = sorted(p.name for p in out.iterdir())
     assert len(files) == sum(PRESETS["Micro"].heads)
     assert all(f.endswith(".pgm") for f in files)
+
+
+@pytest.mark.parametrize("sample", ["8", "-1"])
+def test_partitions_sample_outside_batch_exits_2(tmp_path, sample):
+    out = tmp_path / "maps"
+    res = run("partitions", "--preset", "Micro", "--out-dir", out, "--n", "8",
+              "--sample", sample)
+    assert res.returncode == 2, res.stderr
+    assert "error: sample" in res.stderr
+    assert not out.exists()
 
 
 def test_gradcheck_smoke(tmp_path):
@@ -171,3 +173,17 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
     assert res.returncode == 2
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []  # no temp litter either
+
+
+@pytest.mark.parametrize("script", ["run_ablation.py", "dump_visuals.py"])
+def test_script_help(script):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--help"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert res.returncode == 0, res.stderr
+    assert "usage:" in res.stdout

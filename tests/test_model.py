@@ -140,6 +140,20 @@ def test_config_text_legacy_resample_norms_line(micro_ckpt):
     assert isinstance(exc.value.__cause__, ConfigError)
 
 
+def test_config_text_rejects_repeated_key(micro_ckpt):
+    text = config_to_text(PRESETS["Micro"])
+    lineno = len(text.splitlines()) + 1
+    with pytest.raises(ConfigError, match=f"line {lineno}: key 'depths'"):
+        config_from_text(text + "depths=2,2,2,2\n")
+    start, end = _config_span(micro_ckpt)
+    line = b"depths=2,2,2,2\n"
+    patched = (micro_ckpt[:8] + struct.pack("<I", end - start + len(line))
+               + micro_ckpt[start:end] + line + micro_ckpt[end:])
+    with pytest.raises(CheckpointError) as exc:
+        read_checkpoint_stream(io.BytesIO(patched))
+    assert isinstance(exc.value.__cause__, ConfigError)
+
+
 # -- parameter accounting --------------------------------------------------
 
 
@@ -256,7 +270,7 @@ def test_forward_features_stage_shapes():
     model = build_model(get_preset("Micro"), seed=0)
     x = np.random.default_rng(2).normal(size=(2, 3, 64, 64)).astype(np.float32)
     for stage, (c, hw) in enumerate([(16, 16), (32, 8), (64, 4), (128, 2)], 1):
-        _, feats = forward_features(model, x, stage)
+        feats = forward_features(model, x, stage)
         assert feats.shape == (2, c, hw, hw)
     with pytest.raises(ConfigError):
         forward_features(model, x, 5)

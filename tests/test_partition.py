@@ -12,7 +12,6 @@ from dualformer.partition import (
     kmeans_assign,
     kmeans_objective,
     lsh_assign,
-    partition_throughput,
     sample_norm_vectors,
 )
 
@@ -131,16 +130,6 @@ def test_kmeans_exact_clusters_recovered():
     for blob in range(4):
         ids = p.assignment[blob * 10 : (blob + 1) * 10]
         assert len(set(ids.tolist())) == 1
-
-
-def test_throughput_row_shape():
-    row = partition_throughput("lsh", 256, 8, 3, repeats=3, seed=0)
-    assert row["method"] == "lsh"
-    assert row["K"] == 8
-    assert row["median_tokens_per_sec"] > 0
-    assert row["p10"] <= row["median_tokens_per_sec"] <= row["p90"]
-    with pytest.raises(PartitionError):
-        partition_throughput("other", 256, 8, 3)
 
 
 # -- invariants (acceptance criterion exercises these at >= 200 cases) --------
