@@ -106,6 +106,8 @@ def dump_partitions(model: Model, images, out_dir: str, sample: int = 0) -> list
     if not 0 <= sample < batch:
         raise ValueError(f"sample {sample} outside the batch of {batch}")
     trace = capture_partitions(model, images)
+    if not trace:
+        raise ValueError(f"model mode {model.config.mode!r} has no hash sites to draw")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for entry in trace:

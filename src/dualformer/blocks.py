@@ -73,7 +73,7 @@ def mbconv_forward(x: Tensor, p: MBConvParams, train: bool = False) -> Tensor:
     """expand 1x1 -> BN -> GELU -> depthwise 3x3 -> BN -> GELU -> project 1x1,
     added back onto the input."""
     h = gelu(batch_norm(conv2d(x, p.expand_w, p.expand_b), p.bn1, train))
-    hidden = h.shape[1]
+    hidden = h.shape[-1]
     h = gelu(batch_norm(conv2d(h, p.dw_w, p.dw_b, padding=1, groups=hidden), p.bn2, train))
     h = conv2d(h, p.proj_w, p.proj_b)
     return x + h
@@ -197,22 +197,22 @@ def dual_block_forward(
     trace: list | None = None,
     trace_tag: dict | None = None,
 ) -> Tensor:
-    if x.shape[1] != p.channels:
-        raise ShapeError(f"block built for {p.channels} channels, input has {x.shape[1]}")
+    if x.shape[-1] != p.channels:
+        raise ShapeError(f"block built for {p.channels} channels, input has {x.shape[-1]}")
 
     if p.mode == "series":
         y = mbconv_forward(x, p.mbconv, train)
         y = mhpa_forward(y, p.mhpa, p.mhpa_cfg, frozen_iter, trace, trace_tag)
     else:
         attn_c = p.channels - p.conv_channels
-        xc = narrow(x, 1, 0, p.conv_channels)
-        xa = narrow(x, 1, p.conv_channels, attn_c)
+        xc = narrow(x, 3, 0, p.conv_channels)
+        xa = narrow(x, 3, p.conv_channels, attn_c)
         conv_out = mbconv_forward(xc, p.mbconv, train) if p.mbconv is not None else xc
         if p.mhpa is not None:
             attn_out = mhpa_forward(xa, p.mhpa, p.mhpa_cfg, frozen_iter, trace, trace_tag)
         else:
             attn_out = xa
-        y = concat([conv_out, attn_out], axis=1)
+        y = concat([conv_out, attn_out], axis=3)
 
     return y + ffn_forward(layer_norm_channels(y, p.ln2_gamma, p.ln2_beta), p.ffn)
 
@@ -246,7 +246,7 @@ def make_patch_embed(widths: list[int], rng: np.random.Generator) -> PatchEmbedP
 def patch_embed_forward(x: Tensor, p: PatchEmbedParams, train: bool = False) -> Tensor:
     """Halves the resolution once per conv; GELU between convs, none after the last."""
     for i, (w, b, bn) in enumerate(p.convs):
-        if x.shape[2] < 2 or x.shape[3] < 2:
+        if min(x.shape[1:3]) < 2:
             raise ShapeError(f"patch embed: map {x.shape} too small to halve")
         x = batch_norm(conv2d(x, w, b, stride=2, padding=1), bn, train)
         if i + 1 < len(p.convs):

@@ -1,9 +1,11 @@
-"""2-d convolution (cross-correlation) with stride, zero padding and groups.
+"""2-d convolution (cross-correlation) over channels-last maps.
 
-Kernels are applied without flipping. Only dense (groups=1) and depthwise
-(groups == in_channels) layouts are supported; both run as window extraction
-plus one matmul / einsum, and the backward scatters window gradients back
-with strided slice adds, so nothing here loops per pixel.
+Activations are (B, H, W, C); kernels are OIHW. Kernels are applied without
+flipping. Only dense (groups=1) and depthwise (groups == in_channels)
+layouts are supported. Dense convs run as one matmul over (C, kh, kw)
+windows, which is already the order of ``w.reshape(O, -1)``; a 1x1 kernel
+uses the map itself as the columns. Depthwise convs shift and add over the
+kernel taps, forward and backward, so nothing here loops per pixel.
 """
 from __future__ import annotations
 
@@ -22,24 +24,8 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (eff - kernel) // stride + 1
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    # (B, C, Hout, Wout, kh, kw) view over the padded input
-    w = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return w[:, :, ::stride, ::stride]
-
-
-def _scatter_windows(dxp: np.ndarray, dwin: np.ndarray, kh: int, kw: int, stride: int):
-    # adjoint of _windows: add each kernel tap back at its strided offset
-    _, _, ho, wo = dwin.shape[:4]
-    for u in range(kh):
-        for v in range(kw):
-            dxp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride] += dwin[
-                :, :, :, :, u, v
-            ]
-
-
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Correlate ``x[B,C,H,W]`` with ``w[O,C/groups,kh,kw]``.
+    """Correlate ``x[B,H,W,C]`` with ``w[O,C/groups,kh,kw]``.
 
     ``groups`` must be 1 (dense) or equal to the channel count (depthwise,
     where ``w`` has shape ``[C,1,kh,kw]``). Bias, when given, is added per
@@ -51,7 +37,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {w.shape}")
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d: bad stride/padding ({stride}, {padding})")
-    B, C, H, W = x.shape
+    B, H, W, C = x.shape
     O, Cg, kh, kw = w.shape
     if groups == 1:
         if Cg != C:
@@ -65,41 +51,54 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
         raise ShapeError(f"conv2d: groups={groups} unsupported (use 1 or channels={C})")
     ho = conv_out_size(H, kh, stride, padding)
     wo = conv_out_size(W, kw, stride, padding)
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = _windows(xp, kh, kw, stride)
+    pointwise = kh == kw == 1 and stride == 1 and padding == 0
+    xp = x.data if pointwise else np.pad(
+        x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0))
+    )
+    # input pixels that kernel tap (u, v) reads, one per output pixel
+    taps = [
+        (slice(None), slice(u, u + stride * ho, stride), slice(v, v + stride * wo, stride))
+        for u in range(kh)
+        for v in range(kw)
+    ]
 
     if groups == 1:
-        # (B,ho,wo, C*kh*kw) @ (C*kh*kw, O)
-        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-            B * ho * wo, C * kh * kw
-        )
+        if pointwise:
+            cols = xp.reshape(B * H * W, C)
+        else:
+            win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+            cols = win.reshape(B * ho * wo, C * kh * kw)  # (C, kh, kw) per row
         w2 = w.data.reshape(O, C * kh * kw)
-        out = (cols @ w2.T).reshape(B, ho, wo, O).transpose(0, 3, 1, 2)
-        out = np.ascontiguousarray(out)
+        out = (cols @ w2.T).reshape(B, ho, wo, O)
 
         def backward(g):
-            g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * ho * wo, O)
+            g2 = g.reshape(B * ho * wo, O)
             dw = (g2.T @ cols).reshape(w.shape)
-            dcols = g2 @ w2  # (B*ho*wo, C*kh*kw)
-            dwin = dcols.reshape(B, ho, wo, C, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+            dcols = g2 @ w2
+            if pointwise:
+                return dcols.reshape(x.shape), dw
+            dcols = dcols.reshape(B, ho, wo, C, kh * kw)
             dxp = np.zeros_like(xp)
-            _scatter_windows(dxp, dwin, kh, kw, stride)
-            dx = dxp[:, :, padding : padding + H, padding : padding + W]
+            for t, sl in enumerate(taps):
+                dxp[sl] += dcols[..., t]
+            dx = dxp[:, padding : padding + H, padding : padding + W]
             return np.ascontiguousarray(dx), dw
     else:
-        wd = w.data[:, 0]  # (C, kh, kw)
-        out = np.einsum("bcxyuv,cuv->bcxy", win, wd, optimize=True)
+        wd = np.ascontiguousarray(w.data.reshape(C, kh * kw).T)  # (kh*kw, C)
+        out = xp[taps[0]] * wd[0]
+        for t in range(1, kh * kw):
+            out += xp[taps[t]] * wd[t]
 
         def backward(g):
-            dw = np.einsum("bcxy,bcxyuv->cuv", g, win, optimize=True)[:, None]
-            dwin = g[:, :, :, :, None, None] * wd[None, :, None, None, :, :]
+            dwd = np.empty_like(wd)
             dxp = np.zeros_like(xp)
-            _scatter_windows(dxp, dwin, kh, kw, stride)
-            dx = dxp[:, :, padding : padding + H, padding : padding + W]
-            return np.ascontiguousarray(dx), dw
+            for t, sl in enumerate(taps):
+                dwd[t] = np.einsum("bijc,bijc->c", g, xp[sl])
+                dxp[sl] += g * wd[t]
+            dx = dxp[:, padding : padding + H, padding : padding + W]
+            return np.ascontiguousarray(dx), dwd.T.reshape(w.shape)
 
     y = _make(out, (x, w), backward, "conv2d")
     if b is not None:
-        y = add_bias(y, b, axis=1)
+        y = add_bias(y, b, axis=-1)
     return y

@@ -5,7 +5,8 @@ bucketed by LSH (no gradient through the assignment), reweighted inside each
 bucket (intra), summarized per bucket and reweighted across buckets (inter),
 and the two views are fused back per token. Around the heads sit a strided
 depthwise downsample and a channel-to-spatial expansion that restores the
-input resolution through a skip connection.
+input resolution through a skip connection. Maps are channels-last
+(B, H, W, C), so the token grid is a reshape of the downsampled map.
 
 Shape grammar: the attention ops take (..., n, d) tokens with an integer
 bucket assignment of shape (..., n); any leading axes are batch axes.
@@ -160,19 +161,19 @@ def channel_to_spatial(x: Tensor, rate: int, skip: Tensor) -> Tensor:
     Channel index c*rate*rate + dy*rate + dx lands on spatial offset (dy, dx)
     of output channel c. ``skip`` must already have the output shape.
     """
-    b, ck2, h, w = x.shape
+    b, h, w, ck2 = x.shape
     if rate < 1 or ck2 % (rate * rate):
         raise ShapeError(
             f"channel_to_spatial: {ck2} channels not divisible by rate^2={rate * rate}"
         )
     c = ck2 // (rate * rate)
-    if skip.shape != (b, c, h * rate, w * rate):
+    if skip.shape != (b, h * rate, w * rate, c):
         raise ShapeError(
-            f"channel_to_spatial: skip {skip.shape} != expected {(b, c, h * rate, w * rate)}"
+            f"channel_to_spatial: skip {skip.shape} != expected {(b, h * rate, w * rate, c)}"
         )
-    r = reshape(x, (b, c, rate, rate, h, w))
+    r = reshape(x, (b, h, w, c, rate, rate))
     r = transpose(r, (0, 1, 4, 2, 5, 3))
-    return reshape(r, (b, c, h * rate, w * rate)) + skip
+    return reshape(r, (b, h * rate, w * rate, c)) + skip
 
 
 # -- layer forward -------------------------------------------------------
@@ -223,7 +224,7 @@ def mhpa_forward(
     trace: list | None = None,
     trace_tag: dict | None = None,
 ) -> Tensor:
-    """Full layer over a (B, C, H, W) map, resolution preserved.
+    """Full layer over a (B, H, W, C) map, resolution preserved.
 
     Pipeline: channel layer norm -> strided 3x3 depthwise downsample (rate k)
     -> per-head partition attention on the token grid -> 1x1 conv expanding
@@ -231,8 +232,8 @@ def mhpa_forward(
     the expansion conv zeroed the layer is exactly the identity.
     """
     if x.ndim != 4:
-        raise ShapeError(f"mhpa_forward: expected (B, C, H, W), got {x.shape}")
-    b, c, h, w = x.shape
+        raise ShapeError(f"mhpa_forward: expected (B, H, W, C), got {x.shape}")
+    b, h, w, c = x.shape
     k = cfg.downsample_rate
     if k < 1 or h % k or w % k:
         raise ShapeError(f"mhpa_forward: map {h}x{w} not divisible by downsample rate {k}")
@@ -246,9 +247,8 @@ def mhpa_forward(
     skip = x
     normed = layer_norm_channels(x, params.ln_gamma, params.ln_beta)
     down = conv2d(normed, params.down_w, params.down_b, stride=k, padding=1, groups=c)
-    hs, ws = down.shape[2], down.shape[3]
-    n = hs * ws
-    toks = transpose(reshape(down, (b, c, n)), (0, 2, 1))  # (B, n, C)
+    hs, ws = down.shape[1:3]
+    toks = reshape(down, (b, hs * ws, c))
 
     outs = []
     for hi, head in enumerate(params.heads):
@@ -262,9 +262,8 @@ def mhpa_forward(
             )
         outs.append(out)
 
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=-1)  # (B, n, C)
-    grid = reshape(transpose(merged, (0, 2, 1)), (b, c, hs, ws))
-    up = conv2d(grid, params.up_w, params.up_b)
+    merged = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
+    up = conv2d(reshape(merged, (b, hs, ws, c)), params.up_w, params.up_b)
     return channel_to_spatial(up, k, skip)
 
 

@@ -3,7 +3,8 @@
 Resolution path for an H x W input: stem /4, then /2 at each stage
 transition, so stage i runs at H/2^(i+1). Inputs must be divisible by 32 so
 the last stage has at least one token and every attention layer's
-downsample rate divides its grid.
+downsample rate divides its grid. Images come in and feature maps go out as
+(B, C, H, W); inside, every activation is channels-last (B, H, W, C).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .blocks import (
 )
 from .init import trunc_normal, zeros_param
 from .mhpa import MhpaConfig
-from .tensor import ShapeError, Tensor, add_bias, constant, matmul, tmean
+from .tensor import ShapeError, Tensor, add_bias, constant, matmul, tmean, transpose
 
 NUM_STAGES = 4
 DEFAULT_HASH_BITS = (3, 3, 3, 3)
@@ -253,7 +254,7 @@ def _features(model: Model, images, train: bool, frozen, trace, stages: int = NU
         raise ShapeError(f"input resolution {h}x{w} must be a positive multiple of 32")
 
     frozen_iter = iter(frozen) if frozen is not None else None
-    x = patch_embed_forward(images, model.stem, train)
+    x = patch_embed_forward(transpose(images, (0, 2, 3, 1)), model.stem, train)
     for si, stage in enumerate(model.stages[:stages]):
         if stage.embed is not None:
             x = patch_embed_forward(x, stage.embed, train)
@@ -277,15 +278,15 @@ def forward(model: Model, images, train: bool = False, frozen=None) -> Tensor:
     returns.
     """
     x = _features(model, images, train, frozen, None)
-    pooled = tmean(x, axis=(2, 3))  # (B, C)
+    pooled = tmean(x, axis=(1, 2))  # (B, C)
     return add_bias(matmul(pooled, model.head_w), model.head_b, axis=-1)
 
 
 def forward_features(model: Model, images, stage: int) -> Tensor:
-    """Eval-mode feature map leaving ``stage`` (1-based); later stages do not run."""
+    """Eval-mode (B, C, H, W) map leaving ``stage`` (1-based); later stages do not run."""
     if not 1 <= stage <= NUM_STAGES:
         raise ConfigError(f"stage must be 1..{NUM_STAGES}, got {stage}")
-    return _features(model, images, False, None, None, stage)
+    return transpose(_features(model, images, False, None, None, stage), (0, 3, 1, 2))
 
 
 def capture_partitions(model: Model, images, train: bool = False) -> list:

@@ -1,4 +1,4 @@
-"""Normalization layers over NCHW feature maps."""
+"""Normalization layers over channels-last (B, H, W, C) feature maps."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,12 +10,11 @@ from .tensor import Tensor, add_bias, constant, mul, reshape, tmean, tsqrt
 
 def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each spatial position across its channel vector."""
-    m = tmean(x, axis=1, keepdims=True)
+    m = tmean(x, axis=-1, keepdims=True)
     xc = x - m
-    v = tmean(xc * xc, axis=1, keepdims=True)
+    v = tmean(xc * xc, axis=-1, keepdims=True)
     xn = xc / tsqrt(v + eps)
-    c = gamma.shape[0]
-    return mul(xn, reshape(gamma, (1, c, 1, 1))) + reshape(beta, (1, c, 1, 1))
+    return add_bias(mul(xn, reshape(gamma, (1, 1, 1, gamma.shape[0]))), beta, axis=-1)
 
 
 @dataclass
@@ -48,9 +47,9 @@ def batch_norm(x: Tensor, bn: BatchNorm2d, train: bool) -> Tensor:
     """
     c = bn.gamma.shape[0]
     if train:
-        m = tmean(x, axis=(0, 2, 3), keepdims=True)
+        m = tmean(x, axis=(0, 1, 2), keepdims=True)
         xc = x - m
-        v = tmean(xc * xc, axis=(0, 2, 3), keepdims=True)
+        v = tmean(xc * xc, axis=(0, 1, 2), keepdims=True)
         mom = bn.momentum
         bn.running_mean = (1 - mom) * bn.running_mean + mom * m.data.reshape(c).astype(
             bn.running_mean.dtype
@@ -60,7 +59,7 @@ def batch_norm(x: Tensor, bn: BatchNorm2d, train: bool) -> Tensor:
         )
         xn = xc / tsqrt(v + bn.eps)
     else:
-        rm = constant(bn.running_mean.reshape(1, c, 1, 1), dtype=x.dtype)
-        rv = constant(bn.running_var.reshape(1, c, 1, 1), dtype=x.dtype)
+        rm = constant(bn.running_mean.reshape(1, 1, 1, c), dtype=x.dtype)
+        rv = constant(bn.running_var.reshape(1, 1, 1, c), dtype=x.dtype)
         xn = (x - rm) / tsqrt(rv + bn.eps)
-    return mul(xn, reshape(bn.gamma, (1, c, 1, 1))) + reshape(bn.beta, (1, c, 1, 1))
+    return add_bias(mul(xn, reshape(bn.gamma, (1, 1, 1, c))), bn.beta, axis=-1)

@@ -412,16 +412,6 @@ def sigmoid(a) -> Tensor:
     return _make(out, (a,), backward, "sigmoid")
 
 
-def tanh(a) -> Tensor:
-    a = _coerce(a)
-    out = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return _make(out, (a,), backward, "tanh")
-
-
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 

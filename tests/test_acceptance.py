@@ -80,7 +80,6 @@ from dualformer.tensor import (
     select_index,
     sigmoid,
     softmax,
-    tanh,
     texp,
     tlog,
     tmean,
@@ -261,6 +260,11 @@ def oracle_aggregate(intra, inter, assign, head):
     return out
 
 
+def nhwc(a):
+    """(B, C, H, W) data in the channels-last layout the model runs on."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
 def oracle_c2s(x, rate, skip):
     b, ck2, h, w = x.shape
     c = ck2 // (rate * rate)
@@ -350,10 +354,10 @@ def test_check_02_loop_oracle_equivalence():
             c = int(r.integers(1, 5))
             grid = r.normal(size=(2, c * rate * rate, h, h))
             skip = r.normal(size=(2, c, h * rate, h * rate))
-            got = channel_to_spatial(constant(grid), rate, constant(skip)).data
+            got = channel_to_spatial(constant(nhwc(grid)), rate, constant(nhwc(skip))).data
             worst["channel_to_spatial"] = max(
                 worst["channel_to_spatial"],
-                np.abs(got - oracle_c2s(grid, rate, skip)).max(),
+                np.abs(got - nhwc(oracle_c2s(grid, rate, skip))).max(),
             )
 
             bits = int(r.integers(1, 4))
@@ -394,6 +398,11 @@ def leaf(r, *shape, positive=False):
     return Tensor(data, requires_grad=True)
 
 
+def map_leaf(r, *shape):
+    """A (B, C, H, W) draw handed over channels-last."""
+    return Tensor(nhwc(r.normal(size=shape)), requires_grad=True)
+
+
 def op_inventory(r):
     """One representative gradient check per differentiable op."""
     a = lambda: leaf(r, 3, 4)
@@ -411,7 +420,6 @@ def op_inventory(r):
         ("log", tlog, [pos()]),
         ("sqrt", tsqrt, [pos()]),
         ("sigmoid", sigmoid, [a()]),
-        ("tanh", tanh, [a()]),
         ("gelu", gelu, [a()]),
         ("sum", lambda x: tsum(x, axis=1), [a()]),
         ("mean", lambda x: tmean(x, axis=0, keepdims=True), [a()]),
@@ -426,15 +434,20 @@ def op_inventory(r):
         ("gather_segments", lambda t: gather_segments(t, assign), [leaf(r, 3, 4)]),
         ("select_index", lambda x: select_index(x, np.array([2, 0, 1])), [a()]),
         ("conv2d", lambda x, w, b: conv2d(x, w, b, stride=2, padding=1),
-         [leaf(r, 2, 3, 6, 6), leaf(r, 4, 3, 3, 3), leaf(r, 4)]),
+         [map_leaf(r, 2, 3, 6, 6), leaf(r, 4, 3, 3, 3), leaf(r, 4)]),
         ("conv2d_grouped", lambda x, w: conv2d(x, w, stride=1, padding=1, groups=4),
-         [leaf(r, 1, 4, 5, 5), leaf(r, 4, 1, 3, 3)]),
+         [map_leaf(r, 1, 4, 5, 5), leaf(r, 4, 1, 3, 3)]),
+        ("conv2d_1x1", lambda x, w, b: conv2d(x, w, b),
+         [map_leaf(r, 2, 3, 4, 4), leaf(r, 5, 3, 1, 1), leaf(r, 5)]),
+        ("conv2d_depthwise_s2",
+         lambda x, w, b: conv2d(x, w, b, stride=2, padding=1, groups=4),
+         [map_leaf(r, 1, 4, 6, 6), leaf(r, 4, 1, 3, 3), leaf(r, 4)]),
         ("layer_norm_channels", layer_norm_channels,
-         [leaf(r, 2, 3, 4, 4), leaf(r, 3), leaf(r, 3)]),
+         [map_leaf(r, 2, 3, 4, 4), leaf(r, 3), leaf(r, 3)]),
         ("batch_norm_train", lambda x: batch_norm(x, bn, train=True),
-         [leaf(r, 2, 3, 4, 4)]),
+         [map_leaf(r, 2, 3, 4, 4)]),
         ("batch_norm_eval", lambda x: batch_norm(x, bn, train=False),
-         [leaf(r, 2, 3, 4, 4)]),
+         [map_leaf(r, 2, 3, 4, 4)]),
         ("vanilla_attention", vanilla_attention,
          [leaf(r, 6, 4), leaf(r, 4, 3), leaf(r, 4, 3), leaf(r, 4, 3)]),
         ("intra_attention", lambda x, xt: intra_partition_attention(x, xt, assign, 3),
@@ -444,7 +457,7 @@ def op_inventory(r):
         ("aggregate", lambda i1, i2: global_local_aggregate(i1, i2, assign, head),
          [leaf(r, 6, 4), leaf(r, 3, 4)]),
         ("channel_to_spatial", lambda x, s: channel_to_spatial(x, 2, s),
-         [leaf(r, 1, 8, 2, 2), leaf(r, 1, 2, 4, 4)]),
+         [map_leaf(r, 1, 8, 2, 2), map_leaf(r, 1, 2, 4, 4)]),
     ]
     return cases
 

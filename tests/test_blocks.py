@@ -1,4 +1,8 @@
-"""Dual blocks, the inverted-bottleneck branch, FFN, and patch embeds."""
+"""Dual blocks, the inverted-bottleneck branch, FFN, and patch embeds.
+
+Blocks take channels-last (B, H, W, C) maps; test maps are drawn as
+(B, C, H, W) and transposed at the call with ``nhwc``.
+"""
 import numpy as np
 import pytest
 
@@ -25,8 +29,12 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def nhwc(a):
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
 def rand_map(r, c, h=8, w=8, b=2):
-    return constant(r.normal(size=(b, c, h, w)).astype(np.float32))
+    return constant(nhwc(r.normal(size=(b, c, h, w)).astype(np.float32)))
 
 
 def count_tensor_params(*tensors):
@@ -124,11 +132,11 @@ def test_parallel_matches_manual_composition_bitwise():
     out = dual_block_forward(x, p)
 
     conv_c = p.conv_channels
-    xc = narrow(x, 1, 0, conv_c)
-    xa = narrow(x, 1, conv_c, 8 - conv_c)
+    xc = narrow(x, 3, 0, conv_c)
+    xa = narrow(x, 3, conv_c, 8 - conv_c)
     yc = mbconv_forward(xc, p.mbconv, train=False)
     ya = mhpa_forward(xa, p.mhpa, p.mhpa_cfg)
-    y = concat([yc, ya], axis=1)
+    y = concat([yc, ya], axis=3)
     want = y + ffn_forward(layer_norm_channels(y, p.ln2_gamma, p.ln2_beta), p.ffn)
     assert np.array_equal(out.data, want.data)
 
@@ -163,11 +171,11 @@ def test_conv_only_equals_mbconv_on_its_half():
     out = dual_block_forward(x, p)
     # attention half passes through untouched (ffn still zero)
     conv_c = p.conv_channels
-    attn_half_in = x.data[:, conv_c:]
-    attn_half_out = out.data[:, conv_c:]
+    attn_half_in = x.data[..., conv_c:]
+    attn_half_out = out.data[..., conv_c:]
     assert np.allclose(attn_half_out, attn_half_in, atol=1e-6)
-    conv_half = mbconv_forward(narrow(x, 1, 0, conv_c), p.mbconv).data
-    assert np.allclose(out.data[:, :conv_c], conv_half, atol=1e-6)
+    conv_half = mbconv_forward(narrow(x, 3, 0, conv_c), p.mbconv).data
+    assert np.allclose(out.data[..., :conv_c], conv_half, atol=1e-6)
 
 
 def test_attn_only_leaves_conv_half_untouched():
@@ -177,8 +185,8 @@ def test_attn_only_leaves_conv_half_untouched():
     x = rand_map(rng(24), 8)
     out = dual_block_forward(x, p)
     conv_c = p.conv_channels
-    assert np.allclose(out.data[:, :conv_c], x.data[:, :conv_c], atol=1e-6)
-    assert not np.allclose(out.data[:, conv_c:], x.data[:, conv_c:], atol=1e-6)
+    assert np.allclose(out.data[..., :conv_c], x.data[..., :conv_c], atol=1e-6)
+    assert not np.allclose(out.data[..., conv_c:], x.data[..., conv_c:], atol=1e-6)
 
 
 def test_block_frozen_iter_replays_partitions():
@@ -200,22 +208,22 @@ def test_block_frozen_iter_replays_partitions():
 def test_patch_embed_halves_per_conv():
     r = rng(27)
     stem = make_patch_embed([3, 8, 16], r)
-    x = constant(r.normal(size=(2, 3, 32, 32)).astype(np.float32))
+    x = constant(nhwc(r.normal(size=(2, 3, 32, 32)).astype(np.float32)))
     out = patch_embed_forward(x, stem)
-    assert out.shape == (2, 16, 8, 8)
+    assert out.data.transpose(0, 3, 1, 2).shape == (2, 16, 8, 8)
 
 
 def test_patch_embed_single_conv_transition():
     r = rng(28)
     emb = make_patch_embed([16, 32], r)
-    x = constant(r.normal(size=(1, 16, 8, 8)).astype(np.float32))
+    x = constant(nhwc(r.normal(size=(1, 16, 8, 8)).astype(np.float32)))
     out = patch_embed_forward(x, emb)
-    assert out.shape == (1, 32, 4, 4)
+    assert out.data.transpose(0, 3, 1, 2).shape == (1, 32, 4, 4)
 
 
 def test_patch_embed_rejects_tiny_input():
     r = rng(29)
     stem = make_patch_embed([3, 8, 16], r)
-    x = constant(np.ones((1, 3, 2, 2), dtype=np.float32))
+    x = constant(nhwc(np.ones((1, 3, 2, 2), dtype=np.float32)))
     with pytest.raises(ShapeError):
         patch_embed_forward(x, stem)

@@ -147,6 +147,16 @@ def test_partitions_sample_outside_batch_exits_2(tmp_path, sample):
     assert not out.exists()
 
 
+def test_partitions_without_hash_sites_exits_2(tmp_path):
+    # conv_only blocks have no attention branch, so there is nothing to draw
+    out = tmp_path / "maps"
+    res = run("partitions", "--preset", "Micro", "--mode", "conv_only",
+              "--out-dir", out, "--n", "8")
+    assert res.returncode == 2, res.stderr
+    assert "no hash sites" in res.stderr
+    assert not out.exists()
+
+
 def test_gradcheck_smoke(tmp_path):
     cfg = tmp_path / "mini.cfg"
     text = (

@@ -1,4 +1,8 @@
-"""conv2d against a six-loop reference implementation."""
+"""conv2d against a six-loop reference implementation.
+
+conv2d takes channels-last (B, H, W, C) maps; the oracle and the test data
+stay NCHW and are transposed at the call with ``nhwc``.
+"""
 import numpy as np
 import pytest
 
@@ -40,6 +44,10 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def nhwc(a):
+    return np.ascontiguousarray(np.asarray(a).transpose(0, 2, 3, 1))
+
+
 def test_out_size_formula():
     assert conv_out_size(8, 3, 1, 1) == 8
     assert conv_out_size(8, 3, 2, 1) == 4
@@ -49,7 +57,7 @@ def test_out_size_formula():
 
 def test_kernel_exceeding_extent_rejected():
     with pytest.raises(ShapeError):
-        conv2d(constant(np.ones((1, 1, 2, 2))), constant(np.ones((1, 1, 5, 5))))
+        conv2d(constant(nhwc(np.ones((1, 1, 2, 2)))), constant(np.ones((1, 1, 5, 5))))
 
 
 def test_identity_kernel_passthrough():
@@ -57,14 +65,14 @@ def test_identity_kernel_passthrough():
     w = np.zeros((3, 3, 1, 1), dtype=np.float32)
     for c in range(3):
         w[c, c, 0, 0] = 1.0
-    out = conv2d(constant(x), constant(w))
-    assert np.array_equal(out.data, x)
+    out = conv2d(constant(nhwc(x)), constant(w))
+    assert np.array_equal(out.data, nhwc(x))
 
 
 def test_ones_kernel_equals_window_sum():
     x = np.ones((1, 1, 4, 4), dtype=np.float32)
     w = np.ones((1, 1, 3, 3), dtype=np.float32)
-    out = conv2d(constant(x), constant(w), padding=0)
+    out = conv2d(constant(nhwc(x)), constant(w), padding=0)
     assert np.all(out.data == 9.0)
 
 
@@ -75,8 +83,8 @@ def test_dense_conv_matches_oracle(stride, padding):
         x = r.normal(size=(2, 3, 6, 7))
         w = r.normal(size=(4, 3, 3, 3))
         b = r.normal(size=4)
-        got = conv2d(constant(x), constant(w), constant(b), stride=stride, padding=padding)
-        want = conv_oracle(x, w, b, stride=stride, padding=padding)
+        got = conv2d(constant(nhwc(x)), constant(w), constant(b), stride=stride, padding=padding)
+        want = nhwc(conv_oracle(x, w, b, stride=stride, padding=padding))
         assert np.allclose(got.data, want, atol=1e-10)
 
 
@@ -87,8 +95,8 @@ def test_depthwise_conv_matches_oracle(stride):
         x = r.normal(size=(2, 5, 8, 8))
         w = r.normal(size=(5, 1, 3, 3))
         b = r.normal(size=5)
-        got = conv2d(constant(x), constant(w), constant(b), stride=stride, padding=1, groups=5)
-        want = conv_oracle(x, w, b, stride=stride, padding=1, groups=5)
+        got = conv2d(constant(nhwc(x)), constant(w), constant(b), stride=stride, padding=1, groups=5)
+        want = nhwc(conv_oracle(x, w, b, stride=stride, padding=1, groups=5))
         assert np.allclose(got.data, want, atol=1e-10)
 
 
@@ -97,20 +105,20 @@ def test_1x1_conv_matches_oracle():
     with precision.precision("f64"):
         x = r.normal(size=(2, 4, 5, 5))
         w = r.normal(size=(8, 4, 1, 1))
-        got = conv2d(constant(x), constant(w))
-        want = conv_oracle(x, w, padding=0)
+        got = conv2d(constant(nhwc(x)), constant(w))
+        want = nhwc(conv_oracle(x, w, padding=0))
         assert np.allclose(got.data, want, atol=1e-10)
 
 
 def test_group_conv_rejects_bad_channel_split():
-    x = constant(np.ones((1, 4, 5, 5)))
+    x = constant(nhwc(np.ones((1, 4, 5, 5))))
     w = constant(np.ones((6, 2, 3, 3)))
     with pytest.raises(ShapeError):
         conv2d(x, w, groups=3)  # 6 outputs not divisible into 3 groups of 4/3 inputs
 
 
 def test_channel_mismatch_rejected():
-    x = constant(np.ones((1, 4, 5, 5)))
+    x = constant(nhwc(np.ones((1, 4, 5, 5))))
     w = constant(np.ones((2, 3, 3, 3)))
     with pytest.raises(ShapeError):
         conv2d(x, w)
@@ -120,7 +128,7 @@ def test_conv_backward_frozen_value():
     # single 1x1 weight: loss = sum(w * x) so dw = sum(x), dx = w everywhere
     x_data = rng(3).normal(size=(1, 1, 3, 3)).astype(np.float64)
     with precision.precision("f64"):
-        x = Tensor(x_data, requires_grad=True)
+        x = Tensor(nhwc(x_data), requires_grad=True)
         w = Tensor(np.array([[[[2.0]]]]), requires_grad=True)
         tsum(conv2d(x, w)).backward()
         assert w.grad[0, 0, 0, 0] == pytest.approx(x_data.sum())

@@ -1,5 +1,9 @@
 """Partition attention ops against brute-force loop oracles, plus the
-pipeline invariants: normalization, equivariance, identity behavior."""
+pipeline invariants: normalization, equivariance, identity behavior.
+
+Maps are drawn and checked as (B, C, H, W) and handed to the layer
+channels-last through ``nhwc``.
+"""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +79,10 @@ def c2s_oracle(x, rate):
                 for dx in range(rate):
                     out[n, ch, dy::rate, dx::rate] = x[n, ch * rate * rate + dy * rate + dx]
     return out
+
+
+def nhwc(a):
+    return np.ascontiguousarray(np.asarray(a).transpose(0, 2, 3, 1))
 
 
 def make_head(r, d):
@@ -276,15 +284,15 @@ def test_channel_to_spatial_frozen_mapping():
     # 16 channels at one pixel unfold to one 4-channel 2x2 tile:
     # channel c*4 + dy*2 + dx lands at spatial (dy, dx) of channel c
     x = np.arange(16, dtype=np.float32).reshape(1, 16, 1, 1)
-    skip = constant(np.zeros((1, 4, 2, 2), dtype=np.float32))
-    out = channel_to_spatial(constant(x), 2, skip).data
+    skip = constant(nhwc(np.zeros((1, 4, 2, 2), dtype=np.float32)))
+    out = channel_to_spatial(constant(nhwc(x)), 2, skip).data
     want = np.array(
         [[[0.0, 1.0], [2.0, 3.0]],
          [[4.0, 5.0], [6.0, 7.0]],
          [[8.0, 9.0], [10.0, 11.0]],
          [[12.0, 13.0], [14.0, 15.0]]]
     )[None]
-    assert np.array_equal(out, want)
+    assert np.array_equal(out, nhwc(want))
 
 
 def test_channel_to_spatial_matches_loop_oracle():
@@ -293,14 +301,14 @@ def test_channel_to_spatial_matches_loop_oracle():
         x = r.normal(size=(2, 5 * rate * rate, 3, 4)).astype(np.float64)
         skip = r.normal(size=(2, 5, 3 * rate, 4 * rate))
         with precision.precision("f64"):
-            got = channel_to_spatial(constant(x), rate, constant(skip)).data
-        assert np.allclose(got, c2s_oracle(x, rate) + skip, atol=1e-12)
+            got = channel_to_spatial(constant(nhwc(x)), rate, constant(nhwc(skip))).data
+        assert np.allclose(got, nhwc(c2s_oracle(x, rate) + skip), atol=1e-12)
 
 
 def test_channel_to_spatial_skip_shape_enforced():
-    x = constant(np.ones((1, 4, 2, 2)))
+    x = constant(nhwc(np.ones((1, 4, 2, 2))))
     with pytest.raises(ShapeError):
-        channel_to_spatial(x, 2, constant(np.ones((1, 1, 3, 4))))
+        channel_to_spatial(x, 2, constant(nhwc(np.ones((1, 1, 3, 4)))))
 
 
 # -- head pipeline ---------------------------------------------------------
@@ -391,7 +399,7 @@ def layer_setup(seed=0, channels=8, heads=2, rate=2):
 
 def test_layer_preserves_shape_and_identity_at_init():
     cfg, params = layer_setup()
-    x = constant(np.random.default_rng(1).normal(size=(2, 8, 4, 4)).astype(np.float32))
+    x = constant(nhwc(np.random.default_rng(1).normal(size=(2, 8, 4, 4)).astype(np.float32)))
     out = mhpa_forward(x, params, cfg)
     assert out.shape == x.shape
     # expansion conv starts at zero, so the layer is the identity
@@ -401,7 +409,7 @@ def test_layer_preserves_shape_and_identity_at_init():
 def test_layer_frozen_replay_is_bitwise():
     cfg, params = layer_setup(seed=2)
     params.up_w.data[:] = 0.01 * np.random.default_rng(3).normal(size=params.up_w.shape)
-    x = constant(np.random.default_rng(4).normal(size=(2, 8, 4, 4)).astype(np.float32))
+    x = constant(nhwc(np.random.default_rng(4).normal(size=(2, 8, 4, 4)).astype(np.float32)))
     trace = []
     out1 = mhpa_forward(x, params, cfg, trace=trace, trace_tag={"stage": 0, "block": 0})
     frozen = [e["assignment"] for e in trace]
@@ -412,7 +420,7 @@ def test_layer_frozen_replay_is_bitwise():
 
 def test_layer_rejects_indivisible_grid():
     cfg, params = layer_setup(rate=2)
-    x = constant(np.ones((1, 8, 5, 4), dtype=np.float32))
+    x = constant(nhwc(np.ones((1, 8, 5, 4), dtype=np.float32)))
     with pytest.raises(ShapeError):
         mhpa_forward(x, params, cfg)
 

@@ -27,7 +27,6 @@ from dualformer.tensor import (
     sigmoid,
     softmax,
     sub,
-    tanh,
     texp,
     tlog,
     tmean,
@@ -102,7 +101,6 @@ def test_matmul_inner_dim_mismatch():
     "op,ref",
     [
         (texp, np.exp),
-        (tanh, np.tanh),
         (tsqrt, np.sqrt),
         (sigmoid, lambda x: 1.0 / (1.0 + np.exp(-x))),
     ],
