@@ -29,7 +29,6 @@ from .partition import NormVectors, hash_codes
 from .tensor import (
     ShapeError,
     Tensor,
-    _segment_offsets,
     add_bias,
     concat,
     constant,
@@ -38,6 +37,7 @@ from .tensor import (
     matmul,
     mul,
     narrow,
+    one_hot,
     reshape,
     segment_sum,
     sigmoid,
@@ -94,9 +94,7 @@ class MhpaParams:
 
 
 def segment_counts(assign: np.ndarray, num_clusters: int) -> np.ndarray:
-    offs = _segment_offsets(assign, num_clusters)
-    counts = np.bincount(offs.reshape(-1), minlength=offs.shape[0] * num_clusters)
-    return counts.reshape(assign.shape[:-1] + (num_clusters,))
+    return one_hot(assign, num_clusters, np.int64).sum(axis=-2)
 
 
 def intra_partition_attention(

@@ -253,7 +253,18 @@ def _features(model: Model, images, train: bool, frozen, trace, stages: int = NU
     if h % 32 or w % 32 or h < 32 or w < 32:
         raise ShapeError(f"input resolution {h}x{w} must be a positive multiple of 32")
 
-    frozen_iter = iter(frozen) if frozen is not None else None
+    frozen_iter = None
+    if frozen is not None:
+        frozen = list(frozen)
+        sites = sum(
+            len(block.mhpa.heads)
+            for stage in model.stages[:stages]
+            for block in stage.blocks
+            if block.mhpa is not None
+        )
+        if len(frozen) != sites:
+            raise ShapeError(f"frozen: {len(frozen)} assignments for {sites} hash sites")
+        frozen_iter = iter(frozen)
     x = patch_embed_forward(transpose(images, (0, 2, 3, 1)), model.stem, train)
     for si, stage in enumerate(model.stages[:stages]):
         if stage.embed is not None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, one_hot
 
 
 class PartitionError(ValueError):
@@ -181,9 +181,9 @@ def kmeans_assign(tokens, num_clusters: int, max_iters: int = 5, seed: int = 0) 
             )
         prev_obj = obj
         # update step
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, arr)
-        counts = np.bincount(assign, minlength=num_clusters)
+        onehot = one_hot(assign, num_clusters, arr.dtype)
+        sums = onehot.T @ arr
+        counts = onehot.sum(axis=0)
         nonzero = counts > 0
         centers[nonzero] = sums[nonzero] / counts[nonzero, None]
 

@@ -219,7 +219,8 @@ def graph_records(root: Tensor):
     """Flat view of the graph below ``root`` as (op, input_ids, output_id).
 
     Topologically ordered: every input id appears as an output id earlier in
-    the list or belongs to a leaf. Exists for graph-shape tests.
+    the list or belongs to a leaf. Graph-shape tests read it, and the
+    benchmark's tracer counts ``eval_graph_nodes`` with it.
     """
     records = []
     for t in _topo_order(root):
@@ -589,10 +590,14 @@ def matmul(a, b) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}: {e}") from None
 
+    # a constant operand (a one-hot, say) costs only its forward product
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
 
     return _make(out, (a, b), backward, "matmul")
 
@@ -615,20 +620,22 @@ def softmax(a, axis: int = -1) -> Tensor:
 # -- indexed ops -------------------------------------------------------------
 
 
-def _flatten_leading(shape):
-    *lead, n = shape
-    return int(np.prod(lead, dtype=np.int64)) if lead else 1, n
+def one_hot(ids, num_classes: int, dtype) -> np.ndarray:
+    """(..., n) integer ids as a (..., n, num_classes) 0/1 array of ``dtype``.
 
-
-def _segment_offsets(seg: np.ndarray, num_segments: int) -> np.ndarray:
-    lead, n = _flatten_leading(seg.shape)
-    flat = seg.reshape(lead, n).astype(np.int64, copy=False)
-    if flat.size and (flat.min() < 0 or flat.max() >= num_segments):
+    The one place ids are validated: they must have an integer dtype and lie
+    in ``[0, num_classes)``, else ``ShapeError``. Every bucket and label op is
+    a matmul or product against this array, which costs n·K·d multiplies where
+    a scatter does n·d adds; with K = 8 buckets in every preset that is cheap.
+    """
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ShapeError(f"ids must have an integer dtype, got {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() >= num_classes):
         raise ShapeError(
-            f"segment ids must lie in [0, {num_segments}), got range "
-            f"[{flat.min()}, {flat.max()}]"
+            f"ids must lie in [0, {num_classes}), got range [{ids.min()}, {ids.max()}]"
         )
-    return flat + num_segments * np.arange(lead, dtype=np.int64)[:, None]
+    return (ids[..., None] == np.arange(num_classes)).astype(dtype)
 
 
 def segment_sum(a, seg: np.ndarray, num_segments: int) -> Tensor:
@@ -641,18 +648,8 @@ def segment_sum(a, seg: np.ndarray, num_segments: int) -> Tensor:
     a = _coerce(a)
     if a.ndim < 2 or seg.shape != a.shape[:-1]:
         raise ShapeError(f"segment_sum: ids {seg.shape} must match rows of {a.shape}")
-    d = a.shape[-1]
-    offs = _segment_offsets(seg, num_segments)
-    lead = offs.shape[0]
-    out = np.zeros((lead * num_segments, d), dtype=a.dtype)
-    np.add.at(out, offs.reshape(-1), a.data.reshape(-1, d))
-    out = out.reshape(a.shape[:-2] + (num_segments, d))
-
-    def backward(g):
-        g2 = g.reshape(lead * num_segments, d)
-        return (g2[offs.reshape(-1)].reshape(a.shape),)
-
-    return _make(out, (a,), backward, "segment_sum")
+    onehot = one_hot(seg, num_segments, a.dtype)
+    return matmul(constant(np.swapaxes(onehot, -1, -2), dtype=a.dtype), a)
 
 
 def gather_segments(table, seg: np.ndarray) -> Tensor:
@@ -664,18 +661,8 @@ def gather_segments(table, seg: np.ndarray) -> Tensor:
         raise ShapeError(
             f"gather_segments: ids {seg.shape} do not match table {table.shape}"
         )
-    num_segments, d = table.shape[-2], table.shape[-1]
-    offs = _segment_offsets(seg, num_segments)
-    lead = offs.shape[0]
-    t2 = table.data.reshape(lead * num_segments, d)
-    out = t2[offs.reshape(-1)].reshape(seg.shape + (d,))
-
-    def backward(g):
-        dt = np.zeros((lead * num_segments, d), dtype=table.dtype)
-        np.add.at(dt, offs.reshape(-1), g.reshape(-1, d))
-        return (dt.reshape(table.shape),)
-
-    return _make(out, (table,), backward, "gather_segments")
+    onehot = one_hot(seg, table.shape[-2], table.dtype)
+    return matmul(constant(onehot, dtype=table.dtype), table)
 
 
 def select_index(a, idx: np.ndarray) -> Tensor:
@@ -683,17 +670,7 @@ def select_index(a, idx: np.ndarray) -> Tensor:
     a = _coerce(a)
     if a.ndim != 2:
         raise ShapeError(f"select_index: expected a matrix, got {a.shape}")
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = np.asarray(idx)
     if idx.shape != (a.shape[0],):
         raise ShapeError(f"select_index: indices {idx.shape} do not match rows of {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
-        raise ShapeError(f"select_index: indices out of range for {a.shape}")
-    rows = np.arange(a.shape[0])
-    out = a.data[rows, idx]
-
-    def backward(g):
-        dx = np.zeros_like(a.data)
-        np.add.at(dx, (rows, idx), g)
-        return (dx,)
-
-    return _make(out, (a,), backward, "select_index")
+    return tsum(a * constant(one_hot(idx, a.shape[1], a.dtype), dtype=a.dtype), axis=1)

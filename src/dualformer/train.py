@@ -21,7 +21,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     shift = constant(logits.data.max(axis=1, keepdims=True))
     z = sub(logits, shift)
     lse = tlog(tsum(texp(z), axis=1))  # (B,)
-    picked = select_index(z, np.asarray(labels, dtype=np.int64))
+    picked = select_index(z, labels)
     return tmean(sub(lse, picked))
 
 

@@ -429,6 +429,8 @@ def op_inventory(r):
         ("narrow", lambda x: narrow(x, 1, 1, 2), [a()]),
         ("add_bias", lambda x, b: add_bias(x, b, axis=1), [a(), leaf(r, 4)]),
         ("matmul", matmul, [leaf(r, 3, 4), leaf(r, 4, 2)]),
+        ("matmul_constant_left", matmul,
+         [constant(np.eye(3)[assign.reshape(2, 3)].swapaxes(-1, -2)), leaf(r, 2, 3, 4)]),
         ("softmax", lambda x: softmax(x, axis=-1), [a()]),
         ("segment_sum", lambda x: segment_sum(x, assign, 3), [leaf(r, 6, 4)]),
         ("gather_segments", lambda t: gather_segments(t, assign), [leaf(r, 3, 4)]),
@@ -471,6 +473,8 @@ def test_check_03_gradient_audit():
             err = grad_check(fn, inputs, seed=0)
             if err > GRAD_TOL:
                 failures.append(f"{name} {err:.2e}")
+            if any(t.grad is not None for t in inputs if not t.requires_grad):
+                failures.append(f"{name} gave a constant a gradient")
         n_ops = len(op_inventory(np.random.default_rng(7)))
 
         model = build_model(get_preset("Micro"), seed=0)

@@ -140,9 +140,10 @@ def test_softmax_grad(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_segment_ops_grads(seed):
     r = np.random.default_rng(seed)
-    seg = r.integers(0, 4, size=9)
-    check(lambda x: segment_sum(x, seg, 4), [leaf(r, (9, 3))], seed=seed)
-    check(lambda t: gather_segments(t, seg), [leaf(r, (4, 3))], seed=seed)
+    for lead in ((), (2,)):
+        seg = r.integers(0, 4, size=lead + (9,))
+        check(lambda x: segment_sum(x, seg, 4), [leaf(r, lead + (9, 3))], seed=seed)
+        check(lambda t: gather_segments(t, seg), [leaf(r, lead + (4, 3))], seed=seed)
     labels = r.integers(0, 3, size=5)
     check(lambda x: select_index(x, labels), [leaf(r, (5, 3))], seed=seed)
 

@@ -204,6 +204,8 @@ def test_segment_counts_per_row_and_range_checked():
         segment_counts(bad, 4)
     with pytest.raises(ShapeError):
         segment_counts(np.array([[0, -1]]), 4)
+    with pytest.raises(ShapeError):
+        segment_counts(np.array([[0.0, 1.0]]), 4)
 
 
 def test_inter_zeroed_predictor_gives_uniform_coefficients():

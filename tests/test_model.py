@@ -286,6 +286,24 @@ def test_trace_replay_full_model_bitwise():
     assert np.array_equal(out1.data, out2.data)
 
 
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+def test_frozen_count_must_match_hash_sites(delta):
+    model = build_model(get_preset("Micro"), seed=3)
+    x = np.random.default_rng(3).normal(size=(1, 3, 32, 32)).astype(np.float32)
+    frozen = [e["assignment"] for e in capture_partitions(model, x)]
+    frozen = frozen[:-1] if delta < 0 else frozen + frozen[:1]
+    with pytest.raises(ShapeError, match=f"{len(frozen)} assignments for {len(frozen) - delta}"):
+        forward(model, x, frozen=frozen)
+
+
+def test_float_frozen_assignment_rejected():
+    model = build_model(get_preset("Micro"), seed=3)
+    x = np.random.default_rng(3).normal(size=(1, 3, 32, 32)).astype(np.float32)
+    frozen = [e["assignment"] + 0.6 for e in capture_partitions(model, x)]
+    with pytest.raises(ShapeError):
+        forward(model, x, frozen=frozen)
+
+
 def test_capture_partitions_tags():
     model = build_model(get_preset("Micro"), seed=4)
     x = np.random.default_rng(4).normal(size=(1, 3, 32, 32)).astype(np.float32)

@@ -290,12 +290,32 @@ def test_gather_segments_matches_indexing():
     seg = r.integers(0, 4, size=7)
     got = gather_segments(constant(table), seg).data
     assert np.array_equal(got, table[seg])
+    # batched (B, n) ids against a per-instance loop
+    table = r.normal(size=(2, 4, 3)).astype(np.float32)
+    seg = r.integers(0, 4, size=(2, 6))
+    got = gather_segments(constant(table), seg).data
+    want = np.zeros((2, 6, 3), dtype=np.float32)
+    for b in range(2):
+        for i in range(6):
+            want[b, i] = table[b, seg[b, i]]
+    assert np.array_equal(got, want)
 
 
 def test_select_index_picks_labels():
     x = constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     got = select_index(x, np.array([2, 0])).data
     assert np.array_equal(got, [3.0, 4.0])
+
+
+@pytest.mark.parametrize("ids", [[0, -1, 1], [0, 4, 1], [0.0, 1.0, 2.0]], ids=["neg", "K", "float"])
+def test_bucket_and_label_ops_reject_bad_ids(ids):
+    ids = np.array(ids)
+    with pytest.raises(ShapeError):
+        segment_sum(constant(np.ones((3, 2))), ids, 4)
+    with pytest.raises(ShapeError):
+        gather_segments(constant(np.ones((4, 2))), ids)
+    with pytest.raises(ShapeError):
+        select_index(constant(np.ones((3, 4))), ids)
 
 
 # -- graph semantics -----------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from dualformer import precision
 from dualformer.data import make_shapes
 from dualformer.model import build_model, forward, get_preset, named_parameters
-from dualformer.tensor import Tensor
+from dualformer.tensor import ShapeError, Tensor
 from dualformer.train import (
     AdamW,
     TrainingDiverged,
@@ -37,6 +37,12 @@ def test_cross_entropy_matches_log_softmax_oracle():
         labels = rng.integers(0, k, size=b)
         got = cross_entropy(Tensor(logits, requires_grad=True), labels).data
         assert np.allclose(got, np_cross_entropy(logits, labels), atol=1e-10)
+
+
+@pytest.mark.parametrize("labels", [[0, -1], [0, 4], [0.0, 1.0]], ids=["neg", "K", "float"])
+def test_cross_entropy_rejects_bad_labels(labels):
+    with pytest.raises(ShapeError):
+        cross_entropy(Tensor(np.zeros((2, 4))), np.array(labels))
 
 
 def test_cross_entropy_extreme_logits_finite():
