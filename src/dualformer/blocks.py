@@ -193,23 +193,21 @@ def dual_block_forward(
     x: Tensor,
     p: DualBlockParams,
     train: bool = False,
-    frozen_iter=None,
-    trace: list | None = None,
-    trace_tag: dict | None = None,
+    sites: dict | None = None,
 ) -> Tensor:
     if x.shape[-1] != p.channels:
         raise ShapeError(f"block built for {p.channels} channels, input has {x.shape[-1]}")
 
     if p.mode == "series":
         y = mbconv_forward(x, p.mbconv, train)
-        y = mhpa_forward(y, p.mhpa, p.mhpa_cfg, frozen_iter, trace, trace_tag)
+        y = mhpa_forward(y, p.mhpa, p.mhpa_cfg, sites)
     else:
         attn_c = p.channels - p.conv_channels
         xc = narrow(x, 3, 0, p.conv_channels)
         xa = narrow(x, 3, p.conv_channels, attn_c)
         conv_out = mbconv_forward(xc, p.mbconv, train) if p.mbconv is not None else xc
         if p.mhpa is not None:
-            attn_out = mhpa_forward(xa, p.mhpa, p.mhpa_cfg, frozen_iter, trace, trace_tag)
+            attn_out = mhpa_forward(xa, p.mhpa, p.mhpa_cfg, sites)
         else:
             attn_out = xa
         y = concat([conv_out, attn_out], axis=3)

@@ -49,10 +49,11 @@ from .tensor import (
 EPS = 1e-6
 
 
-@dataclass
+@dataclass(eq=False)
 class MhpaHeadParams:
     """Learnable state for one head: token projection, importance predictor,
-    aggregation projection, and the frozen hashing hyperplanes."""
+    aggregation projection, and the frozen hashing hyperplanes. Compared and
+    hashed by identity, so a head keys its hash site in ``mhpa_forward``."""
 
     token_w: Tensor  # (d, d)
     token_b: Tensor  # (d,)
@@ -218,9 +219,7 @@ def mhpa_forward(
     x: Tensor,
     params: MhpaParams,
     cfg: MhpaConfig,
-    frozen_iter=None,
-    trace: list | None = None,
-    trace_tag: dict | None = None,
+    sites: dict | None = None,
 ) -> Tensor:
     """Full layer over a (B, H, W, C) map, resolution preserved.
 
@@ -228,6 +227,11 @@ def mhpa_forward(
     -> per-head partition attention on the token grid -> 1x1 conv expanding
     C to C*k^2 -> channel-to-spatial unfold with the raw input as skip. With
     the expansion conv zeroed the layer is exactly the identity.
+
+    ``sites`` maps heads to their hash sites. A head with an entry replays its
+    ``"assignment"`` verbatim (frozen partitions). Any other head hashes its
+    tokens and, when ``sites`` is given, stores ``{"assignment", "shape"}``
+    under itself, ``"shape"`` being the (H/k, W/k) token grid.
     """
     if x.ndim != 4:
         raise ShapeError(f"mhpa_forward: expected (B, H, W, C), got {x.shape}")
@@ -251,13 +255,11 @@ def mhpa_forward(
     outs = []
     for hi, head in enumerate(params.heads):
         sl = narrow(toks, 2, hi * d, d)
-        assign = np.asarray(next(frozen_iter)) if frozen_iter is not None else None
+        site = None if sites is None else sites.get(head)
+        assign = None if site is None else np.asarray(site["assignment"])
         out, assign = mhpa_head_forward(sl, head, K, assign=assign, attend=cfg.attend)
-        if trace is not None:
-            trace.append(
-                {**(trace_tag or {}), "head": hi, "assignment": assign.copy(),
-                 "shape": (hs, ws), "num_clusters": K}
-            )
+        if sites is not None and site is None:
+            sites[head] = {"assignment": assign, "shape": (hs, ws)}
         outs.append(out)
 
     merged = outs[0] if len(outs) == 1 else concat(outs, axis=-1)

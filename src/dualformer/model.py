@@ -61,7 +61,7 @@ class ModelConfig:
     mode: str = "parallel"
 
     def validate(self) -> None:
-        for fname in ("depths", "channels", "heads", "hash_bits", "downsample_rates"):
+        for fname in _INT_TUPLES:
             seq = getattr(self, fname)
             if len(seq) != NUM_STAGES or any(int(v) < 1 for v in seq):
                 raise ConfigError(f"{fname} must be {NUM_STAGES} positive ints, got {seq}")
@@ -241,7 +241,17 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
     )
 
 
-def _features(model: Model, images, train: bool, frozen, trace, stages: int = NUM_STAGES):
+def hash_sites(model: Model):
+    """Yield (stage, block, head index, head) for every hash site in traversal
+    order; stage and block count from 1, the head index from 0."""
+    for si, stage in enumerate(model.stages, 1):
+        for bi, block in enumerate(stage.blocks, 1):
+            if block.mhpa is not None:
+                for hi, head in enumerate(block.mhpa.heads):
+                    yield si, bi, hi, head
+
+
+def _features(model: Model, images, train: bool, sites=None, stages: int = NUM_STAGES):
     """Stem, then stages 1..``stages``; returns the feature map leaving the last."""
     if not isinstance(images, Tensor):
         images = constant(np.asarray(images), dtype=model.dtype)
@@ -253,42 +263,30 @@ def _features(model: Model, images, train: bool, frozen, trace, stages: int = NU
     if h % 32 or w % 32 or h < 32 or w < 32:
         raise ShapeError(f"input resolution {h}x{w} must be a positive multiple of 32")
 
-    frozen_iter = None
-    if frozen is not None:
-        frozen = list(frozen)
-        sites = sum(
-            len(block.mhpa.heads)
-            for stage in model.stages[:stages]
-            for block in stage.blocks
-            if block.mhpa is not None
-        )
-        if len(frozen) != sites:
-            raise ShapeError(f"frozen: {len(frozen)} assignments for {sites} hash sites")
-        frozen_iter = iter(frozen)
     x = patch_embed_forward(transpose(images, (0, 2, 3, 1)), model.stem, train)
-    for si, stage in enumerate(model.stages[:stages]):
+    for stage in model.stages[:stages]:
         if stage.embed is not None:
             x = patch_embed_forward(x, stage.embed, train)
-        for bi, block in enumerate(stage.blocks):
-            x = dual_block_forward(
-                x,
-                block,
-                train=train,
-                frozen_iter=frozen_iter,
-                trace=trace,
-                trace_tag={"stage": si + 1, "block": bi + 1},
-            )
+        for block in stage.blocks:
+            x = dual_block_forward(x, block, train=train, sites=sites)
     return x
 
 
 def forward(model: Model, images, train: bool = False, frozen=None) -> Tensor:
     """Images (B, 3, H, W) to logits (B, num_classes).
 
-    ``frozen`` is a flat sequence of partition assignments consumed in
-    traversal order: the ``"assignment"`` entries :func:`capture_partitions`
-    returns.
+    ``frozen`` is a flat sequence of partition assignments, one per hash site
+    in :func:`hash_sites` order: the ``"assignment"`` entries
+    :func:`capture_partitions` returns.
     """
-    x = _features(model, images, train, frozen, None)
+    sites = None
+    if frozen is not None:
+        frozen = list(frozen)
+        heads = [site[-1] for site in hash_sites(model)]
+        if len(frozen) != len(heads):
+            raise ShapeError(f"frozen: {len(frozen)} assignments for {len(heads)} hash sites")
+        sites = {head: {"assignment": a} for head, a in zip(heads, frozen)}
+    x = _features(model, images, train, sites)
     pooled = tmean(x, axis=(1, 2))  # (B, C)
     return add_bias(matmul(pooled, model.head_w), model.head_b, axis=-1)
 
@@ -297,17 +295,23 @@ def forward_features(model: Model, images, stage: int) -> Tensor:
     """Eval-mode (B, C, H, W) map leaving ``stage`` (1-based); later stages do not run."""
     if not 1 <= stage <= NUM_STAGES:
         raise ConfigError(f"stage must be 1..{NUM_STAGES}, got {stage}")
-    return transpose(_features(model, images, False, None, None, stage), (0, 3, 1, 2))
+    return transpose(_features(model, images, False, stages=stage), (0, 3, 1, 2))
 
 
 def capture_partitions(model: Model, images, train: bool = False) -> list:
-    """Run the stages and return the partition trace (one entry per hash site).
+    """Run the stages and return one dict per hash site, in :func:`hash_sites`
+    order, with keys ``stage``, ``block``, ``head``, ``assignment`` (bucket ids,
+    (B, n)), ``shape`` (the token grid) and ``num_clusters``.
 
     The head has no hash sites, so it does not run.
     """
-    trace: list = []
-    _features(model, images, train, None, trace)
-    return trace
+    sites: dict = {}
+    _features(model, images, train, sites)
+    return [
+        {"stage": si, "block": bi, "head": hi, **sites[head],
+         "num_clusters": head.norms.num_clusters}
+        for si, bi, hi, head in hash_sites(model)
+    ]
 
 
 # -- state walking -----------------------------------------------------------

@@ -7,6 +7,9 @@ import numpy as np
 
 from .tensor import Tensor, add_bias, constant, mul, reshape, tmean, tsqrt
 
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 
 def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each spatial position across its channel vector."""
@@ -25,8 +28,6 @@ class BatchNorm2d:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
 
 def make_batch_norm(channels: int, dtype) -> BatchNorm2d:
@@ -50,16 +51,16 @@ def batch_norm(x: Tensor, bn: BatchNorm2d, train: bool) -> Tensor:
         m = tmean(x, axis=(0, 1, 2), keepdims=True)
         xc = x - m
         v = tmean(xc * xc, axis=(0, 1, 2), keepdims=True)
-        mom = bn.momentum
+        mom = BN_MOMENTUM
         bn.running_mean = (1 - mom) * bn.running_mean + mom * m.data.reshape(c).astype(
             bn.running_mean.dtype
         )
         bn.running_var = (1 - mom) * bn.running_var + mom * v.data.reshape(c).astype(
             bn.running_var.dtype
         )
-        xn = xc / tsqrt(v + bn.eps)
+        xn = xc / tsqrt(v + BN_EPS)
     else:
         rm = constant(bn.running_mean.reshape(1, 1, 1, c), dtype=x.dtype)
         rv = constant(bn.running_var.reshape(1, 1, 1, c), dtype=x.dtype)
-        xn = (x - rm) / tsqrt(rv + bn.eps)
+        xn = (x - rm) / tsqrt(rv + BN_EPS)
     return add_bias(mul(xn, reshape(bn.gamma, (1, 1, 1, c))), bn.beta, axis=-1)

@@ -53,22 +53,25 @@ class Partition:
     centroids: np.ndarray | None = None  # (num_clusters, d), k-means only
 
     def __post_init__(self):
-        self.assignment = np.asarray(self.assignment, dtype=np.int64)
-        if self.counts is None:
-            self.counts = np.bincount(self.assignment, minlength=self.num_clusters)
+        self.assignment = np.asarray(self.assignment)
         self.validate()
 
     def validate(self) -> None:
-        n = self.assignment.shape[0]
-        if self.assignment.ndim != 1 or n < 1:
-            raise PartitionError(f"assignment must be a non-empty vector, got {self.assignment.shape}")
+        """Check the ids, then count them unless counts were given, then
+        check that the counts tally."""
+        a = self.assignment
+        if a.ndim != 1 or a.shape[0] < 1:
+            raise PartitionError(f"assignment must be a non-empty vector, got {a.shape}")
+        if not np.issubdtype(a.dtype, np.integer):
+            raise PartitionError(f"assignment must hold integer ids, got {a.dtype}")
         if self.num_clusters < 1:
             raise PartitionError(f"num_clusters must be positive, got {self.num_clusters}")
-        if self.assignment.min() < 0 or self.assignment.max() >= self.num_clusters:
-            raise PartitionError(
-                f"assignment values outside [0, {self.num_clusters})"
-            )
-        if self.counts.shape != (self.num_clusters,) or int(self.counts.sum()) != n:
+        if a.min() < 0 or a.max() >= self.num_clusters:
+            raise PartitionError(f"assignment values outside [0, {self.num_clusters})")
+        self.assignment = a.astype(np.int64, copy=False)
+        if self.counts is None:
+            self.counts = np.bincount(self.assignment, minlength=self.num_clusters)
+        if self.counts.shape != (self.num_clusters,) or int(self.counts.sum()) != a.shape[0]:
             raise PartitionError("counts do not tally with the assignment")
 
 

@@ -14,18 +14,12 @@ _NAMES = {"f32": np.float32, "f64": np.float64}
 _default = np.float32
 
 
-def set_default_dtype(name) -> None:
-    """Set the default float dtype. Accepts 'f32'/'f64' or a numpy dtype."""
+def set_default_dtype(name: str) -> None:
+    """Set the default float dtype: 'f32' or 'f64'."""
     global _default
-    if isinstance(name, str):
-        if name not in _NAMES:
-            raise ValueError(f"unknown precision {name!r}, expected one of {sorted(_NAMES)}")
-        _default = _NAMES[name]
-        return
-    dt = np.dtype(name)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dt}, expected float32 or float64")
-    _default = dt.type
+    if name not in _NAMES:
+        raise ValueError(f"unknown precision {name!r}, expected one of {sorted(_NAMES)}")
+    _default = _NAMES[name]
 
 
 def default_dtype():
@@ -35,9 +29,10 @@ def default_dtype():
 @contextlib.contextmanager
 def precision(name):
     """Temporarily switch the default dtype. Used by tests and the grad audit."""
+    global _default
     prev = _default
     set_default_dtype(name)
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _default = prev

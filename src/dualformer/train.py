@@ -25,11 +25,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return tmean(sub(lse, picked))
 
 
-def accuracy(logits, labels) -> float:
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    return float(np.mean(np.argmax(data, axis=1) == np.asarray(labels)))
-
-
 @dataclass
 class AdamW:
     """Decoupled weight decay; decay touches only rank >= 2 tensors."""

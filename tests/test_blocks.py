@@ -189,17 +189,17 @@ def test_attn_only_leaves_conv_half_untouched():
     assert not np.allclose(out.data[..., conv_c:], x.data[..., conv_c:], atol=1e-6)
 
 
-def test_block_frozen_iter_replays_partitions():
+def test_block_sites_replay_partitions():
     r = rng(25)
     p = make_dual_block(8, "parallel", block_cfg(), r)
     perturb(p, r)
     x = rand_map(rng(26), 8)
-    trace = []
-    out1 = dual_block_forward(x, p, trace=trace, trace_tag={"stage": 1, "block": 0})
-    frozen = iter([e["assignment"] for e in trace])
-    out2 = dual_block_forward(x, p, frozen_iter=frozen)
+    sites = {}
+    out1 = dual_block_forward(x, p, sites=sites)
+    assert list(sites) == p.mhpa.heads
+    replay = {head: {"assignment": e["assignment"]} for head, e in sites.items()}
+    out2 = dual_block_forward(x, p, sites=replay)
     assert np.array_equal(out1.data, out2.data)
-    assert all(e["stage"] == 1 for e in trace)
 
 
 # -- patch embed -----------------------------------------------------------

@@ -412,12 +412,14 @@ def test_layer_frozen_replay_is_bitwise():
     cfg, params = layer_setup(seed=2)
     params.up_w.data[:] = 0.01 * np.random.default_rng(3).normal(size=params.up_w.shape)
     x = constant(nhwc(np.random.default_rng(4).normal(size=(2, 8, 4, 4)).astype(np.float32)))
-    trace = []
-    out1 = mhpa_forward(x, params, cfg, trace=trace, trace_tag={"stage": 0, "block": 0})
-    frozen = [e["assignment"] for e in trace]
-    out2 = mhpa_forward(x, params, cfg, frozen_iter=iter(frozen))
+    sites = {}
+    out1 = mhpa_forward(x, params, cfg, sites=sites)
+    replay = {head: {"assignment": e["assignment"]} for head, e in sites.items()}
+    out2 = mhpa_forward(x, params, cfg, sites=replay)
     assert np.array_equal(out1.data, out2.data)
-    assert len(trace) == cfg.num_heads
+    assert len(sites) == cfg.num_heads
+    assert all(e["shape"] == (2, 2) for e in sites.values())  # 4x4 map, rate 2
+    assert all(set(e) == {"assignment"} for e in replay.values())  # replay records nothing
 
 
 def test_layer_rejects_indivisible_grid():

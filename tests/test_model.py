@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualformer.blocks import MODES
 from dualformer.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -276,14 +277,30 @@ def test_forward_features_stage_shapes():
         forward_features(model, x, 5)
 
 
-def test_trace_replay_full_model_bitwise():
-    model = build_model(get_preset("Micro"), seed=3)
+def fill_terminals(model, seed):
+    """A fresh model zeroes each branch's last projection, so every block is
+    the identity and no partition reaches the logits; seeded values wake them."""
+    r = np.random.default_rng(seed)
+    for stage in model.stages:
+        for blk in stage.blocks:
+            for branch, name in ((blk.mbconv, "proj_w"), (blk.mhpa, "up_w"), (blk.ffn, "w2")):
+                if branch is not None:
+                    w = getattr(branch, name)
+                    w.data[...] = 0.02 * r.standard_normal(w.shape)
+
+
+@pytest.mark.parametrize("mode", [m for m in MODES if m != "conv_only"])
+def test_trace_replay_full_model_bitwise(mode):
+    model = build_model(dataclasses.replace(get_preset("Micro"), mode=mode), seed=3)
+    fill_terminals(model, 3)
     x = np.random.default_rng(3).normal(size=(2, 3, 32, 32)).astype(np.float32)
     out1 = forward(model, x)
     trace = capture_partitions(model, x)
     assert len(trace) == sum(get_preset("Micro").heads)  # one block per stage
     out2 = forward(model, x, frozen=[e["assignment"] for e in trace])
     assert np.array_equal(out1.data, out2.data)
+    wrong = forward(model, x, frozen=[np.zeros_like(e["assignment"]) for e in trace])
+    assert not np.array_equal(out1.data, wrong.data)
 
 
 @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])

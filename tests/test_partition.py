@@ -74,6 +74,14 @@ def test_partition_validate_rejects_bad_codes():
         Partition(np.array([0, 5]), 4)
 
 
+@pytest.mark.parametrize("ids", [[0.6, 1.7], [-1, 0]], ids=["float", "negative"])
+def test_partition_checks_ids_before_counting(ids):
+    # a float id must not be truncated into range, and a negative one must
+    # not reach np.bincount
+    with pytest.raises(PartitionError):
+        Partition(np.array(ids), 2)
+
+
 def kmeans_objective_oracle(tokens, assignment, centroids):
     total = 0.0
     for i, a in enumerate(assignment):

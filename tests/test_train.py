@@ -9,7 +9,6 @@ from dualformer.tensor import ShapeError, Tensor
 from dualformer.train import (
     AdamW,
     TrainingDiverged,
-    accuracy,
     clip_gradients,
     cross_entropy,
     evaluate,
@@ -62,11 +61,6 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
     p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     p[np.arange(2), labels] -= 1.0
     assert np.allclose(logits.grad, p / 2.0, atol=1e-12)
-
-
-def test_accuracy():
-    logits = np.array([[3.0, 1.0], [0.0, 2.0], [5.0, 4.0]])
-    assert accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2.0 / 3.0)
 
 
 def test_adamw_first_step_closed_form():
@@ -161,7 +155,7 @@ def test_evaluate_matches_forward():
     loss, acc = evaluate(model, images, labels, batch_size=8)
     logits = forward(model, images).data
     assert loss == pytest.approx(np_cross_entropy(logits, labels), abs=1e-6)
-    assert acc == pytest.approx(accuracy(logits, labels))
+    assert acc == pytest.approx(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def test_divergence_aborts():
