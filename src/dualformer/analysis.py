@@ -7,7 +7,7 @@ import numpy as np
 
 from .mhpa import partition_to_grayscale
 from .model import Model, capture_partitions, forward_features
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 DB_FLOOR = -240.0
 
@@ -69,7 +69,8 @@ def high_frequency_mean(radii: np.ndarray, db: np.ndarray, cutoff: float = 0.75)
 
 def fourier_report(model: Model, images, stage: int, num_bins: int = 64) -> dict:
     """Spectrum of the feature map leaving `stage` (1-based) on a batch."""
-    feats = forward_features(model, images, stage)
+    with no_grad():
+        feats = forward_features(model, images, stage)
     radii, db = radial_log_amplitude(feats, num_bins)
     return {
         "stage": stage,

@@ -26,20 +26,22 @@ from .blocks import (
 )
 from .init import trunc_normal, zeros_param
 from .mhpa import MhpaConfig
-from .tensor import ShapeError, Tensor, add_bias, constant, matmul, tmean, transpose
+from .tensor import ShapeError, Tensor, add_bias, constant, matmul, no_grad, tmean, transpose
 
 NUM_STAGES = 4
 DEFAULT_HASH_BITS = (3, 3, 3, 3)
 DEFAULT_DOWNSAMPLE = (4, 2, 2, 1)
+DEFAULT_SPLIT_RATIO = 0.5
 
 
 class ConfigError(ValueError):
     """Invalid model configuration."""
 
 
-def default_heads(channels: int, split_ratio: float = 0.5) -> int:
-    """Largest divisor of the attention-branch width not above channels/32."""
-    _, branch = split_channels(channels, split_ratio, "parallel")
+def default_heads(channels: int) -> int:
+    """Largest divisor of the attention-branch width at the default split not
+    above channels/32."""
+    _, branch = split_channels(channels, DEFAULT_SPLIT_RATIO, "parallel")
     cap = max(1, channels // 32)
     for h in range(min(cap, branch), 0, -1):
         if branch % h == 0:
@@ -55,7 +57,7 @@ class ModelConfig:
     heads: tuple = (1, 1, 2, 4)
     hash_bits: tuple = DEFAULT_HASH_BITS
     downsample_rates: tuple = DEFAULT_DOWNSAMPLE
-    split_ratio: float = 0.5
+    split_ratio: float = DEFAULT_SPLIT_RATIO
     ffn_ratio: float = 4.0
     num_classes: int = 1000
     mode: str = "parallel"
@@ -303,10 +305,11 @@ def capture_partitions(model: Model, images, train: bool = False) -> list:
     order, with keys ``stage``, ``block``, ``head``, ``assignment`` (bucket ids,
     (B, n)), ``shape`` (the token grid) and ``num_clusters``.
 
-    The head has no hash sites, so it does not run.
+    The head has no hash sites, so it does not run, and no graph is recorded.
     """
     sites: dict = {}
-    _features(model, images, train, sites)
+    with no_grad():
+        _features(model, images, train, sites)
     return [
         {"stage": si, "block": bi, "head": hi, **sites[head],
          "num_clusters": head.norms.num_clusters}

@@ -9,15 +9,25 @@ from .tensor import Tensor, add_bias, constant, mul, reshape, tmean, tsqrt
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+LN_EPS = 1e-5
 
 
-def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def _normalize(xc: Tensor, v: Tensor, eps: float) -> Tensor:
+    """``xc / sqrt(v + eps)`` with the division on the small statistics tensor."""
+    return xc * (1.0 / tsqrt(v + eps))
+
+
+def _affine(xn: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
+    """Per-channel ``xn * scale + shift``: two full-map passes."""
+    return add_bias(mul(xn, reshape(scale, (1, 1, 1, scale.shape[0]))), shift, axis=-1)
+
+
+def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each spatial position across its channel vector."""
     m = tmean(x, axis=-1, keepdims=True)
     xc = x - m
     v = tmean(xc * xc, axis=-1, keepdims=True)
-    xn = xc / tsqrt(v + eps)
-    return add_bias(mul(xn, reshape(gamma, (1, 1, 1, gamma.shape[0]))), beta, axis=-1)
+    return _affine(_normalize(xc, v, LN_EPS), gamma, beta)
 
 
 @dataclass
@@ -44,23 +54,24 @@ def batch_norm(x: Tensor, bn: BatchNorm2d, train: bool) -> Tensor:
 
     Training mode normalizes with (differentiable) batch statistics and
     updates the running buffers as a side effect; inference mode uses the
-    buffers as constants, so rows of a batch stay independent.
+    buffers as constants, so rows of a batch stay independent. There the
+    whole norm folds into one per-channel scale and shift, built from (C,)
+    tensors so gamma and beta keep their gradients.
     """
+    if not train:
+        rm = constant(bn.running_mean, dtype=x.dtype)
+        rv = constant(bn.running_var, dtype=x.dtype)
+        scale = bn.gamma * (1.0 / tsqrt(rv + BN_EPS))
+        return _affine(x, scale, bn.beta - rm * scale)
     c = bn.gamma.shape[0]
-    if train:
-        m = tmean(x, axis=(0, 1, 2), keepdims=True)
-        xc = x - m
-        v = tmean(xc * xc, axis=(0, 1, 2), keepdims=True)
-        mom = BN_MOMENTUM
-        bn.running_mean = (1 - mom) * bn.running_mean + mom * m.data.reshape(c).astype(
-            bn.running_mean.dtype
-        )
-        bn.running_var = (1 - mom) * bn.running_var + mom * v.data.reshape(c).astype(
-            bn.running_var.dtype
-        )
-        xn = xc / tsqrt(v + BN_EPS)
-    else:
-        rm = constant(bn.running_mean.reshape(1, 1, 1, c), dtype=x.dtype)
-        rv = constant(bn.running_var.reshape(1, 1, 1, c), dtype=x.dtype)
-        xn = (x - rm) / tsqrt(rv + BN_EPS)
-    return add_bias(mul(xn, reshape(bn.gamma, (1, 1, 1, c))), bn.beta, axis=-1)
+    m = tmean(x, axis=(0, 1, 2), keepdims=True)
+    xc = x - m
+    v = tmean(xc * xc, axis=(0, 1, 2), keepdims=True)
+    mom = BN_MOMENTUM
+    bn.running_mean = (1 - mom) * bn.running_mean + mom * m.data.reshape(c).astype(
+        bn.running_mean.dtype
+    )
+    bn.running_var = (1 - mom) * bn.running_var + mom * v.data.reshape(c).astype(
+        bn.running_var.dtype
+    )
+    return _affine(_normalize(xc, v, BN_EPS), bn.gamma, bn.beta)

@@ -421,11 +421,18 @@ def gelu(a) -> Tensor:
     """Smooth GELU (tanh form); forward and backward use the same definition."""
     a = _coerce(a)
     x = a.data
-    # the cubic overflows for huge |x| but tanh saturates to the right limit
+    # The cube is two multiplies: float32 ``x**3`` takes numpy's slow pow
+    # loop. One buffer goes from cube to tanh in place. The cube overflows
+    # for huge |x| but tanh saturates to the right limit.
     with np.errstate(over="ignore"):
-        inner = _GELU_C * (x + _GELU_A * x**3)
-        t = np.tanh(inner)
-        out = 0.5 * x * (1.0 + t)
+        t = x * x
+        t *= x
+        t *= _GELU_A
+        t += x
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        out = 0.5 * x
+        out *= 1.0 + t
 
     def backward(g):
         dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)

@@ -7,7 +7,7 @@ import numpy as np
 
 from .data import train_val_split
 from .model import Model, forward, named_parameters
-from .tensor import Tensor, constant, reshape, select_index, sub, texp, tlog, tmean, tsum
+from .tensor import Tensor, constant, no_grad, reshape, select_index, sub, texp, tlog, tmean, tsum
 
 
 class TrainingDiverged(RuntimeError):
@@ -103,15 +103,16 @@ class TrainReport:
 
 
 def evaluate(model: Model, images, labels, batch_size: int = 64):
-    """Eval-mode mean loss and accuracy over the whole set."""
+    """Eval-mode mean loss and accuracy over the whole set; records no graph."""
     n = images.shape[0]
     loss_sum, correct = 0.0, 0
-    for start in range(0, n, batch_size):
-        xb = images[start : start + batch_size]
-        yb = labels[start : start + batch_size]
-        logits = forward(model, xb, train=False)
-        loss_sum += float(cross_entropy(logits, yb).item()) * xb.shape[0]
-        correct += int(np.sum(np.argmax(logits.data, axis=1) == yb))
+    with no_grad():
+        for start in range(0, n, batch_size):
+            xb = images[start : start + batch_size]
+            yb = labels[start : start + batch_size]
+            logits = forward(model, xb, train=False)
+            loss_sum += float(cross_entropy(logits, yb).item()) * xb.shape[0]
+            correct += int(np.sum(np.argmax(logits.data, axis=1) == yb))
     return loss_sum / n, correct / n
 
 

@@ -410,6 +410,14 @@ def op_inventory(r):
     assign = r.integers(0, 3, size=6)
     head = rand_head(r, 4)
     bn = make_batch_norm(3, np.float64)
+    # eval mode folds the norm into a per-channel scale and shift; off-default
+    # buffers, gamma and beta (from their own stream) exercise every term
+    rs = np.random.default_rng(17)
+    bn_eval = make_batch_norm(3, np.float64)
+    bn_eval.running_mean = rs.normal(size=3)
+    bn_eval.running_var = 0.5 + rs.random(3)
+    bn_eval.gamma.data[:] = 1.0 + 0.3 * rs.normal(size=3)
+    bn_eval.beta.data[:] = rs.normal(size=3)
     cases = [
         ("add", lambda x, y: x + y, [a(), a()]),
         ("sub", lambda x, y: x - y, [a(), a()]),
@@ -448,8 +456,8 @@ def op_inventory(r):
          [map_leaf(r, 2, 3, 4, 4), leaf(r, 3), leaf(r, 3)]),
         ("batch_norm_train", lambda x: batch_norm(x, bn, train=True),
          [map_leaf(r, 2, 3, 4, 4)]),
-        ("batch_norm_eval", lambda x: batch_norm(x, bn, train=False),
-         [map_leaf(r, 2, 3, 4, 4)]),
+        ("batch_norm_eval", lambda x, g, b: batch_norm(x, bn_eval, train=False),
+         [map_leaf(r, 2, 3, 4, 4), bn_eval.gamma, bn_eval.beta]),
         ("vanilla_attention", vanilla_attention,
          [leaf(r, 6, 4), leaf(r, 4, 3), leaf(r, 4, 3), leaf(r, 4, 3)]),
         ("intra_attention", lambda x, xt: intra_partition_attention(x, xt, assign, 3),

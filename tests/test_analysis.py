@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from dualformer import analysis
 from dualformer.analysis import (
     DB_FLOOR,
     dump_partitions,
@@ -11,7 +12,8 @@ from dualformer.analysis import (
     spectrum_to_csv,
     write_pgm,
 )
-from dualformer.model import build_model, get_preset
+from dualformer.model import build_model, forward_features, get_preset
+from dualformer.tensor import graph_records
 
 
 def np_radial_oracle(img, num_bins):
@@ -99,6 +101,22 @@ def test_fourier_report_on_model():
     assert rep["grid"] == (4, 4)
     assert rep["stage"] == 3
     assert np.isfinite(rep["high_freq_mean"])
+
+
+def test_fourier_report_records_no_graph(monkeypatch):
+    maps = []
+
+    def spy(*args, **kwargs):
+        maps.append(forward_features(*args, **kwargs))
+        return maps[-1]
+
+    monkeypatch.setattr(analysis, "forward_features", spy)
+    model = build_model(get_preset("Micro"), seed=0)
+    x = np.random.default_rng(4).normal(size=(1, 3, 64, 64)).astype(np.float32)
+    fourier_report(model, x, stage=2, num_bins=4)
+    assert len(maps) == 1
+    assert not maps[0].requires_grad
+    assert graph_records(maps[0]) == []
 
 
 def test_spectrum_csv_format():

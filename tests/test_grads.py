@@ -178,6 +178,17 @@ def test_batch_norm_train_grad():
     check(lambda a, g, b: batch_norm(a, bn, train=True), [x, bn.gamma, bn.beta])
 
 
+def test_batch_norm_eval_grad():
+    r = np.random.default_rng(13)
+    bn = make_batch_norm(4, np.float64)
+    bn.running_mean = r.normal(size=4)
+    bn.running_var = 0.5 + r.random(4)
+    bn.gamma.data[:] = 1.0 + 0.3 * r.normal(size=4)
+    bn.beta.data[:] = r.normal(size=4)
+    x = map_leaf(r, (3, 4, 2, 2))
+    check(lambda a, g, b: batch_norm(a, bn, train=False), [x, bn.gamma, bn.beta])
+
+
 def test_vanilla_attention_grad():
     r = np.random.default_rng(13)
     x = leaf(r, (6, 4))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualformer import model as model_module
 from dualformer.blocks import MODES
 from dualformer.checkpoint import (
     CheckpointError,
@@ -40,7 +41,7 @@ from dualformer.model import (
     get_preset,
     iter_state,
 )
-from dualformer.tensor import ShapeError
+from dualformer.tensor import ShapeError, graph_records
 
 
 # -- presets and config --------------------------------------------------
@@ -319,6 +320,24 @@ def test_float_frozen_assignment_rejected():
     frozen = [e["assignment"] + 0.6 for e in capture_partitions(model, x)]
     with pytest.raises(ShapeError):
         forward(model, x, frozen=frozen)
+
+
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+def test_capture_partitions_records_no_graph(monkeypatch, train):
+    maps = []
+    features = model_module._features
+
+    def spy(*args, **kwargs):
+        maps.append(features(*args, **kwargs))
+        return maps[-1]
+
+    monkeypatch.setattr(model_module, "_features", spy)
+    model = build_model(get_preset("Micro"), seed=4)
+    x = np.random.default_rng(4).normal(size=(2, 3, 32, 32)).astype(np.float32)
+    capture_partitions(model, x, train=train)
+    assert len(maps) == 1
+    assert not maps[0].requires_grad
+    assert graph_records(maps[0]) == []
 
 
 def test_capture_partitions_tags():

@@ -1,4 +1,6 @@
 """Autodiff core: forward values against numpy/loop oracles, graph semantics."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,33 @@ def test_gelu_matches_tanh_form():
     want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
     with precision.precision("f64"):
         assert np.allclose(gelu(constant(x)).data, want, atol=1e-12)
+
+
+def test_gelu_f32_within_2ulp_of_f64():
+    # In f32, 1 + tanh cancels for negative x, so the error is bounded on the
+    # scale of the input, not of the (tiny) output: ulps of x.
+    x = np.concatenate([np.linspace(-20.0, 20.0, 400_001), rng(6).uniform(-20, 20, 100_000)])
+    x = x.astype(np.float32)
+    x64 = x.astype(np.float64)
+    c = np.sqrt(2.0 / np.pi)
+    want = 0.5 * x64 * (1.0 + np.tanh(c * (x64 + 0.044715 * x64**3)))
+    got = gelu(constant(x, dtype=np.float32)).data
+    assert got.dtype == np.float32
+    ulps = np.abs(got.astype(np.float64) - want) / np.spacing(np.abs(x)).astype(np.float64)
+    assert ulps.max() <= 2.0
+
+
+@pytest.mark.parametrize("dtype,big", [(np.float32, [1e13, 1e20, 3e38]),
+                                       (np.float64, [1e13, 1e103, 1e300])])
+def test_gelu_where_the_cube_overflows(dtype, big):
+    x = np.array(big + [-v for v in big], dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = gelu(constant(x, dtype=dtype)).data
+    n = len(big)
+    assert np.isfinite(out).all()
+    assert np.array_equal(out[:n], x[:n])
+    assert np.all(out[n:] == 0.0)
 
 
 def test_sigmoid_extreme_inputs_stay_finite():

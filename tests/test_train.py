@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from dualformer import precision
+from dualformer import precision, train
 from dualformer.data import make_shapes
 from dualformer.model import build_model, forward, get_preset, named_parameters
-from dualformer.tensor import ShapeError, Tensor
+from dualformer.tensor import ShapeError, Tensor, graph_records
 from dualformer.train import (
     AdamW,
     TrainingDiverged,
@@ -156,6 +156,32 @@ def test_evaluate_matches_forward():
     logits = forward(model, images).data
     assert loss == pytest.approx(np_cross_entropy(logits, labels), abs=1e-6)
     assert acc == pytest.approx(np.mean(np.argmax(logits, axis=1) == labels))
+
+
+def test_evaluate_records_no_graph(monkeypatch):
+    images, labels = make_shapes(8, seed=2)
+    model = build_model(get_preset("Micro"), seed=0)
+    logits = []
+
+    def spy(*args, **kwargs):
+        logits.append(forward(*args, **kwargs))
+        return logits[-1]
+
+    monkeypatch.setattr(train, "forward", spy)
+    evaluate(model, images, labels, batch_size=4)
+    assert len(logits) == 2
+    for out in logits:
+        assert not out.requires_grad
+        assert graph_records(out) == []
+
+
+def test_evaluate_restores_graph_recording_after_an_error():
+    model = build_model(get_preset("Micro"), seed=0)
+    with pytest.raises(ShapeError):
+        evaluate(model, np.zeros((2, 3, 30, 30)), np.zeros(2, dtype=np.int64))
+    out = forward(model, make_shapes(8, seed=0)[0][:1])
+    assert out.requires_grad
+    assert graph_records(out)
 
 
 def test_divergence_aborts():
