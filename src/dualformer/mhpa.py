@@ -9,7 +9,10 @@ input resolution through a skip connection. Maps are channels-last
 (B, H, W, C), so the token grid is a reshape of the downsampled map.
 
 Shape grammar: the attention ops take (..., n, d) tokens with an integer
-bucket assignment of shape (..., n); any leading axes are batch axes.
+bucket assignment of shape (..., n); any leading axes are batch axes. Heads
+never interact before the expansion conv, so a layer runs all of them as one
+batch: (B, heads, n, d) tokens against one head whose tensors are stacked
+along a leading head axis (``stack_heads``).
 
 Division safety: every data-dependent denominator in the intra weighting
 carries +1e-6, and intra inputs are expected to be nonnegative (the layer
@@ -19,7 +22,7 @@ weight zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,18 +32,17 @@ from .partition import NormVectors, hash_codes
 from .tensor import (
     ShapeError,
     Tensor,
-    add_bias,
     concat,
     constant,
     gather_segments,
     gelu,
     matmul,
     mul,
-    narrow,
     one_hot,
     reshape,
     segment_sum,
     sigmoid,
+    stack,
     texp,
     transpose,
     tsum,
@@ -91,7 +93,22 @@ class MhpaParams:
     heads: list[MhpaHeadParams] = field(default_factory=list)
 
 
+def stack_heads(heads: list[MhpaHeadParams]) -> MhpaHeadParams:
+    """One head whose every tensor carries a leading head axis, for running
+    all heads in one batch; gradients split back to the per-head tensors."""
+    tensors = {f.name: stack([getattr(h, f.name) for h in heads])
+               for f in fields(MhpaHeadParams) if f.name != "norms"}
+    return MhpaHeadParams(**tensors, norms=NormVectors(np.stack([h.norms.beta for h in heads])))
+
+
 # -- attention ops --------------------------------------------------------
+
+
+def _head_bias(x: Tensor, b: Tensor) -> Tensor:
+    """Add a head's bias to its rows: ``b`` is (d,), or (heads, d) for stacked
+    heads, and ``x`` is (..., n, d), or (..., heads, n, d)."""
+    lead = (1,) * (x.ndim - b.ndim - 1)
+    return x + reshape(b, lead + b.shape[:-1] + (1, b.shape[-1]))
 
 
 def segment_counts(assign: np.ndarray, num_clusters: int) -> np.ndarray:
@@ -131,8 +148,8 @@ def inter_partition_attention(
     inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)[..., None]
     descr = mul(sums, constant(inv, dtype=x_tilde.dtype))
 
-    h = gelu(add_bias(matmul(descr, head.imp_w1), head.imp_b1, axis=-1))
-    scores = add_bias(matmul(h, head.imp_w2), head.imp_b2, axis=-1)  # (..., K, 1)
+    h = gelu(_head_bias(matmul(descr, head.imp_w1), head.imp_b1))
+    scores = _head_bias(matmul(h, head.imp_w2), head.imp_b2)  # (..., K, 1)
 
     # masked softmax over buckets: coefficients sum to one, empties get zero
     mask = (counts > 0)[..., None]
@@ -151,7 +168,7 @@ def global_local_aggregate(
     concatenate along channels, project 2d -> d."""
     scattered = gather_segments(inter, assign)
     fused = concat([intra, scattered], axis=-1)
-    return add_bias(matmul(fused, head.agg_w), head.agg_b, axis=-1)
+    return _head_bias(matmul(fused, head.agg_w), head.agg_b)
 
 
 def channel_to_spatial(x: Tensor, rate: int, skip: Tensor) -> Tensor:
@@ -190,6 +207,7 @@ def mhpa_head_forward(
     The weight path gates raw tokens through a sigmoid; the value path is the
     token projection. When ``assign`` is given it is used verbatim (frozen
     partitions); otherwise tokens are hashed against the head's hyperplanes.
+    A ``stack_heads`` head runs every head at once on (..., heads, n, d).
     """
     if assign is None:
         assign = hash_codes(
@@ -200,7 +218,7 @@ def mhpa_head_forward(
             f"mhpa_head_forward: assignment {assign.shape} does not match tokens {tokens.shape}"
         )
     gate = sigmoid(tokens)
-    x_tilde = add_bias(matmul(tokens, head.token_w), head.token_b, axis=-1)
+    x_tilde = _head_bias(matmul(tokens, head.token_w), head.token_b)
 
     if attend == "inter_only":
         intra = constant(np.zeros_like(x_tilde.data), dtype=x_tilde.dtype)
@@ -224,14 +242,16 @@ def mhpa_forward(
     """Full layer over a (B, H, W, C) map, resolution preserved.
 
     Pipeline: channel layer norm -> strided 3x3 depthwise downsample (rate k)
-    -> per-head partition attention on the token grid -> 1x1 conv expanding
+    -> partition attention on the token grid, all heads in one batch
+    -> 1x1 conv expanding
     C to C*k^2 -> channel-to-spatial unfold with the raw input as skip. With
     the expansion conv zeroed the layer is exactly the identity.
 
     ``sites`` maps heads to their hash sites. A head with an entry replays its
-    ``"assignment"`` verbatim (frozen partitions). Any other head hashes its
-    tokens and, when ``sites`` is given, stores ``{"assignment", "shape"}``
-    under itself, ``"shape"`` being the (H/k, W/k) token grid.
+    ``"assignment"`` verbatim (frozen partitions), whatever the other heads
+    do. Any other head hashes its tokens and, when ``sites`` is given, stores
+    ``{"assignment", "shape"}`` under itself, ``"shape"`` being the
+    (H/k, W/k) token grid.
     """
     if x.ndim != 4:
         raise ShapeError(f"mhpa_forward: expected (B, H, W, C), got {x.shape}")
@@ -243,27 +263,32 @@ def mhpa_forward(
         raise ShapeError(
             f"mhpa_forward: {c} channels do not split into {cfg.num_heads} heads"
         )
-    d = c // cfg.num_heads
-    K = cfg.num_clusters
+    heads = cfg.num_heads
+    d = c // heads
 
     skip = x
     normed = layer_norm_channels(x, params.ln_gamma, params.ln_beta)
     down = conv2d(normed, params.down_w, params.down_b, stride=k, padding=1, groups=c)
     hs, ws = down.shape[1:3]
-    toks = reshape(down, (b, hs * ws, c))
+    n = hs * ws
+    toks = transpose(reshape(down, (b, n, heads, d)), (0, 2, 1, 3))  # (B, heads, n, d)
+    stacked = stack_heads(params.heads)
 
-    outs = []
-    for hi, head in enumerate(params.heads):
-        sl = narrow(toks, 2, hi * d, d)
-        site = None if sites is None else sites.get(head)
-        assign = None if site is None else np.asarray(site["assignment"])
-        out, assign = mhpa_head_forward(sl, head, K, assign=assign, attend=cfg.attend)
-        if sites is not None and site is None:
-            sites[head] = {"assignment": assign, "shape": (hs, ws)}
-        outs.append(out)
+    entries = [None if sites is None else sites.get(head) for head in params.heads]
+    fresh = hash_codes(toks.data.astype(np.float64, copy=False), stacked.norms.beta)
+    per_head = [fresh[:, i] if e is None else np.asarray(e["assignment"])
+                for i, e in enumerate(entries)]
+    if any(a.shape != (b, n) for a in per_head):
+        raise ShapeError(f"mhpa_forward: replayed assignments must have shape {(b, n)}")
+    out, assign = mhpa_head_forward(toks, stacked, cfg.num_clusters,
+                                    assign=np.stack(per_head, axis=1), attend=cfg.attend)
+    if sites is not None:
+        for i, (head, e) in enumerate(zip(params.heads, entries)):
+            if e is None:
+                sites[head] = {"assignment": assign[:, i], "shape": (hs, ws)}
 
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
-    up = conv2d(reshape(merged, (b, hs, ws, c)), params.up_w, params.up_b)
+    merged = reshape(transpose(out, (0, 2, 1, 3)), (b, hs, ws, c))
+    up = conv2d(merged, params.up_w, params.up_b)
     return channel_to_spatial(up, k, skip)
 
 

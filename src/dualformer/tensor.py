@@ -400,12 +400,10 @@ def tsqrt(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _coerce(a)
     x = a.data
-    # two-branch form stays finite for any input magnitude
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, both from e = exp(-|x|),
+    # so exp never overflows
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     def backward(g):
         return (g * out * (1.0 - out),)
@@ -415,6 +413,7 @@ def sigmoid(a) -> Tensor:
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
+_GELU_SAT = 1e4  # far past where tanh of the GELU argument is exactly +-1
 
 
 def gelu(a) -> Tensor:
@@ -435,7 +434,10 @@ def gelu(a) -> Tensor:
         out *= 1.0 + t
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+        # clamped so x*x cannot overflow into 0 * inf: past the clamp
+        # 1 - t*t is exactly zero in float32 and float64 alike
+        xc = np.clip(x, -_GELU_SAT, _GELU_SAT)
+        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * xc * xc)
         dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         return (g * dx,)
 
@@ -543,6 +545,23 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(pieces)
 
     return _make(out, tuple(tensors), backward, "concat")
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Stack equal-shape tensors along a new leading axis; the gradient
+    splits back along it."""
+    tensors = [_coerce(t) for t in tensors]
+    if not tensors:
+        raise ShapeError("stack: need at least one tensor")
+    for t in tensors[1:]:
+        if t.shape != tensors[0].shape:
+            raise ShapeError(f"stack: shapes {tensors[0].shape} and {t.shape} differ")
+    out = np.stack([t.data for t in tensors])
+
+    def backward(g):
+        return tuple(g)
+
+    return _make(out, tuple(tensors), backward, "stack")
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:

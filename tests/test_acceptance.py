@@ -80,6 +80,7 @@ from dualformer.tensor import (
     select_index,
     sigmoid,
     softmax,
+    stack,
     texp,
     tlog,
     tmean,
@@ -468,6 +469,7 @@ def op_inventory(r):
          [leaf(r, 6, 4), leaf(r, 3, 4)]),
         ("channel_to_spatial", lambda x, s: channel_to_spatial(x, 2, s),
          [map_leaf(r, 1, 8, 2, 2), map_leaf(r, 1, 2, 4, 4)]),
+        ("stack", lambda x, y: stack([x, y]), [a(), a()]),
     ]
     return cases
 

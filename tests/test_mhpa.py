@@ -24,8 +24,10 @@ from dualformer.mhpa import (
     segment_counts,
 )
 from dualformer.blocks import make_mhpa
+from dualformer.conv import conv2d
+from dualformer.norms import layer_norm_channels
 from dualformer.partition import NormVectors, hash_codes
-from dualformer.tensor import ShapeError, Tensor, constant, sigmoid
+from dualformer.tensor import ShapeError, Tensor, concat, constant, narrow, reshape, sigmoid
 
 
 def np_gelu(x):
@@ -420,6 +422,77 @@ def test_layer_frozen_replay_is_bitwise():
     assert len(sites) == cfg.num_heads
     assert all(e["shape"] == (2, 2) for e in sites.values())  # 4x4 map, rate 2
     assert all(set(e) == {"assignment"} for e in replay.values())  # replay records nothing
+
+
+def per_head_loop(x, params, cfg, given):
+    """The layer with one single-head call per head on its narrowed channel
+    slice, the heads' outputs concatenated; ``given`` maps heads to replayed
+    assignments. Returns the output and each head's assignment."""
+    b, _, _, c = x.shape
+    k = cfg.downsample_rate
+    d = c // cfg.num_heads
+    normed = layer_norm_channels(x, params.ln_gamma, params.ln_beta)
+    down = conv2d(normed, params.down_w, params.down_b, stride=k, padding=1, groups=c)
+    hs, ws = down.shape[1:3]
+    toks = reshape(down, (b, hs * ws, c))
+    outs, assigns = [], []
+    for hi, head in enumerate(params.heads):
+        out, assign = mhpa_head_forward(narrow(toks, 2, hi * d, d), head, cfg.num_clusters,
+                                        assign=given.get(head), attend=cfg.attend)
+        outs.append(out)
+        assigns.append(assign)
+    up = conv2d(reshape(concat(outs, axis=-1), (b, hs, ws, c)), params.up_w, params.up_b)
+    return channel_to_spatial(up, k, x), assigns
+
+
+def loop_setup(heads, attend, seed):
+    r = np.random.default_rng(seed)
+    cfg = MhpaConfig(downsample_rate=2, hash_bits=3, num_heads=heads, attend=attend)
+    params = make_mhpa(8, cfg, r)
+    # unit-scale weights, so the heads move the output by O(1)
+    for t in [params.up_w, *(v for h in params.heads for v in vars(h).values()
+                             if isinstance(v, Tensor))]:
+        t.data[:] = 0.5 * r.normal(size=t.shape)
+    return cfg, params, constant(r.normal(size=(2, 12, 12, 8)))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("attend", ["full", "intra_only", "inter_only"])
+def test_layer_matches_per_head_loop(heads, attend):
+    with precision.precision("f64"):
+        cfg, params, x = loop_setup(heads, attend, seed=20 + heads)
+        sites = {}
+        got = mhpa_forward(x, params, cfg, sites=sites)
+        want, assigns = per_head_loop(x, params, cfg, {})
+    assert np.abs(got.data - want.data).max() <= 1e-12
+    assert [sites[h]["assignment"].tolist() for h in params.heads] == [a.tolist() for a in assigns]
+    assert all(sites[h]["shape"] == (6, 6) for h in params.heads)
+
+
+def test_layer_mixed_replay_replays_given_heads_and_records_the_rest():
+    with precision.precision("f64"):
+        cfg, params, x = loop_setup(4, "full", seed=30)
+        r = np.random.default_rng(31)
+        given = {params.heads[i]: r.integers(0, 8, size=(2, 36)) for i in (0, 2)}
+        sites = {head: {"assignment": a} for head, a in given.items()}
+        replayed = dict(sites)
+        got = mhpa_forward(x, params, cfg, sites=sites)
+        want, _ = per_head_loop(x, params, cfg, given)
+        _, hashed = per_head_loop(x, params, cfg, {})
+        again = mhpa_forward(
+            x, params, cfg, sites={h: {"assignment": e["assignment"]} for h, e in sites.items()}
+        )
+    # the replayed heads' entries are untouched; the other two hashed and recorded
+    assert all(sites[h] is e and set(e) == {"assignment"} for h, e in replayed.items())
+    for i in (1, 3):
+        entry = sites[params.heads[i]]
+        assert np.array_equal(entry["assignment"], hashed[i]) and entry["shape"] == (6, 6)
+    assert not any(np.array_equal(given[params.heads[i]], hashed[i]) for i in (0, 2))
+    assert np.abs(got.data - want.data).max() <= 1e-12
+    assert np.array_equal(again.data, got.data)
+    short = {params.heads[1]: {"assignment": np.zeros((2, 35), dtype=np.int64)}}
+    with pytest.raises(ShapeError):
+        mhpa_forward(x, params, cfg, sites=short)
 
 
 def test_layer_rejects_indivisible_grid():

@@ -28,6 +28,7 @@ from dualformer.tensor import (
     select_index,
     sigmoid,
     softmax,
+    stack,
     sub,
     texp,
     tlog,
@@ -156,6 +157,36 @@ def test_gelu_where_the_cube_overflows(dtype, big):
     assert np.all(out[n:] == 0.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_grad_where_the_square_overflows(dtype):
+    # x*x overflows here while tanh has long saturated: the slopes are 1 and 0
+    big = 1e20 if dtype == np.float32 else 1e160
+    x = Tensor(np.array([big, -big], dtype=dtype), requires_grad=True, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tsum(gelu(x)).backward()
+    assert x.grad.dtype == dtype
+    assert x.grad.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_equals_two_branch_form(dtype):
+    def two_branch(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    for shape in [(7,), (5, 3, 2), (2, 16, 196, 16)]:
+        x = (5.0 * rng(8).normal(size=shape)).astype(dtype)
+        x.flat[:3] = [0.0, -0.0, -800.0]
+        got = sigmoid(constant(x, dtype=dtype)).data
+        assert got.dtype == dtype
+        assert np.array_equal(got, two_branch(x))
+
+
 def test_sigmoid_extreme_inputs_stay_finite():
     x = constant([-500.0, 500.0])
     out = sigmoid(x).data
@@ -250,6 +281,14 @@ def test_reshape_transpose_concat_narrow_values():
     assert np.array_equal(narrow(t, 2, 1, 2).data, x[:, :, 1:3])
     cat = concat([t, t], axis=1)
     assert np.array_equal(cat.data, np.concatenate([x, x], axis=1))
+    assert np.array_equal(stack([t, 2 * t]).data, np.stack([x, 2 * x]))
+
+
+def test_stack_rejects_unequal_shapes():
+    with pytest.raises(ShapeError):
+        stack([constant(np.ones((2, 3))), constant(np.ones((3, 2)))])
+    with pytest.raises(ShapeError):
+        stack([])
 
 
 def test_narrow_out_of_range():
