@@ -21,7 +21,7 @@ import numpy as np
 from .conv import conv2d
 from .init import ones_param, trunc_normal, zeros_param
 from .mhpa import MhpaConfig, MhpaHeadParams, MhpaParams, mhpa_forward
-from .norms import BatchNorm2d, batch_norm, layer_norm_channels, make_batch_norm
+from .norms import BatchNorm2d, conv_bn, layer_norm_channels, make_batch_norm
 from .partition import NormVectors
 from .tensor import ShapeError, Tensor, concat, gelu, narrow
 
@@ -43,10 +43,8 @@ def split_channels(channels: int, split_ratio: float, mode: str) -> tuple[int, i
 @dataclass
 class MBConvParams:
     expand_w: Tensor
-    expand_b: Tensor
     bn1: BatchNorm2d
     dw_w: Tensor
-    dw_b: Tensor
     bn2: BatchNorm2d
     proj_w: Tensor
     proj_b: Tensor
@@ -59,10 +57,8 @@ def make_mbconv(channels: int, rng: np.random.Generator) -> MBConvParams:
     dt = precision.default_dtype()
     return MBConvParams(
         expand_w=trunc_normal(rng, (hidden, channels, 1, 1)),
-        expand_b=zeros_param(hidden),
         bn1=make_batch_norm(hidden, dt),
         dw_w=trunc_normal(rng, (hidden, 1, 3, 3)),
-        dw_b=zeros_param(hidden),
         bn2=make_batch_norm(hidden, dt),
         proj_w=zeros_param((channels, hidden, 1, 1)),  # residual terminal
         proj_b=zeros_param(channels),
@@ -72,9 +68,8 @@ def make_mbconv(channels: int, rng: np.random.Generator) -> MBConvParams:
 def mbconv_forward(x: Tensor, p: MBConvParams, train: bool = False) -> Tensor:
     """expand 1x1 -> BN -> GELU -> depthwise 3x3 -> BN -> GELU -> project 1x1,
     added back onto the input."""
-    h = gelu(batch_norm(conv2d(x, p.expand_w, p.expand_b), p.bn1, train))
-    hidden = h.shape[-1]
-    h = gelu(batch_norm(conv2d(h, p.dw_w, p.dw_b, padding=1, groups=hidden), p.bn2, train))
+    h = gelu(conv_bn(x, p.expand_w, p.bn1, train))
+    h = gelu(conv_bn(h, p.dw_w, p.bn2, train, padding=1, groups=h.shape[-1]))
     h = conv2d(h, p.proj_w, p.proj_b)
     return x + h
 
@@ -222,7 +217,7 @@ def dual_block_forward(
 class PatchEmbedParams:
     """One or more stride-2 3x3 convs; the stem uses two, stage transitions one."""
 
-    convs: list = field(default_factory=list)  # [(w, b, bn), ...]
+    convs: list = field(default_factory=list)  # [(w, bn), ...]
 
 
 def make_patch_embed(widths: list[int], rng: np.random.Generator) -> PatchEmbedParams:
@@ -231,22 +226,16 @@ def make_patch_embed(widths: list[int], rng: np.random.Generator) -> PatchEmbedP
     dt = precision.default_dtype()
     convs = []
     for cin, cout in zip(widths[:-1], widths[1:]):
-        convs.append(
-            (
-                trunc_normal(rng, (cout, cin, 3, 3)),
-                zeros_param(cout),
-                make_batch_norm(cout, dt),
-            )
-        )
+        convs.append((trunc_normal(rng, (cout, cin, 3, 3)), make_batch_norm(cout, dt)))
     return PatchEmbedParams(convs=convs)
 
 
 def patch_embed_forward(x: Tensor, p: PatchEmbedParams, train: bool = False) -> Tensor:
     """Halves the resolution once per conv; GELU between convs, none after the last."""
-    for i, (w, b, bn) in enumerate(p.convs):
+    for i, (w, bn) in enumerate(p.convs):
         if min(x.shape[1:3]) < 2:
             raise ShapeError(f"patch embed: map {x.shape} too small to halve")
-        x = batch_norm(conv2d(x, w, b, stride=2, padding=1), bn, train)
+        x = conv_bn(x, w, bn, train, stride=2, padding=1)
         if i + 1 < len(p.convs):
             x = gelu(x)
     return x

@@ -7,9 +7,14 @@ array in the tensor stream format. Entries cover every learnable tensor
 plus the non-learnable state a forward depends on (normalization running
 stats, hash hyperplanes), so a save/load pair reproduces eval-mode
 outputs bit for bit at f32.
+
+Files written before the conv biases that batch norm cancels were removed
+carry those biases as entries; the reader folds each into its norm's
+running mean (:data:`_RETIRED_BIASES`).
 """
 from __future__ import annotations
 
+import re
 import struct
 from typing import BinaryIO
 
@@ -18,6 +23,17 @@ from .tensor_io import TensorFormatError, _read_exact, read_tensor_stream, write
 
 MAGIC = b"DFCK"
 VERSION = 1
+
+# Retired conv-bias entry -> the batch norm that follows the conv, in current
+# names. ``bn(conv(x) + b)`` with running mean ``m`` equals ``bn(conv(x))``
+# with running mean ``m - b`` in eval. Patch-embed convs were (w, b, bn) and
+# are (w, bn), so their norm entries also move from ``[2]`` to ``[1]``.
+_RETIRED_BIASES = (
+    (re.compile(r"(.+\.mbconv)\.expand_b"), r"\1.bn1"),
+    (re.compile(r"(.+\.mbconv)\.dw_b"), r"\1.bn2"),
+    (re.compile(r"(.+\.convs\[\d+\])\[1\]"), r"\1[1]"),
+)
+_OLD_EMBED_BN = re.compile(r"(\.convs\[\d+\])\[2\]\.")
 
 
 class CheckpointError(ValueError):
@@ -65,7 +81,25 @@ def read_checkpoint_stream(stream: BinaryIO):
             order.append(name)
     except (TensorFormatError, ConfigError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    return cfg, state, order
+    return cfg, *_fold_retired_biases(state, order)
+
+
+def _fold_retired_biases(state: dict, order: list) -> tuple[dict, list]:
+    """Rename entries to current names and subtract each retired conv bias
+    from the running mean of the batch norm it fed."""
+    state = {_OLD_EMBED_BN.sub(r"\1[1].", n): arr for n, arr in state.items()}
+    order = [_OLD_EMBED_BN.sub(r"\1[1].", n) for n in order]
+    for name in list(state):
+        for pattern, norm in _RETIRED_BIASES:
+            if match := pattern.fullmatch(name):
+                bias = state.pop(name)
+                mean = match.expand(norm) + ".running_mean"
+                if mean not in state or state[mean].shape != bias.shape:
+                    raise CheckpointError(
+                        f"retired entry {name!r} {bias.shape} does not fit {mean!r}"
+                    )
+                state[mean] = state[mean] - bias
+    return state, [n for n in order if n in state]
 
 
 def save_checkpoint(path: str, model: Model) -> None:

@@ -17,6 +17,7 @@ Division, exp, log and sqrt check their outputs and raise
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -267,7 +268,7 @@ def _coerce_pair(a, b) -> tuple[Tensor, Tensor]:
 
 def _check_elementwise(sa, sb, op: str) -> None:
     # scalar with tensor is always fine
-    if int(np.prod(sa, dtype=np.int64)) == 1 or int(np.prod(sb, dtype=np.int64)) == 1:
+    if math.prod(sa) == 1 or math.prod(sb) == 1:
         return
     if sa == sb:
         return
@@ -474,7 +475,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = _coerce(a)
     axes = _axis_tuple(axis, a.ndim)
-    count = int(np.prod([a.shape[ax] for ax in axes], dtype=np.int64))
+    count = math.prod(a.shape[ax] for ax in axes)
     out = a.data.mean(axis=axes, keepdims=keepdims)
 
     def backward(g):

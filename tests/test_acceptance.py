@@ -58,7 +58,7 @@ from dualformer.model import (
     named_parameters,
 )
 from dualformer.analysis import high_frequency_mean, radial_log_amplitude
-from dualformer.norms import batch_norm, layer_norm_channels, make_batch_norm
+from dualformer.norms import batch_norm, conv_bn, layer_norm_channels, make_batch_norm
 from dualformer.partition import (
     NormVectors,
     kmeans_assign,
@@ -124,10 +124,10 @@ REFERENCE_CHANNELS = {
 # train / 160 val), 8 epochs, batch 64, AdamW lr 3e-3, wd 0.05, seed 0,
 # and fails with these measurements:
 #   mode        params   MACs    train loss  val loss  val acc
-#   parallel    344,400  1.07 M  0.099502    0.213     0.906
-#   series      533,220  1.59 M  0.054926    0.187     0.925
-#   intra_only  344,400  1.07 M  0.099537    0.214     0.906
-#   inter_only  344,400  1.07 M  0.099529    0.213     0.906
+#   parallel    343,192  1.07 M  0.099502    0.213     0.906
+#   series      531,052  1.59 M  0.054926    0.187     0.925
+#   intra_only  343,192  1.07 M  0.099537    0.214     0.906
+#   inter_only  343,192  1.07 M  0.099529    0.213     0.906
 # (inter_only is not one of the fixture's arms; same setup, run apart.)
 # - The series arm runs MBConv and attention at full width one after the
 #   other, so it carries 1.55x the parameters and 1.48x the MACs of the
@@ -411,14 +411,21 @@ def op_inventory(r):
     assign = r.integers(0, 3, size=6)
     head = rand_head(r, 4)
     bn = make_batch_norm(3, np.float64)
-    # eval mode folds the norm into a per-channel scale and shift; off-default
+    # eval mode applies the norm as a scale and shift on the conv; off-default
     # buffers, gamma and beta (from their own stream) exercise every term
     rs = np.random.default_rng(17)
-    bn_eval = make_batch_norm(3, np.float64)
-    bn_eval.running_mean = rs.normal(size=3)
-    bn_eval.running_var = 0.5 + rs.random(3)
-    bn_eval.gamma.data[:] = 1.0 + 0.3 * rs.normal(size=3)
-    bn_eval.beta.data[:] = rs.normal(size=3)
+
+    def conv_bn_case(train, cin, stride, groups):
+        bn_conv = make_batch_norm(4, np.float64)
+        bn_conv.running_mean = rs.normal(size=4)
+        bn_conv.running_var = 0.5 + rs.random(4)
+        bn_conv.gamma.data[:] = 1.0 + 0.3 * rs.normal(size=4)
+        bn_conv.beta.data[:] = rs.normal(size=4)
+        return (
+            lambda x, w, g, b: conv_bn(x, w, bn_conv, train, stride, padding=1, groups=groups),
+            [map_leaf(r, 2, cin, 6, 6), leaf(r, 4, cin // groups, 3, 3), bn_conv.gamma,
+             bn_conv.beta],
+        )
     cases = [
         ("add", lambda x, y: x + y, [a(), a()]),
         ("sub", lambda x, y: x - y, [a(), a()]),
@@ -455,10 +462,12 @@ def op_inventory(r):
          [map_leaf(r, 1, 4, 6, 6), leaf(r, 4, 1, 3, 3), leaf(r, 4)]),
         ("layer_norm_channels", layer_norm_channels,
          [map_leaf(r, 2, 3, 4, 4), leaf(r, 3), leaf(r, 3)]),
-        ("batch_norm_train", lambda x: batch_norm(x, bn, train=True),
+        ("batch_norm_train", lambda x: batch_norm(x, bn),
          [map_leaf(r, 2, 3, 4, 4)]),
-        ("batch_norm_eval", lambda x, g, b: batch_norm(x, bn_eval, train=False),
-         [map_leaf(r, 2, 3, 4, 4), bn_eval.gamma, bn_eval.beta]),
+        ("conv_bn_eval", *conv_bn_case(False, 3, stride=2, groups=1)),
+        ("conv_bn_eval_depthwise", *conv_bn_case(False, 4, stride=1, groups=4)),
+        ("conv_bn_train", *conv_bn_case(True, 3, stride=2, groups=1)),
+        ("conv_bn_train_depthwise", *conv_bn_case(True, 4, stride=1, groups=4)),
         ("vanilla_attention", vanilla_attention,
          [leaf(r, 6, 4), leaf(r, 4, 3), leaf(r, 4, 3), leaf(r, 4, 3)]),
         ("intra_attention", lambda x, xt: intra_partition_attention(x, xt, assign, 3),

@@ -2,8 +2,10 @@
 
 ``perfbench/`` traces and replays functions by module, name and argument
 name, so a rename in ``src/`` breaks it only at benchmark time. These tests
-load its tracer by path and resolve every name it and the workloads use.
+load its tracer by path and resolve every name and dataclass field it and
+the workloads use.
 """
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -38,6 +40,21 @@ USED = {
     "precision": ("precision",),
     "tensor": ("Tensor", "no_grad", "tsum", "graph_records"),
     "train": ("AdamW", "evaluate", "cross_entropy", "clip_gradients"),
+}
+
+# dataclass fields the workloads read by name: the MHPA head reference reads
+# every head tensor and the hash normals; the terminal fill walks the model
+FIELDS = {
+    ("mhpa", "MhpaHeadParams"): (
+        "token_w", "token_b", "imp_w1", "imp_b1", "imp_w2", "imp_b2", "agg_w", "agg_b", "norms",
+    ),
+    ("partition", "NormVectors"): ("beta",),
+    ("model", "Model"): ("stages", "head_w"),
+    ("model", "StageParams"): ("blocks",),
+    ("blocks", "DualBlockParams"): ("mbconv", "mhpa", "ffn"),
+    ("blocks", "MBConvParams"): ("proj_w",),
+    ("mhpa", "MhpaParams"): ("up_w", "heads"),
+    ("blocks", "FfnParams"): ("w2",),
 }
 
 
@@ -76,3 +93,11 @@ def test_site_replay_and_hook_signatures():
         assert params(resolve(*name.split(".")))[: 1 + len(replay)] == ["x", *replay], name
     assert "num_clusters" in params(resolve("mhpa", "mhpa_head_forward"))
     assert "train" in params(resolve("model", "forward"))
+
+
+def test_dataclass_fields_resolve():
+    missing = []
+    for (mod_name, cls), names in FIELDS.items():
+        have = {f.name for f in dataclasses.fields(resolve(mod_name, cls))}
+        missing += [f"{mod_name}.{cls}.{n}" for n in names if n not in have]
+    assert missing == []

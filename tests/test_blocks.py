@@ -57,14 +57,14 @@ def test_mbconv_param_count_closed_form():
     hidden = MBCONV_EXPANSION * c
     p = make_mbconv(c, rng(3))
     total = 0
-    total += c * hidden + hidden          # expand conv + bias
+    total += c * hidden                   # expand conv, no bias (bn1 follows)
     total += 2 * hidden                   # bn1 gamma/beta
-    total += hidden * 9 + hidden          # depthwise 3x3 + bias
+    total += hidden * 9                   # depthwise 3x3, no bias (bn2 follows)
     total += 2 * hidden                   # bn2 gamma/beta
     total += hidden * c + c               # project conv + bias
     got = count_tensor_params(
-        p.expand_w, p.expand_b, p.bn1.gamma, p.bn1.beta,
-        p.dw_w, p.dw_b, p.bn2.gamma, p.bn2.beta, p.proj_w, p.proj_b,
+        p.expand_w, p.bn1.gamma, p.bn1.beta,
+        p.dw_w, p.bn2.gamma, p.bn2.beta, p.proj_w, p.proj_b,
     )
     assert got == total
 

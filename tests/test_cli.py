@@ -36,7 +36,7 @@ def test_import_leaves_numpy_unloaded():
 def test_count_micro_total():
     res = run("count", "--preset", "Micro")
     assert res.returncode == 0
-    assert "total" in res.stdout and "344400" in res.stdout
+    assert "total" in res.stdout and "343192" in res.stdout
 
 
 def test_flops_table():
@@ -60,7 +60,7 @@ def test_build_roundtrip_and_config_dump(tmp_path):
     assert cfg == PRESETS["Micro"]
     # a config file is as good as a preset name
     res = run("count", "--config", cfg_path)
-    assert "344400" in res.stdout
+    assert "343192" in res.stdout
 
 
 def test_build_deterministic_bytes(tmp_path):

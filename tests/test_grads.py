@@ -19,7 +19,7 @@ from dualformer.mhpa import (
     intra_partition_attention,
     mhpa_head_forward,
 )
-from dualformer.norms import batch_norm, layer_norm_channels, make_batch_norm
+from dualformer.norms import batch_norm, conv_bn, layer_norm_channels, make_batch_norm
 from dualformer.partition import NormVectors
 from dualformer.tensor import (
     Tensor,
@@ -175,18 +175,25 @@ def test_batch_norm_train_grad():
     bn.gamma.data[:] = 1.0 + 0.1 * r.normal(size=4)
     bn.beta.data[:] = 0.1 * r.normal(size=4)
     x = map_leaf(r, (3, 4, 2, 2))
-    check(lambda a, g, b: batch_norm(a, bn, train=True), [x, bn.gamma, bn.beta])
+    check(lambda a, g, b: batch_norm(a, bn), [x, bn.gamma, bn.beta])
 
 
 def test_batch_norm_eval_grad():
+    # eval-mode batch norm exists only inside conv_bn: a dense stride-2
+    # conv and a depthwise one
     r = np.random.default_rng(13)
     bn = make_batch_norm(4, np.float64)
     bn.running_mean = r.normal(size=4)
     bn.running_var = 0.5 + r.random(4)
     bn.gamma.data[:] = 1.0 + 0.3 * r.normal(size=4)
     bn.beta.data[:] = r.normal(size=4)
-    x = map_leaf(r, (3, 4, 2, 2))
-    check(lambda a, g, b: batch_norm(a, bn, train=False), [x, bn.gamma, bn.beta])
+    for stride, groups in ((2, 1), (1, 4)):
+        x = map_leaf(r, (2, 4, 4, 4))
+        w = leaf(r, (4, 4 // groups, 3, 3), scale=0.5)
+        check(
+            lambda a, ww, g, b: conv_bn(a, ww, bn, False, stride=stride, padding=1, groups=groups),
+            [x, w, bn.gamma, bn.beta],
+        )
 
 
 def test_vanilla_attention_grad():

@@ -2,6 +2,7 @@
 flop formulas, checkpoints."""
 import dataclasses
 import io
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualformer import blocks as blocks_module
 from dualformer import model as model_module
+from dualformer import precision
 from dualformer.blocks import MODES
 from dualformer.checkpoint import (
     CheckpointError,
@@ -40,8 +43,13 @@ from dualformer.model import (
     forward_features,
     get_preset,
     iter_state,
+    named_parameters,
 )
-from dualformer.tensor import ShapeError, graph_records
+from dualformer.conv import conv2d
+from dualformer.norms import BN_EPS
+from dualformer.tensor import ShapeError, constant, graph_records
+from dualformer.tensor_io import write_tensor_stream
+from dualformer.train import cross_entropy
 
 
 # -- presets and config --------------------------------------------------
@@ -162,16 +170,17 @@ def test_config_text_rejects_repeated_key(micro_ckpt):
 def micro_param_oracle(cfg: ModelConfig) -> int:
     """Closed-form recount, written against the layer definitions."""
 
-    def conv(cin, cout, k, grouped=False):
+    def conv(cin, cout, k, grouped=False, bias=True):
         per_in = 1 if grouped else cin
-        return cout * per_in * k * k + cout
+        return cout * per_in * k * k + (cout if bias else 0)
 
-    def bn(c):
-        return 2 * c
+    def conv_bn(cin, cout, k, grouped=False):
+        # no conv bias, which the batch norm's mean would cancel
+        return conv(cin, cout, k, grouped, bias=False) + 2 * cout  # gamma, beta
 
     def mbconv(c):
         h = 4 * c
-        return conv(c, h, 1) + bn(h) + conv(h, h, 3, grouped=True) + bn(h) + conv(h, c, 1)
+        return conv_bn(c, h, 1) + conv_bn(h, h, 3, grouped=True) + conv(h, c, 1)
 
     def mhpa(c, heads, rate):
         d = c // heads
@@ -191,11 +200,11 @@ def micro_param_oracle(cfg: ModelConfig) -> int:
     total = 0
     c1 = cfg.channels[0]
     mid = max(2, c1 // 2)
-    total += conv(3, mid, 3) + bn(mid) + conv(mid, c1, 3) + bn(c1)  # stem
+    total += conv_bn(3, mid, 3) + conv_bn(mid, c1, 3)  # stem
     for i in range(4):
         c = cfg.channels[i]
         if i:
-            total += conv(cfg.channels[i - 1], c, 3) + bn(c)
+            total += conv_bn(cfg.channels[i - 1], c, 3)
         conv_c = int(round(c * cfg.split_ratio))
         per_block = mbconv(conv_c) + mhpa(c - conv_c, cfg.heads[i], cfg.downsample_rates[i])
         per_block += 2 * c + ffn(c)
@@ -302,6 +311,33 @@ def test_trace_replay_full_model_bitwise(mode):
     assert np.array_equal(out1.data, out2.data)
     wrong = forward(model, x, frozen=[np.zeros_like(e["assignment"]) for e in trace])
     assert not np.array_equal(out1.data, wrong.data)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_parameter_learns(mode):
+    # A tensor whose gradient the math cancels is dead weight that only weight
+    # decay moves. Every tensor, the residual terminals included, is moved off
+    # its init: at init the importance predictor's gradient is a product of
+    # 0.02-scale weights, ~4e-15 of the largest, as small as a cancelled one.
+    # Smallest live ratio at this seed: 5.9e-5; largest imp_b2: 7.6e-18.
+    r = np.random.default_rng(5)
+    with precision.precision("f64"):
+        model = build_model(dataclasses.replace(get_preset("Micro"), mode=mode), seed=0)
+        for _, p in named_parameters(model):
+            p.data += 0.2 * r.standard_normal(p.shape)
+        # 64x64 gives each stage-3/4 head four tokens per image; at 32x32 it
+        # sees one, in one bucket, and the importance predictor is constant
+        x = r.normal(size=(4, 3, 64, 64))
+        cross_entropy(forward(model, x, train=True), np.arange(4)).backward()
+    peak = {n: 0.0 if p.grad is None else float(np.abs(p.grad).max())
+            for n, p in named_parameters(model)}
+    top = max(peak.values())
+    # imp_b2 adds one constant to every bucket score before a softmax that is
+    # shift-invariant; intra_only drops the inter branch that scores buckets
+    exempt = {"imp_b2"} | ({"imp_w1", "imp_b1", "imp_w2"} if mode == "intra_only" else set())
+    dead = [n for n, g in peak.items()
+            if g <= 1e-9 * top and n.rsplit(".", 1)[-1] not in exempt]
+    assert dead == []
 
 
 @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
@@ -443,6 +479,84 @@ def test_checkpoint_stream_is_deterministic():
     write_checkpoint_stream(a, build_model(get_preset("Micro"), seed=7))
     write_checkpoint_stream(b, build_model(get_preset("Micro"), seed=7))
     assert a.getvalue() == b.getvalue()
+
+
+def bn_fed_convs(model):
+    """(kernel entry, retired bias entry, kernel, norm) for every conv that a
+    batch norm follows, named as checkpoints written before these convs lost
+    their biases name them."""
+    embeds = [("stem", model.stem)]
+    embeds += [(f"stages[{i}].embed", s.embed) for i, s in enumerate(model.stages) if s.embed]
+    for prefix, embed in embeds:
+        for j, (w, bn) in enumerate(embed.convs):
+            yield f"{prefix}.convs[{j}][0]", f"{prefix}.convs[{j}][1]", w, bn
+    for i, stage in enumerate(model.stages):
+        for k, block in enumerate(stage.blocks):
+            p, mb = f"stages[{i}].blocks[{k}].mbconv", block.mbconv
+            yield f"{p}.expand_w", f"{p}.expand_b", mb.expand_w, mb.bn1
+            yield f"{p}.dw_w", f"{p}.dw_b", mb.dw_w, mb.bn2
+
+
+def legacy_stream(model, biases):
+    """Checkpoint bytes in the layout written before conv biases were retired:
+    each bias entry right after its kernel, patch-embed norms at ``[2]``."""
+    entries = []
+    for name, arr, _ in iter_state(model):
+        entries.append((re.sub(r"(\.convs\[\d+\])\[1\]\.", r"\1[2].", name), arr))
+        if name in biases:
+            entries.append(biases[name])
+    text = config_to_text(model.config).encode("utf-8")
+    buf = io.BytesIO()
+    buf.write(b"DFCK" + struct.pack("<II", 1, len(text)) + text + struct.pack("<I", len(entries)))
+    for name, arr in entries:
+        buf.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
+        write_tensor_stream(buf, arr)
+    return buf.getvalue()
+
+
+def test_checkpoint_legacy_conv_biases_fold_into_running_mean(tmp_path, monkeypatch):
+    model = build_model(get_preset("Micro"), seed=4)
+    fill_terminals(model, 4)
+    r = np.random.default_rng(4)
+    x = r.normal(size=(2, 3, 64, 64)).astype(np.float32)
+    forward(model, x, train=True)  # running stats off init
+    convs = list(bn_fed_convs(model))
+    assert len(convs) == 13
+    biases, bias_of = {}, {}
+    for w_name, b_name, w, bn in convs:
+        b = (0.5 * r.standard_normal(w.shape[0])).astype(np.float32)
+        bn.running_mean = bn.running_mean + b  # what the biased conv fed it
+        bn.gamma.data[:] = 1.0 + 0.3 * r.standard_normal(w.shape[0])
+        bn.beta.data[:] = 0.3 * r.standard_normal(w.shape[0])
+        biases[w_name] = (b_name, b)
+        bias_of[id(w)] = b
+
+    def legacy_conv_bn(x, w, bn, train, stride=1, padding=0, groups=1):
+        """The math before: a biased conv, then batch norm on running stats."""
+        b = constant(bias_of[id(w)])
+        y = conv2d(x, w, b, stride=stride, padding=padding, groups=groups).data
+        scale = bn.gamma.data / np.sqrt(bn.running_var + BN_EPS)
+        return constant((y - bn.running_mean) * scale + bn.beta.data)
+
+    monkeypatch.setattr(blocks_module, "conv_bn", legacy_conv_bn)
+    want = forward(model, x).data
+    monkeypatch.undo()
+    path = tmp_path / "legacy.ckpt"
+    path.write_bytes(legacy_stream(model, biases))
+    loaded = load_checkpoint(str(path))
+    got = forward(loaded, x).data
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+    # the biases matter: a reader that dropped them would be far off
+    ignored = forward(model, x).data
+    assert np.abs(ignored - want).max() > 1e-2 * np.abs(want).max()
+
+
+def test_checkpoint_legacy_bias_of_wrong_shape_is_checkpoint_error():
+    model = build_model(get_preset("Micro"), seed=0)
+    w_name, b_name, w, _ = next(bn_fed_convs(model))
+    raw = legacy_stream(model, {w_name: (b_name, np.zeros(w.shape[0] + 1, np.float32))})
+    with pytest.raises(CheckpointError, match="retired entry"):
+        read_checkpoint_stream(io.BytesIO(raw))
 
 
 @pytest.fixture(scope="module")
