@@ -71,9 +71,12 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
         w2 = w.data.reshape(O, C * kh * kw)
         out = (cols @ w2.T).reshape(B, ho, wo, O)
 
+        # like matmul, a constant input (the image at the stem) costs no dx
         def backward(g):
             g2 = g.reshape(B * ho * wo, O)
             dw = (g2.T @ cols).reshape(w.shape)
+            if not x.requires_grad:
+                return None, dw
             dcols = g2 @ w2
             if pointwise:
                 return dcols.reshape(x.shape), dw
@@ -91,12 +94,16 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
 
         def backward(g):
             dwd = np.empty_like(wd)
-            dxp = np.zeros_like(xp)
             for t, sl in enumerate(taps):
                 dwd[t] = np.einsum("bijc,bijc->c", g, xp[sl])
+            dw = dwd.T.reshape(w.shape)
+            if not x.requires_grad:
+                return None, dw
+            dxp = np.zeros_like(xp)
+            for t, sl in enumerate(taps):
                 dxp[sl] += g * wd[t]
             dx = dxp[:, padding : padding + H, padding : padding + W]
-            return np.ascontiguousarray(dx), dwd.T.reshape(w.shape)
+            return np.ascontiguousarray(dx), dw
 
     y = _make(out, (x, w), backward, "conv2d")
     if b is not None:

@@ -414,33 +414,45 @@ def sigmoid(a) -> Tensor:
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
-_GELU_SAT = 1e4  # far past where tanh of the GELU argument is exactly +-1
+_GELU_SAT = 1e4  # far past where the sigmoid of the GELU argument is exactly 0 or 1
 
 
 def gelu(a) -> Tensor:
-    """Smooth GELU (tanh form); forward and backward use the same definition."""
+    """Smooth GELU, ``0.5 x (1 + tanh(u))`` with ``u = c (x + A x^3)``, in its
+    sigmoid form ``x * sigmoid(2u)``; forward and backward share the sigmoid.
+
+    The sigmoid form keeps float32 relative accuracy for negative x, where
+    ``1 + tanh(u)`` cancels.
+    """
     a = _coerce(a)
     x = a.data
-    # The cube is two multiplies: float32 ``x**3`` takes numpy's slow pow
-    # loop. One buffer goes from cube to tanh in place. The cube overflows
-    # for huge |x| but tanh saturates to the right limit.
+    # -2u = x (-2c - 2cA x^2) by multiplies (float32 ``x**3`` takes numpy's
+    # slow pow loop), in one buffer that becomes the sigmoid in place. x^2
+    # overflows for huge |x|, but the sigmoid saturates to the right limit.
     with np.errstate(over="ignore"):
-        t = x * x
-        t *= x
-        t *= _GELU_A
-        t += x
-        t *= _GELU_C
-        np.tanh(t, out=t)
-        out = 0.5 * x
-        out *= 1.0 + t
+        s = x * x
+        s *= -2.0 * _GELU_C * _GELU_A
+        s -= 2.0 * _GELU_C
+        s *= x
+        np.exp(s, out=s)
+        s += 1.0
+        np.reciprocal(s, out=s)
+    out = x * s
 
     def backward(g):
-        # clamped so x*x cannot overflow into 0 * inf: past the clamp
-        # 1 - t*t is exactly zero in float32 and float64 alike
+        # d/dx = s (1 + (1 - s) * 2c x (1 + 3A x^2)). Clamped so the
+        # polynomial cannot overflow into 0 * inf: past the clamp s(1 - s) is
+        # exactly zero in float32 and float64 alike.
         xc = np.clip(x, -_GELU_SAT, _GELU_SAT)
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * xc * xc)
-        dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return (g * dx,)
+        dx = xc * xc
+        dx *= 6.0 * _GELU_C * _GELU_A
+        dx += 2.0 * _GELU_C
+        dx *= xc
+        dx *= 1.0 - s
+        dx += 1.0
+        dx *= s
+        dx *= g
+        return (dx,)
 
     return _make(out, (a,), backward, "gelu")
 

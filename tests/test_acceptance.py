@@ -410,7 +410,11 @@ def op_inventory(r):
     pos = lambda: leaf(r, 3, 4, positive=True)
     assign = r.integers(0, 3, size=6)
     head = rand_head(r, 4)
+    # off-default gamma and beta, so their gradients are audited standalone
     bn = make_batch_norm(3, np.float64)
+    rb = np.random.default_rng(19)
+    bn.gamma.data[:] = 1.0 + 0.3 * rb.normal(size=3)
+    bn.beta.data[:] = rb.normal(size=3)
     # eval mode applies the norm as a scale and shift on the conv; off-default
     # buffers, gamma and beta (from their own stream) exercise every term
     rs = np.random.default_rng(17)
@@ -462,8 +466,8 @@ def op_inventory(r):
          [map_leaf(r, 1, 4, 6, 6), leaf(r, 4, 1, 3, 3), leaf(r, 4)]),
         ("layer_norm_channels", layer_norm_channels,
          [map_leaf(r, 2, 3, 4, 4), leaf(r, 3), leaf(r, 3)]),
-        ("batch_norm_train", lambda x: batch_norm(x, bn),
-         [map_leaf(r, 2, 3, 4, 4)]),
+        ("batch_norm_train", lambda x, g, b: batch_norm(x, bn),
+         [map_leaf(r, 2, 3, 4, 4), bn.gamma, bn.beta]),
         ("conv_bn_eval", *conv_bn_case(False, 3, stride=2, groups=1)),
         ("conv_bn_eval_depthwise", *conv_bn_case(False, 4, stride=1, groups=4)),
         ("conv_bn_train", *conv_bn_case(True, 3, stride=2, groups=1)),

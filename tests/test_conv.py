@@ -133,3 +133,33 @@ def test_conv_backward_frozen_value():
         tsum(conv2d(x, w)).backward()
         assert w.grad[0, 0, 0, 0] == pytest.approx(x_data.sum())
         assert np.allclose(x.grad, 2.0)
+
+
+@pytest.mark.parametrize("shape,stride,padding,groups", [
+    ((4, 3, 3, 3), 2, 1, 1),  # the stem's first conv
+    ((5, 3, 1, 1), 1, 0, 1),
+    ((3, 1, 3, 3), 1, 1, 3),
+])
+def test_constant_input_gets_no_dx(shape, stride, padding, groups):
+    # like matmul: a constant input costs its kernel gradient only, bitwise
+    # the same one a differentiable input gives
+    r = rng(11)
+    with precision.precision("f64"):
+        x_data = nhwc(r.normal(size=(2, 3, 6, 6)))
+        w_data = r.normal(size=shape)
+        g = None
+        grads = []
+        for needs_dx in (True, False):
+            x = Tensor(x_data, requires_grad=needs_dx)
+            w = Tensor(w_data, requires_grad=True)
+            y = conv2d(x, w, stride=stride, padding=padding, groups=groups)
+            if g is None:
+                g = r.normal(size=y.shape)
+            dx, _ = y._node.backward_fn(g)
+            tsum(y * constant(g)).backward()
+            if needs_dx:
+                assert np.array_equal(x.grad, dx)
+            else:
+                assert dx is None and x.grad is None
+            grads.append(w.grad)
+        assert np.array_equal(grads[0], grads[1])

@@ -1,5 +1,6 @@
 """Layer norm, batch norm and conv→BN on channels-last maps against
-per-channel loop oracles."""
+per-channel loop oracles, and the fused train-mode norms against the same
+norms composed from autodiff primitives."""
 import numpy as np
 import pytest
 
@@ -12,7 +13,7 @@ from dualformer.norms import (
     layer_norm_channels,
     make_batch_norm,
 )
-from dualformer.tensor import constant
+from dualformer.tensor import Tensor, add_bias, constant, mul, reshape, tmean, tsqrt, tsum
 
 
 @pytest.fixture(autouse=True)
@@ -80,6 +81,63 @@ def test_batch_norm_eval_rejects_negative_running_var():
     bn.running_var = np.array([1.0, -1.0])
     with pytest.raises(FloatingPointError):
         conv_bn(constant(np.ones((1, 2, 2, 2))), constant(np.ones((2, 2, 1, 1))), bn, False)
+
+
+def composed_norm(x, gamma, beta, axes, eps):
+    """The norm as separate autodiff ops: mean, subtract, square, mean,
+    sqrt, then the per-channel affine."""
+    m = tmean(x, axis=axes, keepdims=True)
+    xc = x - m
+    v = tmean(xc * xc, axis=axes, keepdims=True)
+    xn = xc * (1.0 / tsqrt(v + eps))
+    return add_bias(mul(xn, reshape(gamma, (1, 1, 1, gamma.shape[0]))), beta, axis=-1)
+
+
+def fused_and_composed(norm, x, gamma, beta, g):
+    """(output, dx, dgamma, dbeta) of the fused norm and of the composed one
+    under the upstream gradient ``g``; the fused norm must be one graph node."""
+    results = []
+    for fused in (True, False):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        if norm == "batch":
+            bn = make_batch_norm(x.shape[-1], np.float64)
+            bn.gamma, bn.beta = leaves[1], leaves[2]
+            out = batch_norm(leaves[0], bn) if fused else composed_norm(*leaves, (0, 1, 2), BN_EPS)
+        else:
+            out = layer_norm_channels(*leaves) if fused else composed_norm(*leaves, -1, LN_EPS)
+        if fused:
+            assert out._node.parents == tuple(leaves)
+        tsum(out * constant(g)).backward()
+        results.append([out.data] + [t.grad for t in leaves])
+    return results
+
+
+# C = 1, a 1x1 map, a single row, and a general map
+FUSED_SHAPES = [(3, 4, 5, 6), (4, 3, 2, 1), (2, 1, 1, 5), (1, 1, 1, 3), (5, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("norm", ["batch", "layer"])
+@pytest.mark.parametrize("shape", FUSED_SHAPES)
+def test_fused_norm_matches_composed_ops(norm, shape):
+    r = np.random.default_rng(4)
+    c = shape[-1]
+    x = 2.0 + r.normal(size=shape)
+    gamma, beta = 1.0 + 0.5 * r.normal(size=c), r.normal(size=c)
+    fused, composed = fused_and_composed(norm, x, gamma, beta, r.normal(size=shape))
+    for what, got, want in zip(("out", "dx", "dgamma", "dbeta"), fused, composed):
+        assert got.shape == want.shape, what
+        assert np.abs(got - want).max() <= 1e-12, what
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+def test_fused_norm_rejects_non_finite_statistics(bad):
+    # 1e200 squares past the float64 range: the variance overflows
+    x = np.ones((2, 2, 2, 3))
+    x[0, 0, 0, 0] = bad
+    with pytest.raises(FloatingPointError):
+        batch_norm(constant(x), make_batch_norm(3, np.float64))
+    with pytest.raises(FloatingPointError):
+        layer_norm_channels(constant(x), constant(np.ones(3)), constant(np.zeros(3)))
 
 
 def test_batch_norm_train_matches_loop_oracle():

@@ -144,6 +144,20 @@ def test_gelu_f32_within_2ulp_of_f64():
     assert ulps.max() <= 2.0
 
 
+def test_gelu_f32_keeps_relative_accuracy_below_minus_4():
+    # 1 + tanh(u) cancels here and x * sigmoid(2u) does not. What remains is
+    # the f32 rounding of 2u, which exp turns into a relative error of about
+    # |2u| eps; |2u| reaches 49 at x = -8.
+    x = np.concatenate([np.linspace(-8.0, -4.0, 400_001), rng(7).uniform(-8, -4, 100_000)])
+    x = x.astype(np.float32)
+    x64 = x.astype(np.float64)
+    two_u = 2.0 * np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64**3)
+    want = x64 / (1.0 + np.exp(-two_u))
+    got = gelu(constant(x, dtype=np.float32)).data.astype(np.float64)
+    rel = np.abs(got - want) / np.abs(want)
+    assert np.all(rel <= 2.0 * np.abs(two_u) * np.finfo(np.float32).eps)
+
+
 @pytest.mark.parametrize("dtype,big", [(np.float32, [1e13, 1e20, 3e38]),
                                        (np.float64, [1e13, 1e103, 1e300])])
 def test_gelu_where_the_cube_overflows(dtype, big):
