@@ -107,5 +107,5 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
 
     y = _make(out, (x, w), backward, "conv2d")
     if b is not None:
-        y = add_bias(y, b, axis=-1)
+        y = add_bias(y, b)
     return y

@@ -8,17 +8,19 @@ depthwise downsample and a channel-to-spatial expansion that restores the
 input resolution through a skip connection. Maps are channels-last
 (B, H, W, C), so the token grid is a reshape of the downsampled map.
 
-Shape grammar: the attention ops take (..., n, d) tokens with an integer
-bucket assignment of shape (..., n); any leading axes are batch axes. Heads
-never interact before the expansion conv, so a layer runs all of them as one
-batch: (B, heads, n, d) tokens against one head whose tensors are stacked
-along a leading head axis (``stack_heads``).
+Shape grammar: a head takes (..., n, d) tokens with an integer bucket
+assignment of shape (..., n); any leading axes are batch axes. The head
+checks the ids once, turning them into one (..., n, K) one-hot bucket matrix
+that every attention op takes: bucket sums are ``bucketsᵀ @ x`` and lookups
+``buckets @ table``. Heads never interact before the expansion conv, so a
+layer runs all of them as one batch: (B, heads, n, d) tokens against one
+head whose tensors are stacked along a leading head axis (``stack_heads``).
 
 Division safety: every data-dependent denominator in the intra weighting
 carries +1e-6, and intra inputs are expected to be nonnegative (the layer
 gates them through a sigmoid first). Bucket coefficients in the inter step
-are a masked softmax, so they sum to one exactly and empty buckets get
-weight zero.
+are a softmax that masks empty buckets before the exp, so they sum to one
+and an empty bucket gets weight exactly zero however high it scores.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .partition import NormVectors, hash_codes
 from .tensor import (
     ShapeError,
     Tensor,
+    add_bias,
     concat,
     constant,
     gather_segments,
@@ -42,10 +45,9 @@ from .tensor import (
     reshape,
     segment_sum,
     sigmoid,
+    softmax,
     stack,
-    texp,
     transpose,
-    tsum,
 )
 
 EPS = 1e-6
@@ -104,20 +106,12 @@ def stack_heads(heads: list[MhpaHeadParams]) -> MhpaHeadParams:
 # -- attention ops --------------------------------------------------------
 
 
-def _head_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a head's bias to its rows: ``b`` is (d,), or (heads, d) for stacked
-    heads, and ``x`` is (..., n, d), or (..., heads, n, d)."""
-    lead = (1,) * (x.ndim - b.ndim - 1)
-    return x + reshape(b, lead + b.shape[:-1] + (1, b.shape[-1]))
-
-
 def segment_counts(assign: np.ndarray, num_clusters: int) -> np.ndarray:
+    """Tokens per bucket, (..., num_clusters), of an integer assignment."""
     return one_hot(assign, num_clusters, np.int64).sum(axis=-2)
 
 
-def intra_partition_attention(
-    x: Tensor, x_tilde: Tensor, assign: np.ndarray, num_clusters: int
-) -> Tensor:
+def intra_partition_attention(x: Tensor, x_tilde: Tensor, buckets: np.ndarray) -> Tensor:
     """Reweight tokens inside each bucket.
 
     Per bucket and per channel: w_i = x_i / (sum_j x_j + eps), then
@@ -125,14 +119,14 @@ def intra_partition_attention(
     is expected to be nonnegative (gate it upstream); ``x_tilde`` supplies
     the values.
     """
-    sums = segment_sum(x, assign, num_clusters)
-    w = x / (gather_segments(sums, assign) + EPS)
-    wsums = segment_sum(w, assign, num_clusters)
-    return (w * x_tilde) / (gather_segments(wsums, assign) + EPS)
+    sums = segment_sum(x, buckets)
+    w = x / (gather_segments(sums, buckets) + EPS)
+    wsums = segment_sum(w, buckets)
+    return (w * x_tilde) / (gather_segments(wsums, buckets) + EPS)
 
 
 def inter_partition_attention(
-    x_tilde: Tensor, assign: np.ndarray, num_clusters: int, head: MhpaHeadParams
+    x_tilde: Tensor, buckets: np.ndarray, head: MhpaHeadParams
 ) -> Tensor:
     """Bucket descriptors scaled by normalized importance.
 
@@ -142,33 +136,24 @@ def inter_partition_attention(
     Returns one row per bucket, (..., num_clusters, d), zeros for empty
     buckets.
     """
-    counts = segment_counts(assign, num_clusters)
-    # per-bucket mean descriptor; empty buckets stay exactly zero
-    sums = segment_sum(x_tilde, assign, num_clusters)
-    inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)[..., None]
-    descr = mul(sums, constant(inv, dtype=x_tilde.dtype))
+    counts = buckets.sum(axis=-2)
+    # an empty bucket's sum is a zero row, so its descriptor stays exactly zero
+    inv = (1.0 / np.maximum(counts, 1))[..., None]
+    descr = mul(segment_sum(x_tilde, buckets), constant(inv, dtype=x_tilde.dtype))
 
-    h = gelu(_head_bias(matmul(descr, head.imp_w1), head.imp_b1))
-    scores = _head_bias(matmul(h, head.imp_w2), head.imp_b2)  # (..., K, 1)
-
-    # masked softmax over buckets: coefficients sum to one, empties get zero
-    mask = (counts > 0)[..., None]
-    raw = scores.data
-    shifted_max = np.where(mask, raw, -np.inf).max(axis=-2, keepdims=True)
-    e = mul(texp(scores - constant(shifted_max, dtype=raw.dtype)),
-            constant(mask.astype(raw.dtype), dtype=raw.dtype))
-    coeff = e / tsum(e, axis=-2, keepdims=True)
+    h = gelu(add_bias(matmul(descr, head.imp_w1), head.imp_b1))
+    scores = add_bias(matmul(h, head.imp_w2), head.imp_b2)  # (..., K, 1)
+    coeff = softmax(scores, axis=-2, mask=(counts > 0)[..., None])
     return mul(descr, coeff)
 
 
 def global_local_aggregate(
-    intra: Tensor, inter: Tensor, assign: np.ndarray, head: MhpaHeadParams
+    intra: Tensor, inter: Tensor, buckets: np.ndarray, head: MhpaHeadParams
 ) -> Tensor:
     """Fuse per-token and per-bucket views: look up each token's bucket row,
     concatenate along channels, project 2d -> d."""
-    scattered = gather_segments(inter, assign)
-    fused = concat([intra, scattered], axis=-1)
-    return _head_bias(matmul(fused, head.agg_w), head.agg_b)
+    fused = concat([intra, gather_segments(inter, buckets)], axis=-1)
+    return add_bias(matmul(fused, head.agg_w), head.agg_b)
 
 
 def channel_to_spatial(x: Tensor, rate: int, skip: Tensor) -> Tensor:
@@ -217,19 +202,20 @@ def mhpa_head_forward(
         raise ShapeError(
             f"mhpa_head_forward: assignment {assign.shape} does not match tokens {tokens.shape}"
         )
+    buckets = one_hot(assign, num_clusters, tokens.dtype)
     gate = sigmoid(tokens)
-    x_tilde = _head_bias(matmul(tokens, head.token_w), head.token_b)
+    x_tilde = add_bias(matmul(tokens, head.token_w), head.token_b)
 
     if attend == "inter_only":
         intra = constant(np.zeros_like(x_tilde.data), dtype=x_tilde.dtype)
     else:
-        intra = intra_partition_attention(gate, x_tilde, assign, num_clusters)
+        intra = intra_partition_attention(gate, x_tilde, buckets)
     if attend == "intra_only":
         shape = x_tilde.shape[:-2] + (num_clusters, x_tilde.shape[-1])
         inter = constant(np.zeros(shape), dtype=x_tilde.dtype)
     else:
-        inter = inter_partition_attention(x_tilde, assign, num_clusters, head)
-    out = global_local_aggregate(intra, inter, assign, head)
+        inter = inter_partition_attention(x_tilde, buckets, head)
+    out = global_local_aggregate(intra, inter, buckets, head)
     return out, assign
 
 

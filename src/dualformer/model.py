@@ -290,7 +290,7 @@ def forward(model: Model, images, train: bool = False, frozen=None) -> Tensor:
         sites = {head: {"assignment": a} for head, a in zip(heads, frozen)}
     x = _features(model, images, train, sites)
     pooled = tmean(x, axis=(1, 2))  # (B, C)
-    return add_bias(matmul(pooled, model.head_w), model.head_b, axis=-1)
+    return add_bias(matmul(pooled, model.head_w), model.head_b)
 
 
 def forward_features(model: Model, images, stage: int) -> Tensor:

@@ -32,11 +32,6 @@ BN_EPS = 1e-5
 LN_EPS = 1e-5
 
 
-def _affine(xn: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    """Per-channel ``xn * scale + shift``: two full-map passes."""
-    return add_bias(mul(xn, reshape(scale, (1, 1, 1, scale.shape[0]))), shift, axis=-1)
-
-
 def _fused_norm(x: Tensor, gamma: Tensor, beta: Tensor, per_channel: bool, eps: float, op: str):
     """``(x - mean) / sqrt(var + eps) * gamma + beta`` as one autodiff node.
 
@@ -149,4 +144,4 @@ def conv_bn(
     rm = constant(bn.running_mean, dtype=x.dtype)
     rv = constant(bn.running_var, dtype=x.dtype)
     scale = bn.gamma * (1.0 / tsqrt(rv + BN_EPS))
-    return _affine(y, scale, bn.beta - rm * scale)
+    return add_bias(mul(y, reshape(scale, (1, 1, 1, scale.shape[0]))), bn.beta - rm * scale)

@@ -8,11 +8,11 @@ accumulates gradients into leaves that require them.
 Broadcasting is deliberately restricted: elementwise binary ops accept
 exactly-matching shapes, a scalar paired with a tensor, or equal-rank
 shapes where a mismatching axis has size 1 on one side. Anything else
-raises ``ShapeError``; callers reshape explicitly. Bias addition along a
-named axis goes through :func:`add_bias`. Matmul follows numpy's batched
+raises ``ShapeError``; callers reshape explicitly. Bias addition along
+the last axis goes through :func:`add_bias`. Matmul follows numpy's batched
 semantics on the leading dimensions.
 
-Division, exp, log and sqrt check their outputs and raise
+Division, exp, log, sqrt and softmax check their outputs and raise
 ``FloatingPointError`` instead of letting NaN/Inf propagate.
 """
 from __future__ import annotations
@@ -597,17 +597,20 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     return _make(out, (a,), backward, "narrow")
 
 
-def add_bias(a, b, axis: int) -> Tensor:
-    """Add a 1-d bias along ``axis``; the one sanctioned rank-promoting add."""
+def add_bias(a, b) -> Tensor:
+    """Add a bias along the last axis; the one sanctioned rank-promoting add.
+
+    ``b`` is (d,) for every row of ``a[..., d]``, or (heads, d) for
+    head-stacked rows ``a[..., heads, n, d]``, one bias row per head.
+    """
     a = _coerce(a)
     b = _coerce(b, like=a)
-    axis = axis % a.ndim
-    if b.ndim != 1 or b.shape[0] != a.shape[axis]:
-        raise ShapeError(f"add_bias: bias {b.shape} does not fit axis {axis} of {a.shape}")
-    shape = [1] * a.ndim
-    shape[axis] = b.shape[0]
-    out = a.data + b.data.reshape(shape)
-    reduce_axes = tuple(i for i in range(a.ndim) if i != axis)
+    per_head = b.ndim == 2 and a.ndim >= 3 and a.shape[-3] == b.shape[0]
+    if not (b.ndim == 1 or per_head) or b.shape[-1] != a.shape[-1]:
+        raise ShapeError(f"add_bias: bias {b.shape} does not fit the rows of {a.shape}")
+    out = a.data + (b.data[:, None] if per_head else b.data)
+    kept = (a.ndim - 3, a.ndim - 1) if per_head else (a.ndim - 1,)
+    reduce_axes = tuple(i for i in range(a.ndim) if i not in kept)
 
     def backward(g):
         return g, g.sum(axis=reduce_axes)
@@ -641,13 +644,23 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), backward, "matmul")
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along one axis (max-shifted)."""
+def softmax(a, axis: int = -1, mask=None) -> Tensor:
+    """Numerically stable softmax along one axis (max-shifted).
+
+    ``mask``, a boolean array that broadcasts to ``a``, keeps each slice to
+    its true entries: the others are set to -inf before the max and the exp,
+    so they come out exactly 0 and get no gradient. A slice with no finite
+    softmax (no true entry, or a NaN or +inf entry) raises
+    ``FloatingPointError``.
+    """
     a = _coerce(a)
     x = a.data
+    if mask is not None:
+        x = np.where(mask, x, -np.inf)
     m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    out = e / e.sum(axis=axis, keepdims=True)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        e = np.exp(x - m)
+    out = _guard_finite(e / e.sum(axis=axis, keepdims=True), "softmax")
 
     def backward(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -677,31 +690,22 @@ def one_hot(ids, num_classes: int, dtype) -> np.ndarray:
     return (ids[..., None] == np.arange(num_classes)).astype(dtype)
 
 
-def segment_sum(a, seg: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``a[..., n, d]`` into ``num_segments`` buckets per instance.
+def segment_sum(a, buckets: np.ndarray) -> Tensor:
+    """Sum rows of ``a[..., n, d]`` into buckets: ``bucketsᵀ @ a``.
 
-    ``seg`` is an integer array of shape ``a.shape[:-1]`` and is treated as a
-    constant: no gradient flows through the assignment, only through the
-    summed values. Empty buckets come back as zero rows.
+    ``buckets`` is the (..., n, K) :func:`one_hot` matrix of a bucket
+    assignment, in ``a``'s dtype, and is a constant: no gradient flows
+    through the assignment, only through the summed values. Empty buckets
+    come back as zero rows.
     """
-    a = _coerce(a)
-    if a.ndim < 2 or seg.shape != a.shape[:-1]:
-        raise ShapeError(f"segment_sum: ids {seg.shape} must match rows of {a.shape}")
-    onehot = one_hot(seg, num_segments, a.dtype)
-    return matmul(constant(np.swapaxes(onehot, -1, -2), dtype=a.dtype), a)
+    return matmul(constant(np.swapaxes(buckets, -1, -2), dtype=buckets.dtype), a)
 
 
-def gather_segments(table, seg: np.ndarray) -> Tensor:
-    """Look up per-row bucket vectors: ``out[..., i, :] = table[..., seg[i], :]``."""
-    table = _coerce(table)
-    if table.ndim < 2:
-        raise ShapeError(f"gather_segments: table must be at least rank 2, got {table.shape}")
-    if seg.shape[:-1] != table.shape[:-2]:
-        raise ShapeError(
-            f"gather_segments: ids {seg.shape} do not match table {table.shape}"
-        )
-    onehot = one_hot(seg, table.shape[-2], table.dtype)
-    return matmul(constant(onehot, dtype=table.dtype), table)
+def gather_segments(table, buckets: np.ndarray) -> Tensor:
+    """Look up each row's bucket vector, ``buckets @ table``: row ``i`` gets
+    the ``table[..., K, d]`` row of the bucket that ``buckets[..., i, :]``
+    marks."""
+    return matmul(constant(buckets, dtype=buckets.dtype), table)
 
 
 def select_index(a, idx: np.ndarray) -> Tensor:

@@ -75,6 +75,7 @@ from dualformer.tensor import (
     gelu,
     matmul,
     narrow,
+    one_hot,
     reshape,
     segment_sum,
     select_index,
@@ -332,18 +333,19 @@ def test_check_02_loop_oracle_equivalence():
 
             x = np.abs(r.normal(size=(n, d))) + 0.1
             xt = r.normal(size=(n, d))
-            got = intra_partition_attention(constant(x), constant(xt), assign, k).data
+            buckets = one_hot(assign, k, np.float64)
+            got = intra_partition_attention(constant(x), constant(xt), buckets).data
             worst["intra"] = max(worst["intra"],
                                  np.abs(got - oracle_intra(x, xt, assign, k)).max())
 
-            got = inter_partition_attention(constant(xt), assign, k, head).data
+            got = inter_partition_attention(constant(xt), buckets, head).data
             worst["inter"] = max(worst["inter"],
                                  np.abs(got - oracle_inter(xt, assign, k, head)).max())
 
             intra_np = r.normal(size=(n, d))
             inter_np = r.normal(size=(k, d))
             got = global_local_aggregate(
-                constant(intra_np), constant(inter_np), assign, head
+                constant(intra_np), constant(inter_np), buckets, head
             ).data
             worst["aggregate"] = max(
                 worst["aggregate"],
@@ -409,6 +411,7 @@ def op_inventory(r):
     a = lambda: leaf(r, 3, 4)
     pos = lambda: leaf(r, 3, 4, positive=True)
     assign = r.integers(0, 3, size=6)
+    buckets = one_hot(assign, 3, np.float64)
     head = rand_head(r, 4)
     # off-default gamma and beta, so their gradients are audited standalone
     bn = make_batch_norm(3, np.float64)
@@ -447,13 +450,13 @@ def op_inventory(r):
         ("transpose", lambda x: transpose(x, (1, 0)), [a()]),
         ("concat", lambda x, y: concat([x, y], axis=1), [a(), a()]),
         ("narrow", lambda x: narrow(x, 1, 1, 2), [a()]),
-        ("add_bias", lambda x, b: add_bias(x, b, axis=1), [a(), leaf(r, 4)]),
+        ("add_bias", add_bias, [a(), leaf(r, 4)]),
         ("matmul", matmul, [leaf(r, 3, 4), leaf(r, 4, 2)]),
         ("matmul_constant_left", matmul,
          [constant(np.eye(3)[assign.reshape(2, 3)].swapaxes(-1, -2)), leaf(r, 2, 3, 4)]),
         ("softmax", lambda x: softmax(x, axis=-1), [a()]),
-        ("segment_sum", lambda x: segment_sum(x, assign, 3), [leaf(r, 6, 4)]),
-        ("gather_segments", lambda t: gather_segments(t, assign), [leaf(r, 3, 4)]),
+        ("segment_sum", lambda x: segment_sum(x, buckets), [leaf(r, 6, 4)]),
+        ("gather_segments", lambda t: gather_segments(t, buckets), [leaf(r, 3, 4)]),
         ("select_index", lambda x: select_index(x, np.array([2, 0, 1])), [a()]),
         ("conv2d", lambda x, w, b: conv2d(x, w, b, stride=2, padding=1),
          [map_leaf(r, 2, 3, 6, 6), leaf(r, 4, 3, 3, 3), leaf(r, 4)]),
@@ -474,15 +477,18 @@ def op_inventory(r):
         ("conv_bn_train_depthwise", *conv_bn_case(True, 4, stride=1, groups=4)),
         ("vanilla_attention", vanilla_attention,
          [leaf(r, 6, 4), leaf(r, 4, 3), leaf(r, 4, 3), leaf(r, 4, 3)]),
-        ("intra_attention", lambda x, xt: intra_partition_attention(x, xt, assign, 3),
+        ("intra_attention", lambda x, xt: intra_partition_attention(x, xt, buckets),
          [leaf(r, 6, 4, positive=True), leaf(r, 6, 4)]),
-        ("inter_attention", lambda xt: inter_partition_attention(xt, assign, 3, head),
+        ("inter_attention", lambda xt: inter_partition_attention(xt, buckets, head),
          [leaf(r, 6, 4)]),
-        ("aggregate", lambda i1, i2: global_local_aggregate(i1, i2, assign, head),
+        ("aggregate", lambda i1, i2: global_local_aggregate(i1, i2, buckets, head),
          [leaf(r, 6, 4), leaf(r, 3, 4)]),
         ("channel_to_spatial", lambda x, s: channel_to_spatial(x, 2, s),
          [map_leaf(r, 1, 8, 2, 2), map_leaf(r, 1, 2, 4, 4)]),
         ("stack", lambda x, y: stack([x, y]), [a(), a()]),
+        # the middle row is masked out of every column: it gets no gradient
+        ("softmax_masked",
+         lambda x: softmax(x, axis=-2, mask=np.array([[True], [False], [True]])), [a()]),
     ]
     return cases
 
@@ -679,7 +685,9 @@ def test_check_09_invariant_suite():
             assign = r.integers(0, k, size=n)
             head = rand_head(r, d)
             xt = r.normal(size=(n, d)) + 0.5
-            out = inter_partition_attention(constant(xt), assign, k, head).data
+            out = inter_partition_attention(
+                constant(xt), one_hot(assign, k, np.float64), head
+            ).data
             counts = np.bincount(assign, minlength=k)
             total = 0.0
             recoverable = True
@@ -706,7 +714,7 @@ def test_check_09_invariant_suite():
             x = r.uniform(1.0, 3.0, size=(1, d))
             xt = r.uniform(-0.5, 0.5, size=(1, d))
             out = intra_partition_attention(
-                constant(x), constant(xt), np.zeros(1, dtype=np.int64), 1
+                constant(x), constant(xt), one_hot(np.zeros(1, dtype=np.int64), 1, np.float64)
             ).data
             if np.abs(out - xt).max() > 2e-6:
                 problems.append("singleton identity")
@@ -721,9 +729,11 @@ def test_check_09_invariant_suite():
             for c in range(k):
                 idx = np.flatnonzero(assign == c)
                 perm[idx] = idx[r.permutation(idx.size)]
-            base = intra_partition_attention(constant(x), constant(xt), assign, k).data
+            base = intra_partition_attention(
+                constant(x), constant(xt), one_hot(assign, k, np.float64)
+            ).data
             shuf = intra_partition_attention(
-                constant(x[perm]), constant(xt[perm]), assign[perm], k
+                constant(x[perm]), constant(xt[perm]), one_hot(assign[perm], k, np.float64)
             ).data
             if np.abs(shuf - base[perm]).max() > 1e-9:
                 problems.append("permutation equivariance")

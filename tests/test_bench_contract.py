@@ -92,6 +92,8 @@ def test_site_replay_and_hook_signatures():
     for name, (_, replay) in TRACER.SITE_ARGS.items():
         assert params(resolve(*name.split(".")))[: 1 + len(replay)] == ["x", *replay], name
     assert "num_clusters" in params(resolve("mhpa", "mhpa_head_forward"))
+    # the bucket-statistics hook calls segment_counts(assign, num_clusters) by position
+    assert params(resolve("mhpa", "segment_counts"))[:2] == ["assign", "num_clusters"]
     assert "train" in params(resolve("model", "forward"))
 
 

@@ -33,6 +33,7 @@ from dualformer.tensor import (
     mul,
     narrow,
     neg,
+    one_hot,
     reshape,
     segment_sum,
     select_index,
@@ -95,7 +96,8 @@ def test_broadcast_gradients_unreduce(seed):
     a = leaf(r, (2, 1, 3))
     b = leaf(r, (1, 4, 3))
     check(lambda x, y: mul(x, y), [a, b], seed=seed)
-    check(lambda x, y: add_bias(x, y, axis=1), [leaf(r, (2, 5, 3)), leaf(r, (5,))], seed=seed)
+    check(lambda x, y: add_bias(x, y), [leaf(r, (2, 3, 5)), leaf(r, (5,))], seed=seed)
+    check(lambda x, y: add_bias(x, y), [leaf(r, (2, 3, 4, 5)), leaf(r, (3, 5))], seed=seed)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -141,9 +143,9 @@ def test_softmax_grad(seed):
 def test_segment_ops_grads(seed):
     r = np.random.default_rng(seed)
     for lead in ((), (2,)):
-        seg = r.integers(0, 4, size=lead + (9,))
-        check(lambda x: segment_sum(x, seg, 4), [leaf(r, lead + (9, 3))], seed=seed)
-        check(lambda t: gather_segments(t, seg), [leaf(r, lead + (4, 3))], seed=seed)
+        buckets = one_hot(r.integers(0, 4, size=lead + (9,)), 4, np.float64)
+        check(lambda x: segment_sum(x, buckets), [leaf(r, lead + (9, 3))], seed=seed)
+        check(lambda t: gather_segments(t, buckets), [leaf(r, lead + (4, 3))], seed=seed)
     labels = r.integers(0, 3, size=5)
     check(lambda x: select_index(x, labels), [leaf(r, (5, 3))], seed=seed)
 
@@ -215,37 +217,37 @@ def _head(r, d):
     )
 
 
-def _assign(r, n, k):
-    return r.integers(0, k, size=n)
+def _buckets(r, n, k):
+    return one_hot(r.integers(0, k, size=n), k, np.float64)
 
 
 def test_intra_partition_grad():
     r = np.random.default_rng(14)
-    assign = _assign(r, 10, 4)
+    buckets = _buckets(r, 10, 4)
     x = leaf(r, (10, 3), offset=1.5, scale=0.3)  # weights stay positive
     xt = leaf(r, (10, 3))
-    check(lambda a, b: intra_partition_attention(a, b, assign, 4), [x, xt])
+    check(lambda a, b: intra_partition_attention(a, b, buckets), [x, xt])
 
 
 def test_inter_partition_grad():
     r = np.random.default_rng(15)
-    assign = _assign(r, 12, 4)
+    buckets = _buckets(r, 12, 4)
     head = _head(r, 3)
     xt = leaf(r, (12, 3))
     check(
-        lambda a, w1, b1, w2, b2: inter_partition_attention(a, assign, 4, head),
+        lambda a, w1, b1, w2, b2: inter_partition_attention(a, buckets, head),
         [xt, head.imp_w1, head.imp_b1, head.imp_w2, head.imp_b2],
     )
 
 
 def test_aggregate_grad():
     r = np.random.default_rng(16)
-    assign = _assign(r, 8, 4)
+    buckets = _buckets(r, 8, 4)
     head = _head(r, 3)
     intra = leaf(r, (8, 3))
     inter = leaf(r, (4, 3))
     check(
-        lambda a, b, w, bias: global_local_aggregate(a, b, assign, head),
+        lambda a, b, w, bias: global_local_aggregate(a, b, buckets, head),
         [intra, inter, head.agg_w, head.agg_b],
     )
 

@@ -4,12 +4,14 @@ pipeline invariants: normalization, equivariance, identity behavior.
 Maps are drawn and checked as (B, C, H, W) and handed to the layer
 channels-last through ``nhwc``.
 """
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualformer import precision
+from dualformer import mhpa, precision, tensor
 from dualformer.mhpa import (
     EPS,
     MhpaConfig,
@@ -27,7 +29,9 @@ from dualformer.blocks import make_mhpa
 from dualformer.conv import conv2d
 from dualformer.norms import layer_norm_channels
 from dualformer.partition import NormVectors, hash_codes
-from dualformer.tensor import ShapeError, Tensor, concat, constant, narrow, reshape, sigmoid
+from dualformer.tensor import (
+    ShapeError, Tensor, concat, constant, narrow, one_hot, reshape, sigmoid,
+)
 
 
 def np_gelu(x):
@@ -103,6 +107,11 @@ def rand_assign(r, n, k):
     return r.integers(0, k, size=n)
 
 
+def buckets(assign, k):
+    """The one-hot bucket matrix the attention ops take, in the current dtype."""
+    return one_hot(assign, k, precision.default_dtype())
+
+
 # -- intra ---------------------------------------------------------------
 
 
@@ -111,7 +120,7 @@ def test_intra_frozen_hand_case():
     # outputs are w_i * values: [0.25*4, 0.75*2] = [1.0, 1.5] up to eps
     x = constant([[2.0], [6.0]])
     xt = constant([[4.0], [2.0]])
-    out = intra_partition_attention(x, xt, np.array([0, 0]), 1).data
+    out = intra_partition_attention(x, xt, buckets(np.array([0, 0]), 1)).data
     assert np.allclose(out, [[1.0], [1.5]], atol=1e-5)
 
 
@@ -125,16 +134,20 @@ def test_intra_matches_oracle_many_instances():
             x = np.abs(r.normal(size=(n, d))) + 0.1
             xt = r.normal(size=(n, d))
             assign = rand_assign(r, n, k)
-            got = intra_partition_attention(constant(x), constant(xt), assign, k).data
+            got = intra_partition_attention(constant(x), constant(xt), buckets(assign, k)).data
             assert np.allclose(got, intra_oracle(x, xt, assign, k), atol=1e-6)
 
 
 def test_intra_shape_mismatch_rejected():
     assign = np.zeros(3, dtype=np.int64)
     with pytest.raises(ShapeError):
-        intra_partition_attention(constant(np.ones((3, 2))), constant(np.ones((3, 3))), assign, 2)
+        intra_partition_attention(
+            constant(np.ones((3, 2))), constant(np.ones((3, 3))), buckets(assign, 2)
+        )
     with pytest.raises(ShapeError):
-        intra_partition_attention(constant(np.ones((4, 2))), constant(np.ones((4, 2))), assign, 2)
+        intra_partition_attention(
+            constant(np.ones((4, 2))), constant(np.ones((4, 2))), buckets(assign, 2)
+        )
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,7 +167,7 @@ def test_intra_singleton_identity(weight, value, seed):
     assign = np.zeros(n, dtype=np.int64)
     assign[lone] = 1  # token sits alone in bucket 1
     with precision.precision("f64"):
-        out = intra_partition_attention(constant(x), constant(xt), assign, 2).data
+        out = intra_partition_attention(constant(x), constant(xt), buckets(assign, 2)).data
     assert abs(out[lone, 0] - value) <= 2e-6
 
 
@@ -171,7 +184,7 @@ def test_inter_matches_oracle_many_instances():
             xt = r.normal(size=(n, d))
             assign = rand_assign(r, n, k)
             head = make_head(r, d)
-            got = inter_partition_attention(constant(xt), assign, k, head).data
+            got = inter_partition_attention(constant(xt), buckets(assign, k), head).data
             want = inter_oracle(xt, assign, k, head)
             assert np.allclose(got, want, atol=1e-6)
 
@@ -181,7 +194,7 @@ def test_inter_single_bucket_returns_descriptor():
     with precision.precision("f64"):
         xt = r.normal(size=(7, 3))
         assign = np.zeros(7, dtype=np.int64)
-        out = inter_partition_attention(constant(xt), assign, 1, make_head(r, 3)).data
+        out = inter_partition_attention(constant(xt), buckets(assign, 1), make_head(r, 3)).data
     # coefficient over a single bucket is exactly one
     assert np.allclose(out[0], xt.mean(axis=0), atol=1e-12)
 
@@ -190,10 +203,30 @@ def test_inter_empty_buckets_are_zero_rows():
     r = np.random.default_rng(3)
     xt = r.normal(size=(5, 2)).astype(np.float32)
     assign = np.array([0, 0, 3, 3, 3])
-    out = inter_partition_attention(constant(xt), assign, 8, make_head(r, 2)).data
+    out = inter_partition_attention(constant(xt), buckets(assign, 8), make_head(r, 2)).data
     for k in range(8):
         if k not in (0, 3):
             assert np.all(out[k] == 0.0)
+
+
+def test_inter_empty_bucket_scoring_far_above_the_rest_stays_finite():
+    # two tokens of 20.0 in bucket 0 and bucket 1 empty: bucket 0 scores -160
+    # and the empty bucket 0, so shifted by the non-empty max the empty
+    # bucket's exp is e^160, which overflows float32 unless masked first
+    d = 4
+    full = lambda v, *s: constant(np.full(s, v))
+    head = MhpaHeadParams(
+        token_w=constant(np.eye(d)), token_b=full(0.0, d),
+        imp_w1=full(1.0, d, 2), imp_b1=full(0.0, 2),
+        imp_w2=full(-1.0, 2, 1), imp_b2=full(0.0, 1),
+        # the output is the token's inter row: [0; I] picks it out of [intra, inter]
+        agg_w=constant(np.eye(2 * d, d, k=-d)), agg_b=full(0.0, d),
+        norms=NormVectors(np.ones((3, d))),
+    )
+    tokens = full(20.0, 2, d)
+    out, _ = mhpa_head_forward(tokens, head, 2, assign=np.zeros(2, dtype=np.int64))
+    # one non-empty bucket: its coefficient is exactly 1 and its row the mean
+    assert np.array_equal(out.data, np.full((2, d), 20.0, dtype=np.float32))
 
 
 def test_segment_counts_per_row_and_range_checked():
@@ -221,7 +254,7 @@ def test_inter_zeroed_predictor_gives_uniform_coefficients():
         head.imp_b1.data[:] = 0.0
         head.imp_w2.data[:] = 0.0
         head.imp_b2.data[:] = 0.0
-        out = inter_partition_attention(constant(xt), assign, 4, head).data
+        out = inter_partition_attention(constant(xt), buckets(assign, 4), head).data
         for k in range(4):
             want = 0.25 * xt[assign == k].mean(axis=0)
             assert np.allclose(out[k], want, atol=1e-12)
@@ -235,7 +268,7 @@ def test_inter_coefficients_sum_to_one(n, d, k, seed):
     assign = rand_assign(r, n, k)
     with precision.precision("f64"):
         head = make_head(r, d)
-        out = inter_partition_attention(constant(xt), assign, k, head).data
+        out = inter_partition_attention(constant(xt), buckets(assign, k), head).data
     total = 0.0
     recovered = False
     counts = np.bincount(assign, minlength=k)
@@ -265,7 +298,9 @@ def test_aggregate_matches_oracle_many_instances():
             head = make_head(r, d)
             intra = r.normal(size=(n, d))
             inter = r.normal(size=(k, d))
-            got = global_local_aggregate(constant(intra), constant(inter), assign, head).data
+            got = global_local_aggregate(
+                constant(intra), constant(inter), buckets(assign, k), head
+            ).data
             want = aggregate_oracle(intra, inter, assign, head)
             assert np.allclose(got, want, atol=1e-6)
 
@@ -277,7 +312,7 @@ def test_aggregate_wrong_bucket_rows_rejected():
     head = make_head(r, 3)
     with pytest.raises(ShapeError):
         global_local_aggregate(
-            constant(np.ones((5, 3))), constant(np.ones((3, 3))), assign, head
+            constant(np.ones((5, 3))), constant(np.ones((3, 3))), buckets(assign, 4), head
         )
 
 
@@ -330,9 +365,10 @@ def test_head_forward_composes_public_ops():
         assert np.array_equal(used, assign)
         gate = sigmoid(t)
         xt = constant(tokens @ head.token_w.data + head.token_b.data)
-        intra = intra_partition_attention(gate, xt, assign, k)
-        inter = inter_partition_attention(xt, assign, k, head)
-        want = global_local_aggregate(intra, inter, assign, head)
+        b = buckets(assign, k)
+        intra = intra_partition_attention(gate, xt, b)
+        inter = inter_partition_attention(xt, b, head)
+        want = global_local_aggregate(intra, inter, b, head)
         assert np.allclose(out.data, want.data, atol=1e-10)
 
 
@@ -370,6 +406,35 @@ def test_head_forward_attend_variants():
         assert not np.allclose(intra_only.data, full.data, atol=1e-3)
 
 
+def test_head_forward_builds_one_bucket_matrix(monkeypatch):
+    # the assignment becomes one one-hot per head call, and the bucket ops
+    # take that matrix, not ids and a bucket count
+    calls = []
+
+    def counting(ids, num_classes, dtype):
+        calls.append(num_classes)
+        return one_hot(ids, num_classes, dtype)
+
+    monkeypatch.setattr(mhpa, "one_hot", counting)
+    monkeypatch.setattr(tensor, "one_hot", counting)
+    r = np.random.default_rng(12)
+    head = make_head(r, 4)
+    mhpa_head_forward(constant(r.normal(size=(2, 9, 4))), head, 8)
+    assert calls == [8]
+    ops = (intra_partition_attention, inter_partition_attention, global_local_aggregate,
+           tensor.segment_sum, tensor.gather_segments)
+    for op in ops:
+        names = list(inspect.signature(op).parameters)
+        assert "buckets" in names and "num_clusters" not in names, op.__name__
+
+
+@pytest.mark.parametrize("ids", [[0, -1, 1], [0, 4, 1], [0.0, 1.0, 2.0]], ids=["neg", "K", "float"])
+def test_head_forward_rejects_bad_replayed_ids(ids):
+    head = make_head(np.random.default_rng(13), 2)
+    with pytest.raises(ShapeError):
+        mhpa_head_forward(constant(np.ones((3, 2))), head, 4, assign=np.array(ids))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 16), st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**31 - 1))
 def test_within_cluster_permutation_equivariance(n, d, k, seed):
@@ -384,9 +449,9 @@ def test_within_cluster_permutation_equivariance(n, d, k, seed):
     perm = np.arange(n)
     perm[members] = members[r.permutation(members.size)]
     with precision.precision("f64"):
-        base = intra_partition_attention(constant(x), constant(xt), assign, k).data
+        base = intra_partition_attention(constant(x), constant(xt), buckets(assign, k)).data
         shuffled = intra_partition_attention(
-            constant(x[perm]), constant(xt[perm]), assign[perm], k
+            constant(x[perm]), constant(xt[perm]), buckets(assign[perm], k)
         ).data
     assert np.allclose(shuffled, base[perm], atol=1e-9)
 

@@ -90,7 +90,7 @@ def composed_norm(x, gamma, beta, axes, eps):
     xc = x - m
     v = tmean(xc * xc, axis=axes, keepdims=True)
     xn = xc * (1.0 / tsqrt(v + eps))
-    return add_bias(mul(xn, reshape(gamma, (1, 1, 1, gamma.shape[0]))), beta, axis=-1)
+    return add_bias(mul(xn, reshape(gamma, (1, 1, 1, gamma.shape[0]))), beta)
 
 
 def fused_and_composed(norm, x, gamma, beta, g):

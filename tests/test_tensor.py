@@ -23,6 +23,7 @@ from dualformer.tensor import (
     mul,
     narrow,
     no_grad,
+    one_hot,
     reshape,
     segment_sum,
     select_index,
@@ -267,10 +268,18 @@ def test_mixed_dtypes_rejected():
 
 def test_add_bias_matches_reshape_oracle():
     r = rng(6)
-    x = r.normal(size=(2, 5, 3)).astype(np.float32)
+    x = r.normal(size=(2, 3, 5)).astype(np.float32)
     b = r.normal(size=5).astype(np.float32)
-    got = add_bias(constant(x), constant(b), axis=1).data
-    assert np.allclose(got, x + b.reshape(1, 5, 1), atol=1e-7)
+    got = add_bias(constant(x), constant(b)).data
+    assert np.allclose(got, x + b.reshape(1, 1, 5), atol=1e-7)
+    # a (heads, d) bias adds one row per head to (..., heads, n, d) rows
+    x = r.normal(size=(2, 3, 4, 5)).astype(np.float32)
+    b = r.normal(size=(3, 5)).astype(np.float32)
+    got = add_bias(constant(x), constant(b)).data
+    assert np.allclose(got, x + b.reshape(1, 3, 1, 5), atol=1e-7)
+    for bad in ((4, 5), (3, 4), (2, 3, 5)):
+        with pytest.raises(ShapeError):
+            add_bias(constant(x), constant(np.ones(bad)))
 
 
 # -- reductions and shape ops -------------------------------------------------
@@ -338,6 +347,33 @@ def test_softmax_huge_logits_stay_finite():
     assert np.all(np.isfinite(out))
 
 
+def test_masked_softmax_matches_loop_oracle():
+    r = rng(20)
+    x = r.normal(scale=3.0, size=(2, 6, 3))
+    mask = r.random((2, 6, 1)) < 0.6
+    mask[:, 0] = True  # every slice keeps an entry
+    mask[1, 3] = False
+    # a masked entry far above the rest would overflow exp if shifted by the
+    # unmasked max; masking first makes it exactly zero
+    x[1, ~mask[1, :, 0], 0] = 1000.0
+    with precision.precision("f64"):
+        got = softmax(constant(x), axis=-2, mask=mask).data
+    want = np.zeros_like(x)
+    for b in range(2):
+        for j in range(3):
+            keep = np.flatnonzero(mask[b, :, 0])
+            e = np.exp(x[b, keep, j] - x[b, keep, j].max())
+            want[b, keep, j] = e / e.sum()
+    assert np.allclose(got, want, atol=1e-12)
+    assert np.all(got[~np.broadcast_to(mask, x.shape)] == 0.0)
+    # no finite softmax: a slice with every entry masked, or an infinite score
+    with precision.precision("f64"), pytest.raises(FloatingPointError):
+        softmax(constant(x), axis=-2, mask=mask & (np.arange(2) == 0)[:, None, None])
+    x[0, 0, 0] = np.inf
+    with precision.precision("f64"), pytest.raises(FloatingPointError):
+        softmax(constant(x), axis=-2, mask=mask)
+
+
 # -- segment ops ---------------------------------------------------------
 
 
@@ -346,7 +382,7 @@ def test_segment_sum_matches_loop():
     x = r.normal(size=(9, 4)).astype(np.float64)
     seg = r.integers(0, 5, size=9)
     with precision.precision("f64"):
-        got = segment_sum(constant(x), seg, 5).data
+        got = segment_sum(constant(x), one_hot(seg, 5, np.float64)).data
     want = np.zeros((5, 4))
     for i, s in enumerate(seg):
         want[s] += x[i]
@@ -358,7 +394,7 @@ def test_segment_sum_batched_matches_loop():
     x = r.normal(size=(2, 6, 3)).astype(np.float64)
     seg = r.integers(0, 4, size=(2, 6))
     with precision.precision("f64"):
-        got = segment_sum(constant(x), seg, 4).data
+        got = segment_sum(constant(x), one_hot(seg, 4, np.float64)).data
     want = np.zeros((2, 4, 3))
     for b in range(2):
         for i in range(6):
@@ -370,12 +406,12 @@ def test_gather_segments_matches_indexing():
     r = rng(12)
     table = r.normal(size=(4, 3)).astype(np.float32)
     seg = r.integers(0, 4, size=7)
-    got = gather_segments(constant(table), seg).data
+    got = gather_segments(constant(table), one_hot(seg, 4, np.float32)).data
     assert np.array_equal(got, table[seg])
     # batched (B, n) ids against a per-instance loop
     table = r.normal(size=(2, 4, 3)).astype(np.float32)
     seg = r.integers(0, 4, size=(2, 6))
-    got = gather_segments(constant(table), seg).data
+    got = gather_segments(constant(table), one_hot(seg, 4, np.float32)).data
     want = np.zeros((2, 6, 3), dtype=np.float32)
     for b in range(2):
         for i in range(6):
@@ -393,9 +429,7 @@ def test_select_index_picks_labels():
 def test_bucket_and_label_ops_reject_bad_ids(ids):
     ids = np.array(ids)
     with pytest.raises(ShapeError):
-        segment_sum(constant(np.ones((3, 2))), ids, 4)
-    with pytest.raises(ShapeError):
-        gather_segments(constant(np.ones((4, 2))), ids)
+        one_hot(ids, 4, np.float32)
     with pytest.raises(ShapeError):
         select_index(constant(np.ones((3, 4))), ids)
 
@@ -500,5 +534,5 @@ def test_segment_sum_total_preserved(n, k, seed):
     x = r.normal(size=(n, 3))
     seg = r.integers(0, k, size=n)
     with precision.precision("f64"):
-        out = segment_sum(constant(x), seg, k).data
+        out = segment_sum(constant(x), one_hot(seg, k, np.float64)).data
     assert np.allclose(out.sum(axis=0), x.sum(axis=0), atol=1e-9)

@@ -187,7 +187,11 @@ def test_evaluate_restores_graph_recording_after_an_error():
 def test_divergence_aborts():
     images, labels = make_shapes(16, seed=3)
     model = build_model(get_preset("Micro"), seed=0)
+    # x1e100 overflows batch norm's variance in the first forward; x1e30
+    # trains through an epoch to a finite loss of about 2.7e143 and shows
+    # nothing
     for _, p in named_parameters(model):
-        p.data *= 1e30
-    with pytest.raises(TrainingDiverged):
+        p.data *= 1e100
+    with pytest.raises(TrainingDiverged) as caught:
         train_toy(model, images, labels, epochs=1, batch_size=8, clip_norm=0.0)
+    assert isinstance(caught.value.__cause__, FloatingPointError)
