@@ -10,6 +10,7 @@ from .model import Model, capture_partitions, forward_features
 from .tensor import Tensor, no_grad
 
 DB_FLOOR = -240.0
+HIGH_FREQ_CUTOFF = 0.75  # share of the max radius where the high band starts
 
 
 def radial_log_amplitude(feature_map, num_bins: int = 64):
@@ -57,13 +58,12 @@ def radial_log_amplitude(feature_map, num_bins: int = 64):
     return radii, db
 
 
-def high_frequency_mean(radii: np.ndarray, db: np.ndarray, cutoff: float = 0.75) -> float:
-    """Mean dB over bins at or beyond `cutoff` of the max radius."""
-    mask = radii >= cutoff
-    vals = db[mask]
+def high_frequency_mean(radii: np.ndarray, db: np.ndarray) -> float:
+    """Mean dB over bins at or beyond HIGH_FREQ_CUTOFF of the max radius."""
+    vals = db[radii >= HIGH_FREQ_CUTOFF]
     vals = vals[~np.isnan(vals)]
     if vals.size == 0:
-        raise ValueError(f"no populated bins beyond cutoff {cutoff}")
+        raise ValueError(f"no populated bins beyond cutoff {HIGH_FREQ_CUTOFF}")
     return float(vals.mean())
 
 

@@ -26,14 +26,15 @@ from .partition import NormVectors
 from .tensor import ShapeError, Tensor, concat, gelu, narrow
 
 MBCONV_EXPANSION = 4
+SPLIT_RATIO = 0.5  # the conv branch's share of a split block's channels
 MODES = ("parallel", "series", "conv_only", "attn_only", "intra_only", "inter_only")
 
 
-def split_channels(channels: int, split_ratio: float, mode: str) -> tuple[int, int]:
+def split_channels(channels: int, mode: str) -> tuple[int, int]:
     """(conv, attention) branch widths of a block; series runs both at full width."""
     if mode == "series":
         return channels, channels
-    conv = int(round(channels * split_ratio))
+    conv = int(round(channels * SPLIT_RATIO))
     return conv, channels - conv
 
 
@@ -156,16 +157,11 @@ def make_dual_block(
     mode: str,
     mhpa_cfg: MhpaConfig,
     rng: np.random.Generator,
-    split_ratio: float = 0.5,
     ffn_ratio: float = 4.0,
 ) -> DualBlockParams:
     if mode not in MODES:
         raise ValueError(f"unknown block mode {mode!r}, expected one of {MODES}")
-    conv_c, attn_c = split_channels(channels, split_ratio, mode)
-    if conv_c < 1 or attn_c < 1:
-        raise ShapeError(
-            f"split_ratio {split_ratio} leaves an empty branch at {channels} channels"
-        )
+    conv_c, attn_c = split_channels(channels, mode)
     attend = mode if mode in ("intra_only", "inter_only") else "full"
     cfg = replace(mhpa_cfg, attend=attend)
     need_conv = mode != "attn_only"

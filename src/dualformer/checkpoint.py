@@ -14,8 +14,10 @@ running mean (:data:`_RETIRED_BIASES`).
 """
 from __future__ import annotations
 
+import os
 import re
 import struct
+from contextlib import contextmanager
 from typing import BinaryIO
 
 from .model import ConfigError, Model, build_model, config_from_text, config_to_text, iter_state
@@ -102,8 +104,23 @@ def _fold_retired_biases(state: dict, order: list) -> tuple[dict, list]:
     return state, [n for n in order if n in state]
 
 
+@contextmanager
+def atomic_open(path: str, mode: str):
+    """Open a temp file beside ``path`` and rename it over ``path`` on success,
+    so a failed write leaves an existing file as it was and no partial file."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path: str, model: Model) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         write_checkpoint_stream(fh, model)
 
 

@@ -38,26 +38,14 @@ def _pin_threads(argv) -> None:
 
 
 def _emit(path, text: str) -> None:
-    """CSV payloads go to --out when given, stdout otherwise."""
+    """CSV and config text go to the path when given, stdout otherwise."""
+    from .checkpoint import atomic_open
+
     if path:
-        _atomic_write(path, text)
+        with atomic_open(path, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _atomic_write(path: str, payload, binary: bool = False) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb" if binary else "w") as fh:
-            if callable(payload):
-                payload(fh)
-            else:
-                fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,8 +177,8 @@ def _resolve_model(args, default_preset: str | None = None):
     return build_model(_resolve_config(args, default_preset), seed=args.seed)
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def main() -> int:
+    argv = sys.argv[1:]
     _pin_threads(argv)
     args = _build_parser().parse_args(argv)
 
@@ -209,7 +197,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     import numpy as np
 
-    from .checkpoint import write_checkpoint_stream
+    from .checkpoint import save_checkpoint
     from .model import config_to_text, count_params
 
     if args.command == "build":
@@ -217,9 +205,9 @@ def _dispatch(args) -> int:
 
         cfg = _resolve_config(args)
         model = build_model(cfg, seed=args.seed)
-        _atomic_write(args.out, lambda fh: write_checkpoint_stream(fh, model), binary=True)
+        save_checkpoint(args.out, model)
         if args.dump_config:
-            _atomic_write(args.dump_config, config_to_text(cfg))
+            _emit(args.dump_config, config_to_text(cfg))
         print(f"built {cfg.name}: {count_params(model)} params -> {args.out}")
         return 0
 
@@ -249,7 +237,7 @@ def _dispatch(args) -> int:
         )
         _emit(args.metrics, report.to_csv())
         if args.out:
-            _atomic_write(args.out, lambda fh: write_checkpoint_stream(fh, model), binary=True)
+            save_checkpoint(args.out, model)
         print(
             f"final val_acc={report.final_val_acc:.4f} val_loss={report.final_val_loss:.4f}",
             file=sys.stderr,

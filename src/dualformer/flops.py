@@ -8,6 +8,7 @@ Biases, normalizations, activations and comparisons are free.
 from __future__ import annotations
 
 from .blocks import MBCONV_EXPANSION, split_channels
+from .mhpa import MhpaConfig
 from .model import Model, ModelConfig, NUM_STAGES
 
 
@@ -19,11 +20,9 @@ def linear_flops(n: int, d_in: int, d_out: int) -> int:
     return n * d_in * d_out
 
 
-def vanilla_attention_flops(n: int, d: int, d_e: int | None = None) -> int:
-    """Full softmax attention: three projections plus two n x n products."""
-    if d_e is None:
-        d_e = d
-    return 3 * n * d * d_e + 2 * n * n * d_e
+def vanilla_attention_flops(n: int, d: int) -> int:
+    """Full softmax attention at width d: three projections plus two n x n products."""
+    return 3 * n * d * d + 2 * n * n * d
 
 
 def partition_attention_flops(n: int, d: int, hash_bits: int = 3) -> int:
@@ -44,15 +43,14 @@ def partition_attention_flops(n: int, d: int, hash_bits: int = 3) -> int:
     return hash_cost + values + intra + inter + aggregate
 
 
-def mhpa_layer_flops(h: int, w: int, channels: int, downsample_rate: int,
-                     num_heads: int, hash_bits: int = 3) -> dict:
+def mhpa_layer_flops(h: int, w: int, channels: int, cfg: MhpaConfig) -> dict:
     """Whole attention branch on an h x w grid of `channels` features."""
-    k = downsample_rate
+    k = cfg.downsample_rate
     hd, wd = -(-h // k), -(-w // k)
     n = hd * wd
-    d = channels // num_heads
+    d = channels // cfg.num_heads
     down = conv2d_flops(hd, wd, channels, channels, 3, groups=channels)
-    heads = num_heads * partition_attention_flops(n, d, hash_bits)
+    heads = cfg.num_heads * partition_attention_flops(n, d, cfg.hash_bits)
     up = conv2d_flops(hd, wd, channels, channels * k * k, 1)
     total = down + heads + up
     return {"down": down, "heads": heads, "up": up, "total": total}
@@ -73,15 +71,12 @@ def ffn_flops(h: int, w: int, channels: int, hidden: int) -> int:
 def block_flops(h: int, w: int, cfg: ModelConfig, stage: int) -> dict:
     """One dual block of `stage` (0-based) at grid h x w."""
     c = cfg.channels[stage]
-    conv_c, attn_c = split_channels(c, cfg.split_ratio, cfg.mode)
+    conv_c, attn_c = split_channels(c, cfg.mode)
     parts = {"conv": 0, "attn": 0}
     if cfg.mode != "attn_only":
         parts["conv"] = mbconv_flops(h, w, conv_c)
     if cfg.mode != "conv_only":
-        parts["attn"] = mhpa_layer_flops(
-            h, w, attn_c, cfg.downsample_rates[stage], cfg.heads[stage],
-            cfg.hash_bits[stage],
-        )["total"]
+        parts["attn"] = mhpa_layer_flops(h, w, attn_c, cfg.mhpa_config(stage))["total"]
     parts["ffn"] = ffn_flops(h, w, c, int(round(c * cfg.ffn_ratio)))
     parts["total"] = parts["conv"] + parts["attn"] + parts["ffn"]
     return parts

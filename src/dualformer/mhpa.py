@@ -233,11 +233,11 @@ def mhpa_forward(
     C to C*k^2 -> channel-to-spatial unfold with the raw input as skip. With
     the expansion conv zeroed the layer is exactly the identity.
 
-    ``sites`` maps heads to their hash sites. A head with an entry replays its
-    ``"assignment"`` verbatim (frozen partitions), whatever the other heads
-    do. Any other head hashes its tokens and, when ``sites`` is given, stores
-    ``{"assignment", "shape"}`` under itself, ``"shape"`` being the
-    (H/k, W/k) token grid.
+    ``sites`` maps heads to their hash sites. When it holds every head of
+    the layer, each replays its ``"assignment"`` verbatim (frozen
+    partitions). When it holds none, the heads hash their tokens and each
+    stores ``{"assignment", "shape"}`` under itself, ``"shape"`` being the
+    (H/k, W/k) token grid. Holding only some of the heads is a ShapeError.
     """
     if x.ndim != 4:
         raise ShapeError(f"mhpa_forward: expected (B, H, W, C), got {x.shape}")
@@ -260,18 +260,19 @@ def mhpa_forward(
     toks = transpose(reshape(down, (b, n, heads, d)), (0, 2, 1, 3))  # (B, heads, n, d)
     stacked = stack_heads(params.heads)
 
-    entries = [None if sites is None else sites.get(head) for head in params.heads]
-    fresh = hash_codes(toks.data.astype(np.float64, copy=False), stacked.norms.beta)
-    per_head = [fresh[:, i] if e is None else np.asarray(e["assignment"])
-                for i, e in enumerate(entries)]
-    if any(a.shape != (b, n) for a in per_head):
+    given = [] if sites is None else [np.asarray(sites[h]["assignment"])
+                                      for h in params.heads if h in sites]
+    if given and len(given) != heads:
+        raise ShapeError(f"mhpa_forward: sites holds {len(given)} of the layer's {heads} heads")
+    if any(a.shape != (b, n) for a in given):
         raise ShapeError(f"mhpa_forward: replayed assignments must have shape {(b, n)}")
+    # with no assignment given, the head hashes all heads' tokens in one call
     out, assign = mhpa_head_forward(toks, stacked, cfg.num_clusters,
-                                    assign=np.stack(per_head, axis=1), attend=cfg.attend)
-    if sites is not None:
-        for i, (head, e) in enumerate(zip(params.heads, entries)):
-            if e is None:
-                sites[head] = {"assignment": assign[:, i], "shape": (hs, ws)}
+                                    assign=np.stack(given, axis=1) if given else None,
+                                    attend=cfg.attend)
+    if sites is not None and not given:
+        for i, head in enumerate(params.heads):
+            sites[head] = {"assignment": assign[:, i], "shape": (hs, ws)}
 
     merged = reshape(transpose(out, (0, 2, 1, 3)), (b, hs, ws, c))
     up = conv2d(merged, params.up_w, params.up_b)

@@ -18,6 +18,7 @@ from .blocks import (
     DualBlockParams,
     MODES,
     PatchEmbedParams,
+    SPLIT_RATIO,
     dual_block_forward,
     make_dual_block,
     make_patch_embed,
@@ -29,9 +30,10 @@ from .mhpa import MhpaConfig
 from .tensor import ShapeError, Tensor, add_bias, constant, matmul, no_grad, tmean, transpose
 
 NUM_STAGES = 4
-DEFAULT_HASH_BITS = (3, 3, 3, 3)
-DEFAULT_DOWNSAMPLE = (4, 2, 2, 1)
-DEFAULT_SPLIT_RATIO = 0.5
+# Shared by every preset (docs/calibration.md): K = 2^HASH_BITS partitions
+# per head, and the stride of each stage's attention downsample.
+HASH_BITS = 3
+DOWNSAMPLE_RATES = (4, 2, 2, 1)
 
 
 class ConfigError(ValueError):
@@ -39,9 +41,8 @@ class ConfigError(ValueError):
 
 
 def default_heads(channels: int) -> int:
-    """Largest divisor of the attention-branch width at the default split not
-    above channels/32."""
-    _, branch = split_channels(channels, DEFAULT_SPLIT_RATIO, "parallel")
+    """Largest divisor of the attention-branch width not above channels/32."""
+    _, branch = split_channels(channels, "parallel")
     cap = max(1, channels // 32)
     for h in range(min(cap, branch), 0, -1):
         if branch % h == 0:
@@ -54,13 +55,14 @@ class ModelConfig:
     name: str = "custom"
     depths: tuple = (1, 1, 1, 1)
     channels: tuple = (16, 32, 64, 128)
-    heads: tuple = (1, 1, 2, 4)
-    hash_bits: tuple = DEFAULT_HASH_BITS
-    downsample_rates: tuple = DEFAULT_DOWNSAMPLE
-    split_ratio: float = DEFAULT_SPLIT_RATIO
     ffn_ratio: float = 4.0
     num_classes: int = 1000
     mode: str = "parallel"
+
+    @property
+    def heads(self) -> tuple:
+        """Attention heads per stage, derived from the widths."""
+        return tuple(default_heads(c) for c in self.channels)
 
     def validate(self) -> None:
         for fname in _INT_TUPLES:
@@ -69,54 +71,32 @@ class ModelConfig:
                 raise ConfigError(f"{fname} must be {NUM_STAGES} positive ints, got {seq}")
         if self.mode not in MODES:
             raise ConfigError(f"mode {self.mode!r} not in {MODES}")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError(f"split_ratio must lie in (0, 1), got {self.split_ratio}")
         if self.ffn_ratio <= 0:
             raise ConfigError(f"ffn_ratio must be positive, got {self.ffn_ratio}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
-        for i in range(NUM_STAGES):
-            c = self.channels[i]
+        for i, c in enumerate(self.channels, 1):
+            # an even width splits into two non-empty halves that the heads divide
             if c % 2:
-                raise ConfigError(f"stage {i + 1}: channels must be even, got {c}")
-            # checked in every mode, so a valid config stays valid under --mode
-            if min(split_channels(c, self.split_ratio, "parallel")) < 1:
-                raise ConfigError(f"stage {i + 1}: split leaves an empty branch at {c} channels")
-            _, branch = split_channels(c, self.split_ratio, self.mode)
-            if branch % self.heads[i]:
-                raise ConfigError(
-                    f"stage {i + 1}: attention width {branch} not divisible by "
-                    f"{self.heads[i]} heads"
-                )
+                raise ConfigError(f"stage {i}: channels must be even, got {c}")
 
     def mhpa_config(self, stage: int) -> MhpaConfig:
         return MhpaConfig(
-            downsample_rate=self.downsample_rates[stage],
-            hash_bits=self.hash_bits[stage],
+            downsample_rate=DOWNSAMPLE_RATES[stage],
+            hash_bits=HASH_BITS,
             num_heads=self.heads[stage],
         )
-
-
-def _preset(name, depths, channels, num_classes=1000, ffn_ratio=4.0) -> ModelConfig:
-    return ModelConfig(
-        name=name,
-        depths=depths,
-        channels=channels,
-        heads=tuple(default_heads(c) for c in channels),
-        ffn_ratio=ffn_ratio,
-        num_classes=num_classes,
-    )
 
 
 # Per-variant FFN ratios are not given in the paper text held here. The T,
 # S and B values are calibrated to the parameter and MAC budgets, which one
 # shared ratio cannot meet (docs/calibration.md); XS keeps the default 4.0.
 PRESETS: dict[str, ModelConfig] = {
-    "T": _preset("T", (2, 2, 4, 2), (64, 128, 256, 320), ffn_ratio=3.0),
-    "XS": _preset("XS", (2, 2, 4, 2), (64, 128, 320, 368)),
-    "S": _preset("S", (4, 4, 7, 3), (64, 128, 320, 512), ffn_ratio=5.0),
-    "B": _preset("B", (6, 12, 25, 7), (64, 128, 368, 560), ffn_ratio=5.25),
-    "Micro": _preset("Micro", (1, 1, 1, 1), (16, 32, 64, 128), num_classes=4),
+    "T": ModelConfig("T", (2, 2, 4, 2), (64, 128, 256, 320), ffn_ratio=3.0),
+    "XS": ModelConfig("XS", (2, 2, 4, 2), (64, 128, 320, 368)),
+    "S": ModelConfig("S", (4, 4, 7, 3), (64, 128, 320, 512), ffn_ratio=5.0),
+    "B": ModelConfig("B", (6, 12, 25, 7), (64, 128, 368, 560), ffn_ratio=5.25),
+    "Micro": ModelConfig("Micro", (1, 1, 1, 1), (16, 32, 64, 128), num_classes=4),
 }
 
 
@@ -128,9 +108,23 @@ def get_preset(name: str) -> ModelConfig:
 
 # -- flat key=value config text -----------------------------------------------
 
-_INT_TUPLES = ("depths", "channels", "heads", "hash_bits", "downsample_rates")
-# options since removed; configs written before carry them as false
-_RETIRED_KEYS = ("resample_norms", "share_partitions")
+_INT_TUPLES = ("depths", "channels")
+
+
+def _ints(seq) -> str:
+    return ",".join(str(int(v)) for v in seq)
+
+
+# Keys of options since made constant, each with the one value the program
+# wrote for it; None stands for the heads that the channels derive.
+_RETIRED_KEYS = {
+    "resample_norms": "false",
+    "share_partitions": "false",
+    "split_ratio": repr(SPLIT_RATIO),
+    "hash_bits": _ints([HASH_BITS] * NUM_STAGES),
+    "downsample_rates": _ints(DOWNSAMPLE_RATES),
+    "heads": None,
+}
 
 
 def config_to_text(cfg: ModelConfig) -> str:
@@ -138,7 +132,7 @@ def config_to_text(cfg: ModelConfig) -> str:
     for f in dataclasses.fields(cfg):
         key, val = f.name, getattr(cfg, f.name)
         if key in _INT_TUPLES:
-            val = ",".join(str(int(v)) for v in val)
+            val = _ints(val)
         elif isinstance(val, float):
             val = repr(val)
         lines.append(f"{key}={val}")
@@ -157,10 +151,7 @@ def config_from_text(text: str) -> ModelConfig:
         if key in kv:
             raise ConfigError(f"config line {lineno}: key {key!r} given twice")
         kv[key] = val
-    for key in _RETIRED_KEYS:
-        val = kv.pop(key, "false")
-        if val != "false":
-            raise ConfigError(f"{key}={val} is no longer supported")
+    retired = {key: kv.pop(key) for key in _RETIRED_KEYS if key in kv}
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(kv) - known
     if unknown:
@@ -170,7 +161,7 @@ def config_from_text(text: str) -> ModelConfig:
         try:
             if key in _INT_TUPLES:
                 args[key] = tuple(int(v) for v in val.split(","))
-            elif key in ("split_ratio", "ffn_ratio"):
+            elif key == "ffn_ratio":
                 args[key] = float(val)
             elif key == "num_classes":
                 args[key] = int(val)
@@ -180,6 +171,10 @@ def config_from_text(text: str) -> ModelConfig:
             raise ConfigError(f"config key {key}: cannot parse {val!r}: {exc}") from exc
     cfg = ModelConfig(**args)
     cfg.validate()
+    for key, val in retired.items():
+        only = _RETIRED_KEYS[key] or _ints(cfg.heads)
+        if val != only:
+            raise ConfigError(f"{key}={val} is no longer supported; the only value is {only}")
     return cfg
 
 
@@ -225,7 +220,6 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
                 cfg.mode,
                 cfg.mhpa_config(si),
                 rng,
-                split_ratio=cfg.split_ratio,
                 ffn_ratio=cfg.ffn_ratio,
             )
             for _ in range(cfg.depths[si])
@@ -337,13 +331,13 @@ def _leaves(obj, prefix: str = ""):
     # scalars, strings and None carry no state
 
 
-def iter_state(obj, prefix: str = ""):
+def iter_state(obj):
     """Yield (name, array, kind) over every tensor in a params tree.
 
     Learnable tensors are kind 'param'; running stats and hash hyperplanes
     are 'buffer'.
     """
-    for name, leaf in _leaves(obj, prefix):
+    for name, leaf in _leaves(obj):
         if isinstance(leaf, Tensor):
             yield name, leaf.data, "param" if leaf.requires_grad else "buffer"
         else:

@@ -10,8 +10,16 @@ from .model import Model, forward, named_parameters
 from .tensor import Tensor, constant, no_grad, reshape, select_index, sub, texp, tlog, tmean, tsum
 
 
+# AdamW's moment decay rates and denominator floor
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+CLIP_NORM = 1.0  # global gradient-norm cap per step
+# A batch loss above this many times ln(num_classes), the loss of a uniform
+# guess, counts as divergence even when it is finite.
+DIVERGED_LOSS_FACTOR = 100.0
+
+
 class TrainingDiverged(RuntimeError):
-    """Loss or gradients stopped being finite."""
+    """Loss or gradients stopped being finite, or the loss blew up."""
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -31,9 +39,6 @@ class AdamW:
 
     params: list
     lr: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.05
     step_count: int = 0
     _m: dict = field(default_factory=dict)
@@ -48,8 +53,8 @@ class AdamW:
             lr = self.lr
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for name, p in self.params:
             if p.grad is None:
                 continue
@@ -60,10 +65,10 @@ class AdamW:
                 v = np.zeros_like(g)
             else:
                 v = self._v[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * g * g
             self._m[name], self._v[name] = m, v
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if self.weight_decay and p.ndim >= 2:
                 update = update + self.weight_decay * p.data.astype(np.float64)
             p.data -= (lr * update).astype(p.dtype)
@@ -124,7 +129,6 @@ def train_toy(
     batch_size: int = 64,
     lr: float = 3e-3,
     weight_decay: float = 0.05,
-    clip_norm: float = 1.0,
     val_fraction: float = 0.2,
     seed: int = 0,
     log=None,
@@ -132,7 +136,8 @@ def train_toy(
     """Minibatch AdamW training with a held-out validation split.
 
     Cosine decay to 5% of the peak rate after a one-epoch warmup. Raises
-    TrainingDiverged on a non-finite loss instead of looping on NaNs.
+    TrainingDiverged on a batch loss that is not finite or exceeds
+    DIVERGED_LOSS_FACTOR * ln(num_classes), instead of training on.
     """
     tx, ty, vx, vy = train_val_split(images, labels, val_fraction, seed)
     params = named_parameters(model)
@@ -141,6 +146,7 @@ def train_toy(
     steps_per_epoch = max(1, -(-tx.shape[0] // batch_size))
     total_steps = epochs * steps_per_epoch
     warmup = steps_per_epoch
+    max_loss = DIVERGED_LOSS_FACTOR * np.log(model.config.num_classes)
     report = TrainReport()
     step = 0
     for epoch in range(1, epochs + 1):
@@ -154,11 +160,11 @@ def train_toy(
             except FloatingPointError as exc:
                 raise TrainingDiverged(f"forward overflowed at epoch {epoch}") from exc
             val = float(loss.item())
-            if not np.isfinite(val):
-                raise TrainingDiverged(f"loss became {val} at epoch {epoch}")
+            if not val <= max_loss:  # NaN fails the comparison too
+                raise TrainingDiverged(f"loss became {val} at epoch {epoch}, above {max_loss:.4g}")
             opt.zero_grad()
             loss.backward()
-            clip_gradients(params, clip_norm)
+            clip_gradients(params, CLIP_NORM)
             if step < warmup:
                 cur_lr = lr * (step + 1) / warmup
             else:

@@ -631,7 +631,7 @@ def stage3_high_freq(model):
     probe, _ = make_shapes(64, seed=99, size=FOURIER_PROBE_SIZE)
     feats = forward_features(model, probe, 3)
     radii, db = radial_log_amplitude(feats, num_bins=FOURIER_BINS)
-    return high_frequency_mean(radii, db, cutoff=0.75)
+    return high_frequency_mean(radii, db)
 
 
 @pytest.mark.slow

@@ -79,9 +79,9 @@ def test_low_pass_map_loses_high_frequencies():
 def test_high_frequency_mean_window():
     radii = np.array([0.2, 0.5, 0.8, 0.9])
     db = np.array([0.0, -3.0, -10.0, np.nan])
-    assert high_frequency_mean(radii, db, cutoff=0.75) == pytest.approx(-10.0)
+    assert high_frequency_mean(radii, db) == pytest.approx(-10.0)
     with pytest.raises(ValueError):
-        high_frequency_mean(radii, np.full(4, np.nan), cutoff=0.75)
+        high_frequency_mean(radii, np.full(4, np.nan))
 
 
 def test_batched_input_shapes():

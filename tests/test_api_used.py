@@ -6,6 +6,13 @@ refers to it: as a name, an attribute, an import, or a string constant
 that spells a dotted name (each part counts, which covers perfbench's
 by-name ``TARGETS`` and the package's lazy export table). Tests do not
 count, so API that only tests use is flagged.
+
+By the same rule every defaulted parameter of a package function, methods
+and nested functions included, must be passed by some call in the scanned
+code, by keyword or by position; otherwise it is a constant posing as an
+option. Calls are matched to definitions by name, a class call to its
+``__init__``, and a call with ``*args`` or ``**kwargs`` counts as passing
+what it could.
 """
 import ast
 import re
@@ -16,7 +23,10 @@ PKG = ROOT / "src" / "dualformer"
 SCANNED = ("src", "scripts", "perfbench")
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
-# kept without a caller in the scanned code, one reason per name
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# kept without a caller in the scanned code, one reason per name; a
+# parameter is named as module.function(parameter)
 ALLOWED = {
     "attention.vanilla_attention": "MHSA baseline that acceptance check 2 compares MHPA against",
     "flops.vanilla_attention_flops": "MHSA cost that acceptance check 4 compares MHPA against",
@@ -58,6 +68,53 @@ def _scan():
 DEFS, REFS = _scan()
 
 
+def _defaulted():
+    """(module.function(param), callee name, param, position among the call's
+    arguments or None for keyword-only) for every defaulted parameter."""
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {fn: cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, FUNCS)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, FUNCS):
+                continue
+            cls = owner.get(fn)
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            bound = int(cls is not None and not static)  # self is not a call argument
+            callee = cls.name if fn.name == "__init__" else fn.name
+            qual = f"{path.stem}.{cls.name + '.' if cls else ''}{fn.name}"
+            pos = fn.args.posonlyargs + fn.args.args
+            first = len(pos) - len(fn.args.defaults)
+            for i, arg in enumerate(pos[first:], first):
+                yield f"{qual}({arg.arg})", callee, arg.arg, i - bound
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield f"{qual}({arg.arg})", callee, arg.arg, None
+
+
+def _calls() -> dict:
+    """Callee name -> every call to that name in the scanned code."""
+    calls = {}
+    for stmt, _ in REFS:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, param: str, index) -> bool:
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+DEFAULTED = list(_defaulted())
+CALLS = _calls()
+
+
 def test_every_definition_has_a_caller():
     unused = sorted(
         qual
@@ -67,5 +124,14 @@ def test_every_definition_has_a_caller():
     assert [q for q in unused if q not in ALLOWED] == []
 
 
+def test_every_defaulted_parameter_is_passed():
+    unset = sorted(
+        qual
+        for qual, callee, param, index in DEFAULTED
+        if not any(_passes(call, param, index) for call in CALLS.get(callee, ()))
+    )
+    assert [q for q in unset if q not in ALLOWED] == []
+
+
 def test_allowlist_names_real_definitions():
-    assert set(ALLOWED) <= {qual for qual, _ in DEFS}
+    assert set(ALLOWED) <= {qual for qual, _ in DEFS} | {qual for qual, *_ in DEFAULTED}

@@ -160,8 +160,8 @@ def test_partitions_without_hash_sites_exits_2(tmp_path):
 def test_gradcheck_smoke(tmp_path):
     cfg = tmp_path / "mini.cfg"
     text = (
-        "name=mini\ndepths=1,1,1,1\nchannels=8,16,32,64\nheads=1,1,1,1\n"
-        "hash_bits=2,2,2,2\ndownsample_rates=4,2,2,1\nsplit_ratio=0.5\n"
+        "name=mini\ndepths=1,1,1,1\nchannels=8,16,32,64\n"
+        "downsample_rates=4,2,2,1\nsplit_ratio=0.5\n"
         "ffn_ratio=4.0\nnum_classes=4\nmode=parallel\n"
         "share_partitions=false\nresample_norms=false\n"
     )

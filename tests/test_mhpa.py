@@ -534,29 +534,19 @@ def test_layer_matches_per_head_loop(heads, attend):
     assert all(sites[h]["shape"] == (6, 6) for h in params.heads)
 
 
-def test_layer_mixed_replay_replays_given_heads_and_records_the_rest():
-    with precision.precision("f64"):
-        cfg, params, x = loop_setup(4, "full", seed=30)
-        r = np.random.default_rng(31)
-        given = {params.heads[i]: r.integers(0, 8, size=(2, 36)) for i in (0, 2)}
-        sites = {head: {"assignment": a} for head, a in given.items()}
-        replayed = dict(sites)
-        got = mhpa_forward(x, params, cfg, sites=sites)
-        want, _ = per_head_loop(x, params, cfg, given)
-        _, hashed = per_head_loop(x, params, cfg, {})
-        again = mhpa_forward(
-            x, params, cfg, sites={h: {"assignment": e["assignment"]} for h, e in sites.items()}
-        )
-    # the replayed heads' entries are untouched; the other two hashed and recorded
-    assert all(sites[h] is e and set(e) == {"assignment"} for h, e in replayed.items())
-    for i in (1, 3):
-        entry = sites[params.heads[i]]
-        assert np.array_equal(entry["assignment"], hashed[i]) and entry["shape"] == (6, 6)
-    assert not any(np.array_equal(given[params.heads[i]], hashed[i]) for i in (0, 2))
-    assert np.abs(got.data - want.data).max() <= 1e-12
-    assert np.array_equal(again.data, got.data)
-    short = {params.heads[1]: {"assignment": np.zeros((2, 35), dtype=np.int64)}}
-    with pytest.raises(ShapeError):
+def test_layer_partial_sites_rejected():
+    # a sites dict replays every head of a layer or records them all
+    cfg, params, x = loop_setup(4, "full", seed=30)
+    r = np.random.default_rng(31)
+    for held in [(0,), (0, 2), (0, 1, 3)]:
+        sites = {params.heads[i]: {"assignment": r.integers(0, 8, size=(2, 36))} for i in held}
+        before = dict(sites)
+        with pytest.raises(ShapeError, match=f"sites holds {len(held)} of the layer's 4 heads"):
+            mhpa_forward(x, params, cfg, sites=sites)
+        assert sites == before
+    short = {h: {"assignment": np.zeros((2, 36), dtype=np.int64)} for h in params.heads}
+    short[params.heads[1]] = {"assignment": np.zeros((2, 35), dtype=np.int64)}
+    with pytest.raises(ShapeError, match="replayed assignments"):
         mhpa_forward(x, params, cfg, sites=short)
 
 

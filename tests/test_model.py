@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualformer import blocks as blocks_module
+from dualformer import checkpoint as checkpoint_module
 from dualformer import model as model_module
 from dualformer import precision
 from dualformer.blocks import MODES
@@ -46,6 +47,7 @@ from dualformer.model import (
     named_parameters,
 )
 from dualformer.conv import conv2d
+from dualformer.mhpa import MhpaConfig
 from dualformer.norms import BN_EPS
 from dualformer.tensor import ShapeError, constant, graph_records
 from dualformer.tensor_io import write_tensor_stream
@@ -91,9 +93,6 @@ def test_unknown_preset_rejected():
     [
         ("depths", (1, 1, 1)),
         ("channels", (15, 32, 64, 128)),
-        ("heads", (3, 1, 2, 4)),
-        ("downsample_rates", (0, 1, 1, 1)),
-        ("split_ratio", 1.5),
         ("num_classes", 1),
         ("mode", "zigzag"),
     ],
@@ -123,24 +122,45 @@ def test_config_text_rejects_bad_bool():
 
 
 @pytest.mark.parametrize(
-    "line", ["depths=1,x,1,1", "split_ratio=abc", "num_classes=4.5", "channels=16,,64,128"]
+    "line",
+    ["depths=1,x,1,1", "split_ratio=abc", "num_classes=4.5", "channels=16,,64,128",
+     "ffn_ratio=abc"],
 )
 def test_config_text_rejects_non_numeric_values(line):
+    # the bad line replaces the key's own, so the error is not a repeated key
     key = line.split("=")[0]
-    text = config_to_text(PRESETS["Micro"]) + line + "\n"
-    with pytest.raises(ConfigError, match=key):
-        config_from_text(text)
+    kept = [ln for ln in config_to_text(PRESETS["Micro"]).splitlines() if ln.split("=")[0] != key]
+    with pytest.raises(ConfigError, match=key) as exc:
+        config_from_text("\n".join(kept + [line]) + "\n")
+    assert "given twice" not in str(exc.value)
+
+
+# every config text written before a retired option was made a constant,
+# with the value it carried then; Micro's derived heads are 1,1,2,4
+PARENT_KEYS = {
+    "resample_norms": "false",
+    "share_partitions": "false",
+    "split_ratio": "0.5",
+    "hash_bits": "3,3,3,3",
+    "downsample_rates": "4,2,2,1",
+    "heads": "1,1,2,4",
+}
 
 
 def test_config_text_legacy_resample_norms_line(micro_ckpt):
-    # checkpoints written before these options were removed carry them as false
+    # configs written before these options were removed carry their one value
     text = config_to_text(PRESETS["Micro"])
-    for key in ("resample_norms", "share_partitions"):
+    for key, only in PARENT_KEYS.items():
         assert key not in text
-        assert config_from_text(f"{text}{key}=false\n") == PRESETS["Micro"]
-        for val in ("true", "maybe"):
+        assert config_from_text(f"{text}{key}={only}\n") == PRESETS["Micro"]
+        for val in ("true", "maybe", "0.25", "2,2,2,2", "4,2,2,2", "1,1,1,1"):
             with pytest.raises(ConfigError, match=key):
                 config_from_text(f"{text}{key}={val}\n")
+    # heads are accepted only as the channels derive them
+    t = config_to_text(PRESETS["T"])
+    assert config_from_text(f"{t}heads=2,4,8,10\n") == PRESETS["T"]
+    with pytest.raises(ConfigError, match="heads"):
+        config_from_text(f"{t}heads=1,1,2,4\n")
     start, end = _config_span(micro_ckpt)
     line = b"share_partitions=true\n"
     patched = (micro_ckpt[:8] + struct.pack("<I", end - start + len(line))
@@ -205,8 +225,8 @@ def micro_param_oracle(cfg: ModelConfig) -> int:
         c = cfg.channels[i]
         if i:
             total += conv_bn(cfg.channels[i - 1], c, 3)
-        conv_c = int(round(c * cfg.split_ratio))
-        per_block = mbconv(conv_c) + mhpa(c - conv_c, cfg.heads[i], cfg.downsample_rates[i])
+        conv_c = c // 2
+        per_block = mbconv(conv_c) + mhpa(c - conv_c, cfg.heads[i], (4, 2, 2, 1)[i])
         per_block += 2 * c + ffn(c)
         total += per_block * cfg.depths[i]
     total += cfg.channels[-1] * cfg.num_classes + cfg.num_classes
@@ -397,7 +417,7 @@ def test_conv_flops_pinned_example():
 
 def test_linear_and_vanilla_formulas():
     assert linear_flops(2, 3, 5) == 30
-    assert vanilla_attention_flops(2, 3, 5) == 3 * 2 * 3 * 5 + 2 * 4 * 5
+    assert vanilla_attention_flops(2, 3) == 3 * 2 * 3 * 3 + 2 * 4 * 3
 
 
 def test_partition_attention_all_terms_linear_in_n():
@@ -408,7 +428,7 @@ def test_partition_attention_all_terms_linear_in_n():
 
 
 def test_mhpa_layer_flops_breakdown_sums():
-    rep = mhpa_layer_flops(8, 8, 16, 2, 2)
+    rep = mhpa_layer_flops(8, 8, 16, MhpaConfig(downsample_rate=2, num_heads=2))
     assert rep["total"] == rep["down"] + rep["heads"] + rep["up"]
 
 
@@ -443,6 +463,25 @@ def test_checkpoint_roundtrip_bitwise_forward(tmp_path):
     got = forward(loaded, x).data
     assert np.array_equal(got, want)
     assert loaded.config == model.config
+
+
+def test_failed_save_leaves_existing_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), build_model(get_preset("Micro"), seed=0))
+    before = path.read_bytes()
+    calls = []
+
+    def fail_midway(stream, arr):
+        calls.append(1)
+        if len(calls) == 5:
+            raise RuntimeError("disk gone")
+        write_tensor_stream(stream, arr)
+
+    monkeypatch.setattr(checkpoint_module, "write_tensor_stream", fail_midway)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        save_checkpoint(str(path), build_model(get_preset("Micro"), seed=1))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 def test_checkpoint_huge_dim_in_file_is_checkpoint_error(tmp_path):
@@ -549,6 +588,28 @@ def test_checkpoint_legacy_conv_biases_fold_into_running_mean(tmp_path, monkeypa
     # the biases matter: a reader that dropped them would be far off
     ignored = forward(model, x).data
     assert np.abs(ignored - want).max() > 1e-2 * np.abs(want).max()
+
+
+def test_checkpoint_with_retired_config_keys_loads_bitwise(tmp_path):
+    # the header a Micro checkpoint carried while the retired keys were fields
+    text = (b"name=Micro\ndepths=1,1,1,1\nchannels=16,32,64,128\nheads=1,1,2,4\n"
+            b"hash_bits=3,3,3,3\ndownsample_rates=4,2,2,1\nsplit_ratio=0.5\n"
+            b"ffn_ratio=4.0\nnum_classes=4\nmode=parallel\n")
+    # the state it stores is a fresh build's, through the f32 file format
+    current = tmp_path / "new.ckpt"
+    save_checkpoint(str(current), build_model(get_preset("Micro"), seed=0))
+    raw = current.read_bytes()
+    _, end = _config_span(raw)
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[end:])
+    old, new = load_checkpoint(str(path)), load_checkpoint(str(current))
+    assert old.config == new.config == get_preset("Micro")
+    got, want = list(iter_state(old)), list(iter_state(new))
+    assert [n for n, _, _ in got] == [n for n, _, _ in want]
+    for (name, a, _), (_, b, _) in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    x = np.random.default_rng(8).normal(size=(2, 3, 32, 32)).astype(np.float32)
+    assert forward(old, x).data.tobytes() == forward(new, x).data.tobytes()
 
 
 def test_checkpoint_legacy_bias_of_wrong_shape_is_checkpoint_error():

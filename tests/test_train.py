@@ -187,11 +187,22 @@ def test_evaluate_restores_graph_recording_after_an_error():
 def test_divergence_aborts():
     images, labels = make_shapes(16, seed=3)
     model = build_model(get_preset("Micro"), seed=0)
-    # x1e100 overflows batch norm's variance in the first forward; x1e30
-    # trains through an epoch to a finite loss of about 2.7e143 and shows
-    # nothing
+    # x1e100 overflows batch norm's variance in the first forward
     for _, p in named_parameters(model):
         p.data *= 1e100
     with pytest.raises(TrainingDiverged) as caught:
-        train_toy(model, images, labels, epochs=1, batch_size=8, clip_norm=0.0)
+        train_toy(model, images, labels, epochs=1, batch_size=8)
     assert isinstance(caught.value.__cause__, FloatingPointError)
+
+
+def test_finite_loss_blowup_aborts():
+    # x1e30 keeps every value finite: the first batch's loss is about 2.4e59
+    # against 1.39 for a uniform guess over 4 classes, and without a bound
+    # an epoch trains through to a loss of about 2.7e143
+    images, labels = make_shapes(16, seed=3)
+    model = build_model(get_preset("Micro"), seed=0)
+    for _, p in named_parameters(model):
+        p.data *= 1e30
+    with pytest.raises(TrainingDiverged, match="epoch 1") as caught:
+        train_toy(model, images, labels, epochs=1, batch_size=8)
+    assert caught.value.__cause__ is None
