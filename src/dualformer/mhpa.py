@@ -16,6 +16,12 @@ that every attention op takes: bucket sums are ``bucketsᵀ @ x`` and lookups
 layer runs all of them as one batch: (B, heads, n, d) tokens against one
 head whose tensors are stacked along a leading head axis (``stack_heads``).
 
+Intra, inter and the aggregate are one autodiff node each, with a
+hand-derived backward that sums weight gradients over the batch axes. They
+take both layouts: a head's weights are (d, ·) and its biases (·,), or
+(heads, d, ·) and (heads, ·) when stacked, and a bias adds along the rows of
+its head as ``b[..., None, :]``.
+
 Division safety: every data-dependent denominator in the intra weighting
 carries +1e-6, and intra inputs are expected to be nonnegative (the layer
 gates them through a sigmoid first). Bucket coefficients in the inter step
@@ -34,18 +40,20 @@ from .partition import NormVectors, hash_codes
 from .tensor import (
     ShapeError,
     Tensor,
+    _coerce,
+    _gelu_grad,
+    _gelu_parts,
+    _guard_finite,
+    _make,
+    _softmax,
+    _softmax_grad,
+    _unbroadcast,
     add_bias,
-    concat,
     constant,
-    gather_segments,
-    gelu,
     matmul,
-    mul,
     one_hot,
     reshape,
-    segment_sum,
     sigmoid,
-    softmax,
     stack,
     transpose,
 )
@@ -111,49 +119,149 @@ def segment_counts(assign: np.ndarray, num_clusters: int) -> np.ndarray:
     return one_hot(assign, num_clusters, np.int64).sum(axis=-2)
 
 
+def _check_bucket_op(op: str, buckets: np.ndarray, *tensors: Tensor) -> None:
+    """Every tensor shares the bucket matrix's dtype, and the first its rows."""
+    rows = tensors[0].shape[:-1]
+    if buckets.shape[:-1] != rows:
+        raise ShapeError(f"{op}: bucket matrix {buckets.shape} does not fit rows {rows}")
+    for t in tensors:
+        if t.dtype != buckets.dtype:
+            raise TypeError(f"{op}: mixed dtypes: {t.dtype} vs buckets {buckets.dtype}")
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient at ``w`` of ``a @ w``, summed over the batch axes."""
+    return _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), w.shape)
+
+
+def _bias_grad(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gradient at ``b`` of adding ``b[..., None, :]`` to every row of its
+    head, summed over the batch axes."""
+    return _unbroadcast(g, b.shape[:-1] + (1, b.shape[-1])).reshape(b.shape)
+
+
 def intra_partition_attention(x: Tensor, x_tilde: Tensor, buckets: np.ndarray) -> Tensor:
-    """Reweight tokens inside each bucket.
+    """Reweight tokens inside each bucket, as one autodiff node.
 
     Per bucket and per channel: w_i = x_i / (sum_j x_j + eps), then
     out_i = (w_i * x̃_i) / (sum_j w_j + eps). ``x`` supplies the weights and
     is expected to be nonnegative (gate it upstream); ``x_tilde`` supplies
-    the values.
+    the values. Each denominator is one reciprocal per bucket, looked up per
+    token, and a non-finite one raises ``FloatingPointError``.
     """
-    sums = segment_sum(x, buckets)
-    w = x / (gather_segments(sums, buckets) + EPS)
-    wsums = segment_sum(w, buckets)
-    return (w * x_tilde) / (gather_segments(wsums, buckets) + EPS)
+    x, xt = _coerce(x), _coerce(x_tilde)
+    op = "intra_partition_attention"
+    if x.shape != xt.shape:
+        raise ShapeError(f"{op}: weights {x.shape} vs values {xt.shape}")
+    _check_bucket_op(op, buckets, x, xt)
+    bt = np.swapaxes(buckets, -1, -2)
+    # per-bucket reciprocals (..., K, d); every (n, d) buffer is written in
+    # place, since each fresh one costs its page faults
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ra = _guard_finite(1.0 / (bt @ x.data + EPS), op)
+        w = buckets @ ra
+        w *= x.data
+        rb = _guard_finite(1.0 / (bt @ w + EPS), op)
+    out = buckets @ rb
+    out *= w
+    out *= xt.data
+
+    def backward(g):
+        # with Σ a bucket sum, looked up back per token: dx̃ = g w rb,
+        # dw = rb (g x̃ - Σ g out) and dx = ra (dw - Σ dw w)
+        dw = buckets @ rb
+        dw *= g
+        dxt = dw * w
+        dw *= xt.data
+        buf = dxt * xt.data  # g out
+        dw -= np.matmul(buckets, rb * (bt @ buf), out=buf)
+        sum_dww = bt @ np.multiply(dw, w, out=buf)
+        dx = dw
+        dx *= np.matmul(buckets, ra, out=buf)
+        dx -= np.matmul(buckets, ra * sum_dww, out=buf)
+        return dx, dxt
+
+    return _make(out, (x, xt), backward, op)
 
 
 def inter_partition_attention(
     x_tilde: Tensor, buckets: np.ndarray, head: MhpaHeadParams
 ) -> Tensor:
-    """Bucket descriptors scaled by normalized importance.
+    """Bucket descriptors scaled by normalized importance, as one autodiff node.
 
     Each bucket's descriptor is the mean of its tokens; a two-layer
     importance predictor scores every bucket and a softmax over buckets
     (restricted to non-empty ones) produces coefficients summing to one.
     Returns one row per bucket, (..., num_clusters, d), zeros for empty
-    buckets.
+    buckets. The node's parents are ``x_tilde`` and the predictor's four
+    tensors.
     """
+    xt = _coerce(x_tilde)
+    w1, b1, w2, b2 = head.imp_w1, head.imp_b1, head.imp_w2, head.imp_b2
+    op = "inter_partition_attention"
+    _check_bucket_op(op, buckets, xt, w1, b1, w2, b2)
+    if w1.shape[-2] != xt.shape[-1]:
+        raise ShapeError(f"{op}: predictor {w1.shape} does not take {xt.shape[-1]} channels")
     counts = buckets.sum(axis=-2)
     # an empty bucket's sum is a zero row, so its descriptor stays exactly zero
     inv = (1.0 / np.maximum(counts, 1))[..., None]
-    descr = mul(segment_sum(x_tilde, buckets), constant(inv, dtype=x_tilde.dtype))
+    descr = np.swapaxes(buckets, -1, -2) @ xt.data
+    descr *= inv
+    z = descr @ w1.data + b1.data[..., None, :]
+    h, s = _gelu_parts(z)
+    scores = h @ w2.data + b2.data[..., None, :]  # (..., K, 1)
+    coeff = _softmax(scores, -2, (counts > 0)[..., None])
+    out = descr * coeff
 
-    h = gelu(add_bias(matmul(descr, head.imp_w1), head.imp_b1))
-    scores = add_bias(matmul(h, head.imp_w2), head.imp_b2)  # (..., K, 1)
-    coeff = softmax(scores, axis=-2, mask=(counts > 0)[..., None])
-    return mul(descr, coeff)
+    def backward(g):
+        dscores = _softmax_grad(coeff, (g * descr).sum(axis=-1, keepdims=True), -2)
+        dz = _gelu_grad(z, s, dscores @ np.swapaxes(w2.data, -1, -2))
+        ddescr = g * coeff
+        ddescr += dz @ np.swapaxes(w1.data, -1, -2)
+        ddescr *= inv
+        return (buckets @ ddescr, _weight_grad(descr, dz, w1.data), _bias_grad(dz, b1.data),
+                _weight_grad(h, dscores, w2.data), _bias_grad(dscores, b2.data))
+
+    return _make(out, (xt, w1, b1, w2, b2), backward, op)
 
 
 def global_local_aggregate(
     intra: Tensor, inter: Tensor, buckets: np.ndarray, head: MhpaHeadParams
 ) -> Tensor:
-    """Fuse per-token and per-bucket views: look up each token's bucket row,
-    concatenate along channels, project 2d -> d."""
-    fused = concat([intra, gather_segments(inter, buckets)], axis=-1)
-    return add_bias(matmul(fused, head.agg_w), head.agg_b)
+    """Fuse per-token and per-bucket views, as one autodiff node: project
+    each token's intra row through the top half of ``agg_w`` and add its
+    bucket's inter row projected through the bottom half, plus ``agg_b``.
+
+    This is ``[intra, inter row] @ agg_w + agg_b`` with the bucket rows
+    projected before the lookup, so no (n, 2d) concatenation is formed.
+    """
+    intra, inter = _coerce(intra), _coerce(inter)
+    op = "global_local_aggregate"
+    w, b = head.agg_w, head.agg_b
+    _check_bucket_op(op, buckets, intra, inter, w, b)
+    d = intra.shape[-1]
+    if buckets.shape[-1] != inter.shape[-2] or inter.shape[-1] != d or w.shape[-2] != 2 * d:
+        raise ShapeError(
+            f"{op}: intra {intra.shape}, inter {inter.shape} and buckets {buckets.shape} "
+            f"do not fit agg_w {w.shape}"
+        )
+    top, bot = w.data[..., :d, :], w.data[..., d:, :]
+    out = intra.data @ top
+    out += buckets @ (inter.data @ bot)
+    out += b.data[..., None, :]
+
+    def backward(g):
+        # g feeds three products; a broadcast g (the gradient of a sum) would
+        # take numpy's loop in place of BLAS
+        g = np.ascontiguousarray(g)
+        gp = np.swapaxes(buckets, -1, -2) @ g  # at the projected bucket rows
+        dw = np.concatenate(
+            [_weight_grad(intra.data, g, top), _weight_grad(inter.data, gp, bot)], axis=-2
+        )
+        return (g @ np.swapaxes(top, -1, -2), gp @ np.swapaxes(bot, -1, -2), dw,
+                _bias_grad(g, b.data))
+
+    return _make(out, (intra, inter, w, b), backward, op)
 
 
 def channel_to_spatial(x: Tensor, rate: int, skip: Tensor) -> Tensor:

@@ -124,23 +124,27 @@ def kmeans_objective(tokens, partition: Partition) -> float:
     return float((diff * diff).sum())
 
 
-def _sq_dists(arr: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # (n, K) squared distances without forming the (n, K, d) cube; the
-    # expansion can dip a hair below zero for points at a center
-    d2 = (
-        (arr * arr).sum(axis=1)[:, None]
-        - 2.0 * arr @ centers.T
-        + (centers * centers).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _sq_dists(arr: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, K) squared distances ``|x|^2 - 2 x.c + |c|^2`` from the token norms
+    ``sq`` without forming the (n, K, d) cube, built in one buffer.
+
+    ``x @ (-2 c)`` is ``-2 (x @ c)`` bit for bit, as -2 is an exact scale.
+    The expansion can dip a hair below zero for points at a center, so it is
+    clamped there.
+    """
+    d2 = arr @ (-2.0 * centers).T
+    d2 += sq[:, None]
+    d2 += (centers * centers).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def kmeans_assign(tokens, num_clusters: int, max_iters: int = 5, seed: int = 0) -> Partition:
     """Lloyd's algorithm with distance-weighted seeding.
 
+    Every distance comes from :func:`_sq_dists` against norms computed once.
     Empty clusters are reseeded to the point farthest from its own centroid,
-    which can only lower the objective; the objective is asserted
-    non-increasing across iterations.
+    which can only lower the objective; the objective, read from each step's
+    distance table, is asserted non-increasing across iterations.
     """
     arr = _as_array(tokens)
     n, _ = arr.shape
@@ -151,46 +155,45 @@ def kmeans_assign(tokens, num_clusters: int, max_iters: int = 5, seed: int = 0) 
     if max_iters < 1:
         raise PartitionError(f"max_iters must be positive, got {max_iters}")
     rng = np.random.default_rng(seed)
+    sq = np.einsum("ij,ij->i", arr, arr)
+    rows = np.arange(n)
 
     # distance-weighted (k-means++) seeding
     centers = np.empty((num_clusters, arr.shape[1]))
     centers[0] = arr[rng.integers(n)]
-    d2 = _sq_dists(arr, centers[:1]).min(axis=1)
+    d2 = _sq_dists(arr, sq, centers[:1])[:, 0]
     for k in range(1, num_clusters):
         total = d2.sum()
         if total <= 0.0:
             centers[k] = arr[rng.integers(n)]
         else:
             centers[k] = arr[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((arr - centers[k]) ** 2).sum(axis=1))
+        np.minimum(d2, _sq_dists(arr, sq, centers[k:k + 1])[:, 0], out=d2)
 
     prev_obj = np.inf
     assign = None
     for _ in range(max_iters):
-        dists = _sq_dists(arr, centers)
+        dists = _sq_dists(arr, sq, centers)
         assign = dists.argmin(axis=1)
         # repair empties before measuring: steal the worst-fit point
         counts = np.bincount(assign, minlength=num_clusters)
         for k in np.flatnonzero(counts == 0):
-            errs = dists[np.arange(n), assign].copy()
+            errs = dists[rows, assign]
             errs[counts[assign] <= 1] = -np.inf  # do not orphan a singleton
             j = int(errs.argmax())
             counts[assign[j]] -= 1
             assign[j] = k
             counts[k] = 1
             centers[k] = arr[j]
-            dists[:, k] = ((arr - centers[k]) ** 2).sum(axis=1)
-        diff = arr - centers[assign]
-        obj = float((diff * diff).sum())
+            dists[:, k] = _sq_dists(arr, sq, centers[k:k + 1])[:, 0]
+        obj = float(dists[rows, assign].sum())
         if obj > prev_obj * (1.0 + 1e-9) + 1e-9:
             raise AssertionError(
                 f"k-means objective increased: {prev_obj} -> {obj}"
             )
         prev_obj = obj
         # update step
-        onehot = one_hot(assign, num_clusters, arr.dtype)
-        sums = onehot.T @ arr
-        counts = onehot.sum(axis=0)
+        sums = one_hot(assign, num_clusters, arr.dtype).T @ arr
         nonzero = counts > 0
         centers[nonzero] = sums[nonzero] / counts[nonzero, None]
 

@@ -401,13 +401,22 @@ def tsqrt(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _coerce(a)
     x = a.data
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, both from e = exp(-|x|),
-    # so exp never overflows
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, as exp(min(x, 0)) over
+    # 1 + exp(-|x|), so exp never overflows. Branch-free: selecting on the
+    # sign with np.where took 1.8 ms on a (3136, 64) float32 map of random
+    # signs, six times the two exps
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    out /= e
 
     def backward(g):
-        return (g * out * (1.0 - out),)
+        dx = g * out
+        dx *= 1.0 - out
+        return (dx,)
 
     return _make(out, (a,), backward, "sigmoid")
 
@@ -417,15 +426,9 @@ _GELU_A = 0.044715
 _GELU_SAT = 1e4  # far past where the sigmoid of the GELU argument is exactly 0 or 1
 
 
-def gelu(a) -> Tensor:
-    """Smooth GELU, ``0.5 x (1 + tanh(u))`` with ``u = c (x + A x^3)``, in its
-    sigmoid form ``x * sigmoid(2u)``; forward and backward share the sigmoid.
-
-    The sigmoid form keeps float32 relative accuracy for negative x, where
-    ``1 + tanh(u)`` cancels.
-    """
-    a = _coerce(a)
-    x = a.data
+def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU's array math: ``(gelu(x), s)`` with ``s = sigmoid(2u)``, the
+    buffer :func:`_gelu_grad` reuses."""
     # -2u = x (-2c - 2cA x^2) by multiplies (float32 ``x**3`` takes numpy's
     # slow pow loop), in one buffer that becomes the sigmoid in place. x^2
     # overflows for huge |x|, but the sigmoid saturates to the right limit.
@@ -437,22 +440,38 @@ def gelu(a) -> Tensor:
         np.exp(s, out=s)
         s += 1.0
         np.reciprocal(s, out=s)
-    out = x * s
+    return x * s, s
+
+
+def _gelu_grad(x: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` times GELU's derivative at ``x``, from the ``s`` of :func:`_gelu_parts`."""
+    # d/dx = s (1 + (1 - s) * 2c x (1 + 3A x^2)). Clamped so the polynomial
+    # cannot overflow into 0 * inf: past the clamp s(1 - s) is exactly zero
+    # in float32 and float64 alike.
+    xc = np.clip(x, -_GELU_SAT, _GELU_SAT)
+    dx = xc * xc
+    dx *= 6.0 * _GELU_C * _GELU_A
+    dx += 2.0 * _GELU_C
+    dx *= xc
+    dx *= 1.0 - s
+    dx += 1.0
+    dx *= s
+    dx *= g
+    return dx
+
+
+def gelu(a) -> Tensor:
+    """Smooth GELU, ``0.5 x (1 + tanh(u))`` with ``u = c (x + A x^3)``, in its
+    sigmoid form ``x * sigmoid(2u)``; forward and backward share the sigmoid.
+
+    The sigmoid form keeps float32 relative accuracy for negative x, where
+    ``1 + tanh(u)`` cancels.
+    """
+    a = _coerce(a)
+    out, s = _gelu_parts(a.data)
 
     def backward(g):
-        # d/dx = s (1 + (1 - s) * 2c x (1 + 3A x^2)). Clamped so the
-        # polynomial cannot overflow into 0 * inf: past the clamp s(1 - s) is
-        # exactly zero in float32 and float64 alike.
-        xc = np.clip(x, -_GELU_SAT, _GELU_SAT)
-        dx = xc * xc
-        dx *= 6.0 * _GELU_C * _GELU_A
-        dx += 2.0 * _GELU_C
-        dx *= xc
-        dx *= 1.0 - s
-        dx += 1.0
-        dx *= s
-        dx *= g
-        return (dx,)
+        return (_gelu_grad(a.data, s, g),)
 
     return _make(out, (a,), backward, "gelu")
 
@@ -644,27 +663,35 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), backward, "matmul")
 
 
-def softmax(a, axis: int = -1, mask=None) -> Tensor:
-    """Numerically stable softmax along one axis (max-shifted).
+def _softmax(x: np.ndarray, axis: int, mask=None) -> np.ndarray:
+    """Numerically stable softmax of an array along one axis (max-shifted).
 
-    ``mask``, a boolean array that broadcasts to ``a``, keeps each slice to
+    ``mask``, a boolean array that broadcasts to ``x``, keeps each slice to
     its true entries: the others are set to -inf before the max and the exp,
     so they come out exactly 0 and get no gradient. A slice with no finite
     softmax (no true entry, or a NaN or +inf entry) raises
     ``FloatingPointError``.
     """
-    a = _coerce(a)
-    x = a.data
     if mask is not None:
         x = np.where(mask, x, -np.inf)
     m = x.max(axis=axis, keepdims=True)
     with np.errstate(invalid="ignore"):  # inf - inf
         e = np.exp(x - m)
-    out = _guard_finite(e / e.sum(axis=axis, keepdims=True), "softmax")
+    return _guard_finite(e / e.sum(axis=axis, keepdims=True), "softmax")
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient at a softmax's input, from its output ``out`` and ``g``."""
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    """Softmax along one axis; see :func:`_softmax`."""
+    a = _coerce(a)
+    out = _softmax(a.data, axis)
 
     def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
+        return (_softmax_grad(out, g, axis),)
 
     return _make(out, (a,), backward, "softmax")
 

@@ -433,6 +433,18 @@ def op_inventory(r):
             [map_leaf(r, 2, cin, 6, 6), leaf(r, 4, cin // groups, 3, 3), bn_conv.gamma,
              bn_conv.beta],
         )
+    # stacked-head leaves from their own stream, so every other entry keeps
+    # the data it drew before
+    rh = np.random.default_rng(23)
+    stacked_leaf = lambda *s: Tensor(0.5 * rh.normal(size=s), requires_grad=True)
+    stacked = MhpaHeadParams(
+        token_w=stacked_leaf(2, 4, 4), token_b=stacked_leaf(2, 4),
+        imp_w1=stacked_leaf(2, 4, 2), imp_b1=stacked_leaf(2, 2),
+        imp_w2=stacked_leaf(2, 2, 1), imp_b2=stacked_leaf(2, 1),
+        agg_w=stacked_leaf(2, 8, 4), agg_b=stacked_leaf(2, 4),
+        norms=NormVectors(rh.standard_normal((2, 3, 4))),
+    )
+    stacked_buckets = one_hot(rh.choice([0, 2], size=(2, 2, 5)), 3, np.float64)
     cases = [
         ("add", lambda x, y: x + y, [a(), a()]),
         ("sub", lambda x, y: x - y, [a(), a()]),
@@ -486,9 +498,16 @@ def op_inventory(r):
         ("channel_to_spatial", lambda x, s: channel_to_spatial(x, 2, s),
          [map_leaf(r, 1, 8, 2, 2), map_leaf(r, 1, 2, 4, 4)]),
         ("stack", lambda x, y: stack([x, y]), [a(), a()]),
-        # the middle row is masked out of every column: it gets no gradient
-        ("softmax_masked",
-         lambda x: softmax(x, axis=-2, mask=np.array([[True], [False], [True]])), [a()]),
+        # head-stacked (B, heads, n, d) tokens against (heads, ...) head
+        # tensors, every one audited; bucket 1 is empty in every row, so the
+        # inter softmax's mask is audited too
+        ("inter_attention_stacked",
+         lambda xt, w1, b1, w2, b2: inter_partition_attention(xt, stacked_buckets, stacked),
+         [stacked_leaf(2, 2, 5, 4), stacked.imp_w1, stacked.imp_b1, stacked.imp_w2,
+          stacked.imp_b2]),
+        ("aggregate_stacked",
+         lambda i1, i2, w, b: global_local_aggregate(i1, i2, stacked_buckets, stacked),
+         [stacked_leaf(2, 2, 5, 4), stacked_leaf(2, 2, 3, 4), stacked.agg_w, stacked.agg_b]),
     ]
     return cases
 

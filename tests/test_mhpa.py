@@ -30,7 +30,8 @@ from dualformer.conv import conv2d
 from dualformer.norms import layer_norm_channels
 from dualformer.partition import NormVectors, hash_codes
 from dualformer.tensor import (
-    ShapeError, Tensor, concat, constant, narrow, one_hot, reshape, sigmoid,
+    ShapeError, Tensor, add, add_bias, concat, constant, gather_segments, gelu, graph_records,
+    matmul, mul, narrow, one_hot, reshape, segment_sum, sigmoid, softmax, tsum,
 )
 
 
@@ -314,6 +315,194 @@ def test_aggregate_wrong_bucket_rows_rejected():
         global_local_aggregate(
             constant(np.ones((5, 3))), constant(np.ones((3, 3))), buckets(assign, 4), head
         )
+
+
+# -- one node per op against the composed ops ------------------------------
+#
+# The three ops as they were composed from public tensor ops before each
+# became one node with a hand-derived backward. Autodiff through these is
+# the oracle for the nodes' forwards and every gradient, in f64.
+
+
+def composed_intra(x, x_tilde, buckets):
+    sums = segment_sum(x, buckets)
+    w = x / (gather_segments(sums, buckets) + EPS)
+    wsums = segment_sum(w, buckets)
+    return (w * x_tilde) / (gather_segments(wsums, buckets) + EPS)
+
+
+def composed_inter(x_tilde, buckets, head):
+    counts = buckets.sum(axis=-2)
+    inv = (1.0 / np.maximum(counts, 1))[..., None]
+    descr = mul(segment_sum(x_tilde, buckets), constant(inv, dtype=x_tilde.dtype))
+    h = gelu(add_bias(matmul(descr, head.imp_w1), head.imp_b1))
+    scores = add_bias(matmul(h, head.imp_w2), head.imp_b2)
+    # -inf on empty buckets before the softmax masks them as the node does
+    mask = np.where(counts > 0, 0.0, -np.inf)[..., None]
+    return mul(descr, softmax(add(scores, constant(mask)), axis=-2))
+
+
+def composed_aggregate(intra, inter, buckets, head):
+    fused = concat([intra, gather_segments(inter, buckets)], axis=-1)
+    return add_bias(matmul(fused, head.agg_w), head.agg_b)
+
+
+def composed_head(tokens, head, num_clusters, assign, attend):
+    b = one_hot(assign, num_clusters, tokens.dtype)
+    gate = sigmoid(tokens)
+    xt = add_bias(matmul(tokens, head.token_w), head.token_b)
+    if attend == "inter_only":
+        intra = constant(np.zeros(xt.shape))
+    else:
+        intra = composed_intra(gate, xt, b)
+    if attend == "intra_only":
+        inter = constant(np.zeros(xt.shape[:-2] + (num_clusters, xt.shape[-1])))
+    else:
+        inter = composed_inter(xt, b, head)
+    return composed_aggregate(intra, inter, b, head)
+
+
+def leaf_head(r, d, heads=None):
+    """A head whose tensors are gradient leaves; with ``heads``, stacked
+    along a leading head axis as ``stack_heads`` builds it."""
+    lead = () if heads is None else (heads,)
+    dh = max(1, d // 4)
+    t = lambda *s: Tensor(0.5 * r.normal(size=lead + s), requires_grad=True)
+    return MhpaHeadParams(
+        token_w=t(d, d), token_b=t(d), imp_w1=t(d, dh), imp_b1=t(dh),
+        imp_w2=t(dh, 1), imp_b2=t(1), agg_w=t(2 * d, d), agg_b=t(d),
+        norms=NormVectors(r.standard_normal(lead + (3, d))),
+    )
+
+
+def head_leaves(head):
+    return [v for v in vars(head).values() if isinstance(v, Tensor)]
+
+
+def grads_of(fn, leaves, weight):
+    """Output and the gradient of every leaf, for the loss sum(out * weight)."""
+    for t in leaves:
+        t.zero_grad()
+    out = fn()
+    tsum(mul(out, constant(weight))).backward()
+    return out.data, [t.grad for t in leaves]
+
+
+def assert_node_matches(node, composed, leaves, r):
+    """The node's output is one graph node, and its output and every leaf's
+    gradient match the composed ops to 1e-12."""
+    got = node()
+    assert len(graph_records(got)) == 1 + sum(t._node is not None for t in leaves)
+    weight = r.normal(size=got.shape)
+    out, grads = grads_of(node, leaves, weight)
+    want, want_grads = grads_of(composed, leaves, weight)
+    scale = max(1.0, np.abs(want).max())
+    assert np.abs(out - want).max() <= 1e-12 * scale
+    for t, g, w in zip(leaves, grads, want_grads):
+        assert g is not None and g.shape == t.shape
+        assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max()), t.shape
+
+
+# (lead, n, heads): single-head tokens with and without batch axes, and the
+# stacked (B, heads, n, d) layout; n = 1 is a stage-3/4 head at 32x32
+LAYOUTS = [((), 11, None), ((3,), 9, None), ((2, 3), 7, 3), ((4, 2), 1, 2)]
+
+
+def layout_buckets(r, lead, n, k=8):
+    """A bucket matrix that leaves buckets 1 and 5 empty everywhere."""
+    assign = r.choice([0, 2, 3, 4, 6, 7], size=lead + (n,))
+    return one_hot(assign, k, np.float64)
+
+
+@pytest.mark.parametrize("lead,n,heads", LAYOUTS)
+def test_intra_node_matches_composed(lead, n, heads):
+    r = np.random.default_rng(40 + n)
+    with precision.precision("f64"):
+        b = layout_buckets(r, lead, n)
+        x = Tensor(np.abs(r.normal(size=lead + (n, 4))) + 0.1, requires_grad=True)
+        xt = Tensor(r.normal(size=lead + (n, 4)), requires_grad=True)
+        assert_node_matches(lambda: intra_partition_attention(x, xt, b),
+                            lambda: composed_intra(x, xt, b), [x, xt], r)
+
+
+@pytest.mark.parametrize("lead,n,heads", LAYOUTS)
+def test_inter_node_matches_composed(lead, n, heads):
+    r = np.random.default_rng(50 + n)
+    with precision.precision("f64"):
+        b = layout_buckets(r, lead, n)
+        head = leaf_head(r, 4, heads)
+        xt = Tensor(r.normal(size=lead + (n, 4)), requires_grad=True)
+        leaves = [xt, head.imp_w1, head.imp_b1, head.imp_w2, head.imp_b2]
+        assert_node_matches(lambda: inter_partition_attention(xt, b, head),
+                            lambda: composed_inter(xt, b, head), leaves, r)
+
+
+@pytest.mark.parametrize("lead,n,heads", LAYOUTS)
+def test_aggregate_node_matches_composed(lead, n, heads):
+    r = np.random.default_rng(60 + n)
+    with precision.precision("f64"):
+        b = layout_buckets(r, lead, n)
+        head = leaf_head(r, 4, heads)
+        intra = Tensor(r.normal(size=lead + (n, 4)), requires_grad=True)
+        inter = Tensor(r.normal(size=lead + (8, 4)), requires_grad=True)
+        leaves = [intra, inter, head.agg_w, head.agg_b]
+        assert_node_matches(lambda: global_local_aggregate(intra, inter, b, head),
+                            lambda: composed_aggregate(intra, inter, b, head), leaves, r)
+
+
+@pytest.mark.parametrize("attend", ["full", "intra_only", "inter_only"])
+@pytest.mark.parametrize("lead,n,heads", LAYOUTS)
+def test_head_forward_matches_composed(lead, n, heads, attend):
+    r = np.random.default_rng(70 + n)
+    with precision.precision("f64"):
+        head = leaf_head(r, 4, heads)
+        tokens = Tensor(r.normal(size=lead + (n, 4)), requires_grad=True)
+        assign = r.choice([0, 2, 3, 4, 6, 7], size=lead + (n,))
+        weight = r.normal(size=lead + (n, 4))
+        leaves = [tokens] + head_leaves(head)
+        out, grads = grads_of(
+            lambda: mhpa_head_forward(tokens, head, 8, assign=assign, attend=attend)[0],
+            leaves, weight)
+        want, want_grads = grads_of(lambda: composed_head(tokens, head, 8, assign, attend),
+                                    leaves, weight)
+    assert np.abs(out - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for t, g, w in zip(leaves, grads, want_grads):
+        if w is None:  # intra_only leaves the importance predictor unused
+            assert attend == "intra_only" and g is None
+            continue
+        assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max()), t.shape
+
+
+def test_ops_reject_mixed_dtypes_and_misfit_heads():
+    r = np.random.default_rng(80)
+    b = one_hot(r.integers(0, 4, size=5), 4, np.float64)
+    x64 = constant(np.abs(r.normal(size=(5, 3))), dtype=np.float64)
+    x32 = constant(x64.data, dtype=np.float32)
+    head32 = make_head(r, 3)
+    with precision.precision("f64"):
+        head = make_head(r, 3)
+    with pytest.raises(TypeError):
+        intra_partition_attention(x64, x32, b)
+    with pytest.raises(TypeError):
+        inter_partition_attention(x32, b, head)
+    with pytest.raises(TypeError):
+        inter_partition_attention(x64, b, head32)
+    with pytest.raises(TypeError):
+        global_local_aggregate(x64, constant(np.ones((4, 3)), dtype=np.float64), b, head32)
+    with pytest.raises(ShapeError):
+        inter_partition_attention(constant(np.ones((5, 2)), dtype=np.float64), b, head)
+    with pytest.raises(ShapeError):
+        global_local_aggregate(x64, constant(np.ones((4, 2)), dtype=np.float64), b, head)
+
+
+def test_intra_nonfinite_denominator_raises():
+    # a weight of -eps alone in its bucket leaves the reciprocal infinite,
+    # and a NaN weight leaves it NaN
+    b = one_hot(np.array([0, 1]), 2, np.float64)
+    for bad in (-EPS, np.nan):
+        x = constant(np.array([[1.0], [bad]]), dtype=np.float64)
+        with pytest.raises(FloatingPointError):
+            intra_partition_attention(x, x, b)
 
 
 # -- spatial shuffles ------------------------------------------------------

@@ -8,12 +8,14 @@ from dualformer.partition import (
     NormVectors,
     Partition,
     PartitionError,
+    _sq_dists,
     hash_codes,
     kmeans_assign,
     kmeans_objective,
     lsh_assign,
     sample_norm_vectors,
 )
+from dualformer.tensor import one_hot
 
 
 def hash_oracle(tokens, beta):
@@ -138,6 +140,84 @@ def test_kmeans_exact_clusters_recovered():
     for blob in range(4):
         ids = p.assignment[blob * 10 : (blob + 1) * 10]
         assert len(set(ids.tolist())) == 1
+
+
+def kmeans_reference(arr, num_clusters, max_iters, seed):
+    """``kmeans_assign`` as it was before it ran on one distance table: every
+    seeding step and every objective measured from the token differences.
+    Returns (assignment, centroids)."""
+    n = arr.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((num_clusters, arr.shape[1]))
+    centers[0] = arr[rng.integers(n)]
+    d2 = ((arr - centers[0]) ** 2).sum(axis=1)
+    for k in range(1, num_clusters):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[k] = arr[rng.integers(n)]
+        else:
+            centers[k] = arr[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((arr - centers[k]) ** 2).sum(axis=1))
+    for _ in range(max_iters):
+        dists = ((arr[:, None, :] - centers[None]) ** 2).sum(axis=2)
+        assign = dists.argmin(axis=1)
+        counts = np.bincount(assign, minlength=num_clusters)
+        for k in np.flatnonzero(counts == 0):
+            errs = dists[np.arange(n), assign].copy()
+            errs[counts[assign] <= 1] = -np.inf
+            j = int(errs.argmax())
+            counts[assign[j]] -= 1
+            assign[j] = k
+            counts[k] = 1
+            centers[k] = arr[j]
+            dists[:, k] = ((arr - centers[k]) ** 2).sum(axis=1)
+        onehot = one_hot(assign, num_clusters, arr.dtype)
+        sums = onehot.T @ arr
+        counts = onehot.sum(axis=0)
+        nonzero = counts > 0
+        centers[nonzero] = sums[nonzero] / counts[nonzero, None]
+    return assign, centers
+
+
+def test_sq_dists_match_cube_oracle():
+    r = np.random.default_rng(8)
+    for n, d, k in [(1, 1, 1), (7, 3, 4), (50, 16, 8), (3136, 64, 8)]:
+        arr = r.normal(size=(n, d)) * 3.0
+        centers = np.vstack([arr[:1], r.normal(size=(k - 1, d))])  # one center on a point
+        want = ((arr[:, None, :] - centers[None]) ** 2).sum(axis=2)
+        got = _sq_dists(arr, (arr * arr).sum(axis=1), centers)
+        assert got.shape == (n, k) and got.min() >= 0.0
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, want.max())
+
+
+@pytest.mark.parametrize("n,d,k,iters", [
+    (3136, 64, 8, 5), (3136, 64, 8, 10), (200, 5, 8, 5), (12, 2, 8, 5), (9, 1, 8, 3),
+])
+def test_kmeans_matches_reference(n, d, k, iters):
+    # the same seeding picks, assignments and centroids as the implementation
+    # that measured every distance from differences
+    for seed in range(4):
+        tokens = np.random.default_rng([n, d, seed]).standard_normal((n, d))
+        want_assign, want_centers = kmeans_reference(tokens, k, iters, seed)
+        got = kmeans_assign(tokens, k, max_iters=iters, seed=seed)
+        assert np.array_equal(got.assignment, want_assign)
+        assert np.array_equal(got.centroids, want_centers)
+        assert kmeans_objective(tokens, got) == pytest.approx(
+            float(((tokens - want_centers[want_assign]) ** 2).sum()), rel=1e-12)
+
+
+def test_kmeans_fewer_distinct_points_than_clusters():
+    # once every distinct point is a center, the seeding distances left are
+    # zero up to the expansion's rounding, so which copy is drawn next is
+    # arbitrary; the repair still fills every cluster with copies of one point
+    for seed in range(20):
+        tokens = np.random.default_rng(seed).standard_normal((3, 4))[np.arange(12) % 3]
+        p = kmeans_assign(tokens, 5, max_iters=5, seed=seed)
+        assert np.all(p.counts > 0)
+        assert kmeans_objective(tokens, p) < 1e-25
+        for k in range(5):
+            members = tokens[p.assignment == k]
+            assert np.all(members == members[0])
 
 
 # -- invariants (acceptance criterion exercises these at >= 200 cases) --------
