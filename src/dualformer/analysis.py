@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .mhpa import partition_to_grayscale
 from .model import Model, capture_partitions, forward_features
 from .tensor import Tensor, no_grad
@@ -92,7 +93,7 @@ def write_pgm(path: str, gray: np.ndarray) -> None:
     """Binary 8-bit PGM (P5)."""
     if gray.ndim != 2 or gray.dtype != np.uint8:
         raise ValueError(f"expected a 2-D uint8 array, got {gray.dtype} {gray.shape}")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii"))
         fh.write(gray.tobytes())
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import precision
 from .conv import conv2d
 from .init import ones_param, trunc_normal, zeros_param
 from .mhpa import MhpaConfig, MhpaHeadParams, MhpaParams, mhpa_forward
@@ -52,8 +53,6 @@ class MBConvParams:
 
 
 def make_mbconv(channels: int, rng: np.random.Generator) -> MBConvParams:
-    from . import precision
-
     hidden = MBCONV_EXPANSION * channels
     dt = precision.default_dtype()
     return MBConvParams(
@@ -217,8 +216,6 @@ class PatchEmbedParams:
 
 
 def make_patch_embed(widths: list[int], rng: np.random.Generator) -> PatchEmbedParams:
-    from . import precision
-
     dt = precision.default_dtype()
     convs = []
     for cin, cout in zip(widths[:-1], widths[1:]):

@@ -50,7 +50,7 @@ def write_checkpoint_stream(stream: BinaryIO, model: Model) -> None:
     stream.write(struct.pack("<I", len(text)))
     stream.write(text)
     stream.write(struct.pack("<I", len(entries)))
-    for name, arr, _ in entries:
+    for name, arr in entries:
         encoded = name.encode("utf-8")
         stream.write(struct.pack("<I", len(encoded)))
         stream.write(encoded)
@@ -132,7 +132,7 @@ def load_checkpoint(path: str) -> Model:
             raise CheckpointError("trailing bytes after checkpoint payload")
     model = build_model(cfg, seed=0)
     slots = list(iter_state(model))
-    names = [n for n, _, _ in slots]
+    names = [n for n, _ in slots]
     if names != order:
         missing = set(names) - set(order)
         extra = set(order) - set(names)
@@ -140,7 +140,7 @@ def load_checkpoint(path: str) -> Model:
             f"checkpoint entries do not line up with the rebuilt model "
             f"(missing {sorted(missing)[:3]}, unexpected {sorted(extra)[:3]})"
         )
-    for name, arr, _ in slots:
+    for name, arr in slots:
         stored = state[name]
         if stored.shape != arr.shape:
             raise CheckpointError(

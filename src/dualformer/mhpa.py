@@ -251,9 +251,6 @@ def global_local_aggregate(
     out += b.data[..., None, :]
 
     def backward(g):
-        # g feeds three products; a broadcast g (the gradient of a sum) would
-        # take numpy's loop in place of BLAS
-        g = np.ascontiguousarray(g)
         gp = np.swapaxes(buckets, -1, -2) @ g  # at the projected bucket rows
         dw = np.concatenate(
             [_weight_grad(intra.data, g, top), _weight_grad(inter.data, gp, bot)], axis=-2

@@ -332,16 +332,10 @@ def _leaves(obj, prefix: str = ""):
 
 
 def iter_state(obj):
-    """Yield (name, array, kind) over every tensor in a params tree.
-
-    Learnable tensors are kind 'param'; running stats and hash hyperplanes
-    are 'buffer'.
-    """
+    """Yield (name, array) over every tensor in a params tree: learnable
+    tensors, running stats and hash hyperplanes alike."""
     for name, leaf in _leaves(obj):
-        if isinstance(leaf, Tensor):
-            yield name, leaf.data, "param" if leaf.requires_grad else "buffer"
-        else:
-            yield name, leaf, "buffer"
+        yield name, leaf.data if isinstance(leaf, Tensor) else leaf
 
 
 def named_parameters(model: Model) -> list[tuple[str, Tensor]]:

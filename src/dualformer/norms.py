@@ -1,11 +1,12 @@
 """Normalization layers over channels-last (B, H, W, C) feature maps.
 
-Train-mode batch norm and layer norm are one autodiff node each, with the
-closed-form backward of Ioffe & Szegedy (arXiv:1502.03167). Each views the
-map as (N, C) and takes every per-channel sum (over the N rows) and every
-per-row sum (over the C channels) as one matrix-vector product against a
-ones vector: numpy's reductions over the leading axes of a map with few
-channels run several times slower than BLAS.
+Every norm is one autodiff node in both modes: train-mode batch norm and
+layer norm with the closed-form backward of Ioffe & Szegedy
+(arXiv:1502.03167), and eval-mode batch norm as a per-channel scale and
+shift. Each views the map as (N, C) and takes every per-channel sum (over
+the N rows) and every per-row sum (over the C channels) as one
+matrix-vector product against a ones vector: numpy's reductions over the
+leading axes of a map with few channels run several times slower than BLAS.
 """
 from __future__ import annotations
 
@@ -14,22 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import conv2d
-from .tensor import (
-    ShapeError,
-    Tensor,
-    _coerce,
-    _guard_finite,
-    _make,
-    add_bias,
-    constant,
-    mul,
-    reshape,
-    tsqrt,
-)
+from .tensor import ShapeError, Tensor, _coerce, _guard_finite, _make
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 LN_EPS = 1e-5
+
+
+def _check_affine(x: Tensor, gamma: Tensor, beta: Tensor, op: str) -> int:
+    """The channel count of ``x``, once gamma and beta fit it in shape and dtype."""
+    c = x.shape[-1]
+    for p in (gamma, beta):
+        if p.shape != (c,):
+            raise ShapeError(f"{op}: affine vector {p.shape} does not fit {c} channels")
+        if p.dtype != x.dtype:
+            raise TypeError(f"{op}: mixed dtypes: {x.dtype} vs {p.dtype}")
+    return c
 
 
 def _fused_norm(x: Tensor, gamma: Tensor, beta: Tensor, per_channel: bool, eps: float, op: str):
@@ -41,12 +42,7 @@ def _fused_norm(x: Tensor, gamma: Tensor, beta: Tensor, per_channel: bool, eps: 
     statistic raises ``FloatingPointError``.
     """
     x = _coerce(x)
-    c = x.shape[-1]
-    for p in (gamma, beta):
-        if p.shape != (c,):
-            raise ShapeError(f"{op}: affine vector {p.shape} does not fit {c} channels")
-        if p.dtype != x.dtype:
-            raise TypeError(f"{op}: mixed dtypes: {x.dtype} vs {p.dtype}")
+    c = _check_affine(x, gamma, beta, op)
     x2 = x.data.reshape(-1, c)
     ones_n, ones_c = np.ones(x2.shape[0], x2.dtype), np.ones(c, x2.dtype)
     if per_channel:
@@ -122,6 +118,37 @@ def batch_norm(x: Tensor, bn: BatchNorm2d) -> Tensor:
     return y
 
 
+def _running_norm(y: Tensor, bn: BatchNorm2d) -> Tensor:
+    """Inference batch norm as one autodiff node: ``y * scale + shift`` per
+    channel, with ``scale = gamma / sqrt(running_var + eps)`` and ``shift =
+    beta - running_mean * scale``, in ``y``'s dtype.
+
+    The running buffers are constants, so rows of a batch stay independent
+    and the gradient reaches ``y``, gamma and beta only. A non-finite scale
+    (a negative running variance, say) raises ``FloatingPointError``.
+    """
+    op = "batch_norm_eval"
+    c = _check_affine(y, bn.gamma, bn.beta, op)
+    rm = bn.running_mean.astype(y.dtype, copy=False)
+    rv = bn.running_var.astype(y.dtype, copy=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / np.sqrt(rv + BN_EPS)
+    _guard_finite(inv, op)
+    scale = bn.gamma.data * inv
+    shift = bn.beta.data - rm * scale
+    out = y.data * scale
+    out += shift
+
+    def backward(g):
+        g2 = g.reshape(-1, c)
+        ones = np.ones(g2.shape[0], g2.dtype)
+        dbeta = ones @ g2
+        dgamma = inv * (ones @ (g2 * y.data.reshape(-1, c)) - rm * dbeta)
+        return g * scale, dgamma, dbeta
+
+    return _make(out, (y, bn.gamma, bn.beta), backward, op)
+
+
 def conv_bn(
     x: Tensor, w: Tensor, bn: BatchNorm2d, train: bool,
     stride: int = 1, padding: int = 0, groups: int = 1,
@@ -130,18 +157,12 @@ def conv_bn(
     norm over its output channels.
 
     Training mode normalizes with batch statistics (:func:`batch_norm`).
-    Inference mode uses the running buffers as constants, so rows of a batch
-    stay independent and the norm is one per-channel ``scale`` and ``shift``
-    on the conv's output, built from (C,) tensors so gamma and beta keep
-    their gradients. Folding ``scale`` into the kernel (``w * scale``) would
-    allocate a kernel-sized temporary on every call; on eval-T224 that left
-    peak RSS bimodal from run to run under glibc malloc (131-139 MB or
-    170-178 MB), where this form stays at 131-139 MB.
+    Inference mode uses the running buffers (:func:`_running_norm`): one
+    per-channel ``scale`` and ``shift`` on the conv's output. Folding
+    ``scale`` into the kernel (``w * scale``) would allocate a kernel-sized
+    temporary on every call; on eval-T224 that left peak RSS bimodal from run
+    to run under glibc malloc (131-139 MB or 170-178 MB), where this form
+    stays at 131-139 MB.
     """
     y = conv2d(x, w, stride=stride, padding=padding, groups=groups)
-    if train:
-        return batch_norm(y, bn)
-    rm = constant(bn.running_mean, dtype=x.dtype)
-    rv = constant(bn.running_var, dtype=x.dtype)
-    scale = bn.gamma * (1.0 / tsqrt(rv + BN_EPS))
-    return add_bias(mul(y, reshape(scale, (1, 1, 1, scale.shape[0]))), bn.beta - rm * scale)
+    return batch_norm(y, bn) if train else _running_norm(y, bn)

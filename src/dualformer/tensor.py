@@ -12,8 +12,10 @@ raises ``ShapeError``; callers reshape explicitly. Bias addition along
 the last axis goes through :func:`add_bias`. Matmul follows numpy's batched
 semantics on the leading dimensions.
 
-Division, exp, log, sqrt and softmax check their outputs and raise
-``FloatingPointError`` instead of letting NaN/Inf propagate.
+Softmax checks its output and raises ``FloatingPointError`` instead of
+letting NaN/Inf propagate. The closed-form nodes that other modules build
+with :func:`_make` (the norms, the intra-partition step, the loss) guard
+their divisors and outputs the same way, through :func:`_guard_finite`.
 """
 from __future__ import annotations
 
@@ -152,25 +154,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -180,19 +167,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -313,17 +287,6 @@ def add(a, b) -> Tensor:
     return _make(out, (a, b), backward, "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    _check_elementwise(a.shape, b.shape, "sub")
-    out = a.data - b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _make(out, (a, b), backward, "sub")
-
-
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     _check_elementwise(a.shape, b.shape, "mul")
@@ -335,67 +298,7 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), backward, "mul")
 
 
-def div(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    _check_elementwise(a.shape, b.shape, "div")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.data / b.data
-    _guard_finite(out, "div")
-
-    def backward(g):
-        ga = g / b.data
-        gb = -g * a.data / (b.data * b.data)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return _make(out, (a, b), backward, "div")
-
-
-def neg(a) -> Tensor:
-    a = _coerce(a)
-
-    def backward(g):
-        return (-g,)
-
-    return _make(-a.data, (a,), backward, "neg")
-
-
 # -- elementwise functions ----------------------------------------------------
-
-
-def texp(a) -> Tensor:
-    a = _coerce(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    _guard_finite(out, "exp")
-
-    def backward(g):
-        return (g * out,)
-
-    return _make(out, (a,), backward, "exp")
-
-
-def tlog(a) -> Tensor:
-    a = _coerce(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    _guard_finite(out, "log")
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _make(out, (a,), backward, "log")
-
-
-def tsqrt(a) -> Tensor:
-    a = _coerce(a)
-    with np.errstate(invalid="ignore"):
-        out = np.sqrt(a.data)
-    _guard_finite(out, "sqrt")
-
-    def backward(g):
-        return (g * (0.5 / out),)
-
-    return _make(out, (a,), backward, "sqrt")
 
 
 def sigmoid(a) -> Tensor:
@@ -498,24 +401,22 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
             for ax in axes:
                 shape[ax] = 1
             g = g.reshape(shape)
-        return (np.broadcast_to(g, a.shape),)
+        # a copy, not a broadcast view: a matmul in the next backward would
+        # take numpy's strided loop on a view in place of BLAS
+        return (np.ascontiguousarray(np.broadcast_to(g, a.shape)),)
 
     return _make(out, (a,), backward, "sum")
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = _coerce(a)
     axes = _axis_tuple(axis, a.ndim)
     count = math.prod(a.shape[ax] for ax in axes)
-    out = a.data.mean(axis=axes, keepdims=keepdims)
+    out = a.data.mean(axis=axes)
+    shape = [1 if ax in axes else n for ax, n in enumerate(a.shape)]
 
     def backward(g):
-        if not keepdims:
-            shape = list(a.shape)
-            for ax in axes:
-                shape[ax] = 1
-            g = g.reshape(shape)
-        return (np.broadcast_to(g, a.shape) / count,)
+        return (np.broadcast_to(g.reshape(shape), a.shape) / count,)
 
     return _make(out, (a,), backward, "mean")
 
@@ -733,14 +634,3 @@ def gather_segments(table, buckets: np.ndarray) -> Tensor:
     the ``table[..., K, d]`` row of the bucket that ``buckets[..., i, :]``
     marks."""
     return matmul(constant(buckets, dtype=buckets.dtype), table)
-
-
-def select_index(a, idx: np.ndarray) -> Tensor:
-    """Pick one column per row: ``out[i] = a[i, idx[i]]`` (label lookup)."""
-    a = _coerce(a)
-    if a.ndim != 2:
-        raise ShapeError(f"select_index: expected a matrix, got {a.shape}")
-    idx = np.asarray(idx)
-    if idx.shape != (a.shape[0],):
-        raise ShapeError(f"select_index: indices {idx.shape} do not match rows of {a.shape}")
-    return tsum(a * constant(one_hot(idx, a.shape[1], a.dtype), dtype=a.dtype), axis=1)

@@ -7,7 +7,7 @@ import numpy as np
 
 from .data import train_val_split
 from .model import Model, forward, named_parameters
-from .tensor import Tensor, constant, no_grad, reshape, select_index, sub, texp, tlog, tmean, tsum
+from .tensor import ShapeError, Tensor, _guard_finite, _make, no_grad, one_hot
 
 
 # AdamW's moment decay rates and denominator floor
@@ -23,14 +23,36 @@ class TrainingDiverged(RuntimeError):
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood, stable for any logit magnitude."""
+    """Mean negative log-likelihood over the batch, as one autodiff node.
+
+    Each row is shifted by its max before the exp, so any logit magnitude is
+    stable; :func:`one_hot` checks the labels, and the label's logit is
+    picked as a product with it. A non-finite loss raises
+    ``FloatingPointError``.
+    """
     if logits.ndim != 2:
         raise ValueError(f"expected logits (B, classes), got {logits.shape}")
-    shift = constant(logits.data.max(axis=1, keepdims=True))
-    z = sub(logits, shift)
-    lse = tlog(tsum(texp(z), axis=1))  # (B,)
-    picked = select_index(z, labels)
-    return tmean(sub(lse, picked))
+    b, k = logits.shape
+    labels = np.asarray(labels)
+    if labels.shape != (b,):
+        raise ShapeError(f"cross_entropy: labels {labels.shape} do not match rows of {logits.shape}")
+    onehot = one_hot(labels, k, logits.dtype)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = logits.data - logits.data.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        s = e.sum(axis=1)
+        loss = (np.log(s) - (z * onehot).sum(axis=1)).mean()
+    _guard_finite(loss, "cross_entropy")
+
+    def backward(g):
+        # softmax - onehot, scaled by g/B, in this order: the softmax is never
+        # formed on its own
+        gb = g / b
+        dz = (gb / s)[:, None] * e
+        dz -= gb * onehot
+        return (dz,)
+
+    return _make(loss, (logits,), backward, "cross_entropy")
 
 
 @dataclass

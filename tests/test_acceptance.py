@@ -78,15 +78,11 @@ from dualformer.tensor import (
     one_hot,
     reshape,
     segment_sum,
-    select_index,
     sigmoid,
     softmax,
     stack,
-    texp,
-    tlog,
     tmean,
     transpose,
-    tsqrt,
     tsum,
 )
 from dualformer.train import cross_entropy, train_toy
@@ -409,7 +405,6 @@ def map_leaf(r, *shape):
 def op_inventory(r):
     """One representative gradient check per differentiable op."""
     a = lambda: leaf(r, 3, 4)
-    pos = lambda: leaf(r, 3, 4, positive=True)
     assign = r.integers(0, 3, size=6)
     buckets = one_hot(assign, 3, np.float64)
     head = rand_head(r, 4)
@@ -445,19 +440,18 @@ def op_inventory(r):
         norms=NormVectors(rh.standard_normal((2, 3, 4))),
     )
     stacked_buckets = one_hot(rh.choice([0, 2], size=(2, 2, 5)), 3, np.float64)
+    # the loss from its own stream too; logits of a few units put the softmax
+    # off its flat middle
+    rc = np.random.default_rng(29)
+    ce_labels = rc.integers(0, 5, size=4)
+    ce_logits = Tensor(3.0 * rc.normal(size=(4, 5)), requires_grad=True)
     cases = [
         ("add", lambda x, y: x + y, [a(), a()]),
-        ("sub", lambda x, y: x - y, [a(), a()]),
         ("mul", lambda x, y: x * y, [a(), a()]),
-        ("div", lambda x, y: x / y, [a(), pos()]),
-        ("neg", lambda x: -x, [a()]),
-        ("exp", texp, [a()]),
-        ("log", tlog, [pos()]),
-        ("sqrt", tsqrt, [pos()]),
         ("sigmoid", sigmoid, [a()]),
         ("gelu", gelu, [a()]),
         ("sum", lambda x: tsum(x, axis=1), [a()]),
-        ("mean", lambda x: tmean(x, axis=0, keepdims=True), [a()]),
+        ("mean", lambda x: tmean(x, axis=0), [a()]),
         ("reshape", lambda x: reshape(x, (4, 3)), [a()]),
         ("transpose", lambda x: transpose(x, (1, 0)), [a()]),
         ("concat", lambda x, y: concat([x, y], axis=1), [a(), a()]),
@@ -469,7 +463,6 @@ def op_inventory(r):
         ("softmax", lambda x: softmax(x, axis=-1), [a()]),
         ("segment_sum", lambda x: segment_sum(x, buckets), [leaf(r, 6, 4)]),
         ("gather_segments", lambda t: gather_segments(t, buckets), [leaf(r, 3, 4)]),
-        ("select_index", lambda x: select_index(x, np.array([2, 0, 1])), [a()]),
         ("conv2d", lambda x, w, b: conv2d(x, w, b, stride=2, padding=1),
          [map_leaf(r, 2, 3, 6, 6), leaf(r, 4, 3, 3, 3), leaf(r, 4)]),
         ("conv2d_grouped", lambda x, w: conv2d(x, w, stride=1, padding=1, groups=4),
@@ -505,6 +498,7 @@ def op_inventory(r):
          lambda xt, w1, b1, w2, b2: inter_partition_attention(xt, stacked_buckets, stacked),
          [stacked_leaf(2, 2, 5, 4), stacked.imp_w1, stacked.imp_b1, stacked.imp_w2,
           stacked.imp_b2]),
+        ("cross_entropy", lambda x: cross_entropy(x, ce_labels), [ce_logits]),
         ("aggregate_stacked",
          lambda i1, i2, w, b: global_local_aggregate(i1, i2, stacked_buckets, stacked),
          [stacked_leaf(2, 2, 5, 4), stacked_leaf(2, 2, 3, 4), stacked.agg_w, stacked.agg_b]),

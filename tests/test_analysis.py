@@ -136,6 +136,19 @@ def test_pgm_layout(tmp_path):
         write_pgm(path, gray.ravel())
 
 
+def test_pgm_write_that_fails_partway_leaves_the_old_file(tmp_path):
+    class FailingPayload(np.ndarray):
+        def tobytes(self, *args, **kwargs):
+            raise OSError("disk full")
+
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"old")
+    with pytest.raises(OSError):  # after the header is written
+        write_pgm(str(path), np.zeros((2, 3), np.uint8).view(FailingPayload))
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.pgm"]
+
+
 def test_dump_partitions_files(tmp_path):
     model = build_model(get_preset("Micro"), seed=0)
     x = np.random.default_rng(5).normal(size=(2, 3, 32, 32)).astype(np.float32)

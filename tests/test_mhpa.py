@@ -324,11 +324,21 @@ def test_aggregate_wrong_bucket_rows_rejected():
 # the oracle for the nodes' forwards and every gradient, in f64.
 
 
+def divide(a, b):
+    """Elementwise ``a / b`` of equal-shape tensors with the textbook
+    derivatives, for the composed intra step; the library has no division op."""
+
+    def backward(g):
+        return g / b.data, -g * a.data / (b.data * b.data)
+
+    return tensor._make(a.data / b.data, (a, b), backward, "div")
+
+
 def composed_intra(x, x_tilde, buckets):
     sums = segment_sum(x, buckets)
-    w = x / (gather_segments(sums, buckets) + EPS)
+    w = divide(x, gather_segments(sums, buckets) + EPS)
     wsums = segment_sum(w, buckets)
-    return (w * x_tilde) / (gather_segments(wsums, buckets) + EPS)
+    return divide(w * x_tilde, gather_segments(wsums, buckets) + EPS)
 
 
 def composed_inter(x_tilde, buckets, head):

@@ -249,23 +249,24 @@ def test_same_seed_same_bits_different_seed_differs():
     a = build_model(get_preset("Micro"), seed=9)
     b = build_model(get_preset("Micro"), seed=9)
     c = build_model(get_preset("Micro"), seed=10)
-    state_a = {k: v.copy() for k, v, _ in iter_state(a)}
+    state_a = {k: v.copy() for k, v in iter_state(a)}
     diffs = 0
-    for k, v, _ in iter_state(b):
+    for k, v in iter_state(b):
         assert np.array_equal(state_a[k], v), k
-    for k, v, _ in iter_state(c):
+    for k, v in iter_state(c):
         diffs += int(not np.array_equal(state_a[k], v))
     assert diffs > 0
 
 
 def test_state_walk_covers_buffers():
     model = build_model(get_preset("Micro"), seed=0)
-    kinds = {}
-    for name, _, kind in iter_state(model):
-        kinds.setdefault(kind, []).append(name)
-    assert any("running_mean" in n for n in kinds["buffer"])
-    assert any("norms.beta" in n for n in kinds["buffer"])
-    assert not any("running" in n for n in kinds["param"])
+    names = [name for name, _ in iter_state(model)]
+    params = [name for name, _ in named_parameters(model)]
+    assert [n for n in names if n in set(params)] == params  # same order
+    buffers = [n for n in names if n not in set(params)]
+    assert any("running_mean" in n for n in buffers)
+    assert any("norms.beta" in n for n in buffers)
+    assert not any("running" in n for n in params)
 
 
 # -- forward -----------------------------------------------------------------
@@ -540,7 +541,7 @@ def legacy_stream(model, biases):
     """Checkpoint bytes in the layout written before conv biases were retired:
     each bias entry right after its kernel, patch-embed norms at ``[2]``."""
     entries = []
-    for name, arr, _ in iter_state(model):
+    for name, arr in iter_state(model):
         entries.append((re.sub(r"(\.convs\[\d+\])\[1\]\.", r"\1[2].", name), arr))
         if name in biases:
             entries.append(biases[name])
@@ -605,8 +606,8 @@ def test_checkpoint_with_retired_config_keys_loads_bitwise(tmp_path):
     old, new = load_checkpoint(str(path)), load_checkpoint(str(current))
     assert old.config == new.config == get_preset("Micro")
     got, want = list(iter_state(old)), list(iter_state(new))
-    assert [n for n, _, _ in got] == [n for n, _, _ in want]
-    for (name, a, _), (_, b, _) in zip(got, want):
+    assert [n for n, _ in got] == [n for n, _ in want]
+    for (name, a), (_, b) in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     x = np.random.default_rng(8).normal(size=(2, 3, 32, 32)).astype(np.float32)
     assert forward(old, x).data.tobytes() == forward(new, x).data.tobytes()

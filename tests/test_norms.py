@@ -1,6 +1,7 @@
 """Layer norm, batch norm and conv→BN on channels-last maps against
-per-channel loop oracles, and the fused train-mode norms against the same
-norms composed from autodiff primitives."""
+per-channel loop oracles, and the fused norms' gradients against numpy
+oracles: the chain rule taken op by op through the composed norm in train
+mode, and a loop over the conv's windows in eval mode."""
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from dualformer.norms import (
     layer_norm_channels,
     make_batch_norm,
 )
-from dualformer.tensor import Tensor, add_bias, constant, mul, reshape, tmean, tsqrt, tsum
+from dualformer.tensor import Tensor, constant, graph_records, tsum
 
 
 @pytest.fixture(autouse=True)
@@ -32,21 +33,51 @@ def off_default_bn(r, c):
     return bn
 
 
-def conv_bn_eval_oracle(x, w, bn, stride, padding, groups):
-    """Per output value: the conv by its definition, then eval batch norm."""
-    b, h, wd, _ = x.shape
+def conv_windows(x, w, stride, padding, groups):
+    """``(xp, ho, wo, window)``: the padded input, the output size, and a
+    function giving the index of the input window behind output (n, i, j, c)."""
+    _, h, wd, _ = x.shape
     o, cg, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wd + 2 * padding - kw) // stride + 1
-    out = np.empty((b, ho, wo, o))
-    for n, i, j, c in np.ndindex(b, ho, wo, o):
+
+    def window(n, i, j, c):
         first = 0 if groups == 1 else c
-        win = xp[n, i * stride : i * stride + kh, j * stride : j * stride + kw, first : first + cg]
-        conv = np.sum(win * w[c].transpose(1, 2, 0))
+        return (n, slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw),
+                slice(first, first + cg))
+
+    return xp, ho, wo, window
+
+
+def conv_bn_eval_oracle(x, w, bn, stride, padding, groups):
+    """Per output value: the conv by its definition, then eval batch norm."""
+    xp, ho, wo, window = conv_windows(x, w, stride, padding, groups)
+    out = np.empty((x.shape[0], ho, wo, w.shape[0]))
+    for n, i, j, c in np.ndindex(*out.shape):
+        conv = np.sum(xp[window(n, i, j, c)] * w[c].transpose(1, 2, 0))
         rm, rv = bn.running_mean[c], bn.running_var[c]
         out[n, i, j, c] = (conv - rm) / np.sqrt(rv + BN_EPS) * bn.gamma.data[c] + bn.beta.data[c]
     return out
+
+
+def conv_bn_eval_grad_oracle(x, w, bn, g, stride, padding, groups):
+    """(dx, dw, dgamma, dbeta) of ``sum(g * conv_bn_eval(x))``: each output's
+    gradient g * gamma / sqrt(var + eps) is scattered back over its window."""
+    xp, ho, wo, window = conv_windows(x, w, stride, padding, groups)
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    dgamma, dbeta = np.zeros(w.shape[0]), np.zeros(w.shape[0])
+    for n, i, j, c in np.ndindex(*g.shape):
+        win = window(n, i, j, c)
+        rstd = 1.0 / np.sqrt(bn.running_var[c] + BN_EPS)
+        conv = np.sum(xp[win] * w[c].transpose(1, 2, 0))
+        dconv = g[n, i, j, c] * bn.gamma.data[c] * rstd
+        dxp[win] += dconv * w[c].transpose(1, 2, 0)
+        dw[c] += dconv * xp[win].transpose(2, 0, 1)
+        dgamma[c] += g[n, i, j, c] * (conv - bn.running_mean[c]) * rstd
+        dbeta[c] += g[n, i, j, c]
+    h, wd = x.shape[1:3]
+    return dxp[:, padding : padding + h, padding : padding + wd], dw, dgamma, dbeta
 
 
 # (cin, cout, k, stride, padding, groups): stem/transition, MBConv expand, depthwise
@@ -63,6 +94,27 @@ def test_batch_norm_eval_matches_loop_oracle():
         want = conv_bn_eval_oracle(x, w, bn, stride, padding, groups)
         got = conv_bn(constant(x), constant(w), bn, False, stride, padding, groups).data
         assert np.abs(got - want).max() <= 1e-12, (cin, cout, k, stride, groups)
+
+
+@pytest.mark.parametrize("case", CONV_BN_CASES, ids=["dense_s2", "dense_1x1", "depthwise"])
+def test_batch_norm_eval_grads_match_loop_oracle(case):
+    cin, cout, k, stride, padding, groups = case
+    r = np.random.default_rng(5)
+    bn = off_default_bn(r, cout)
+    x = Tensor(3.0 + 2.0 * r.normal(size=(2, 6, 5, cin)), requires_grad=True)
+    w = Tensor(r.normal(size=(cout, cin // groups, k, k)), requires_grad=True)
+    out = conv_bn(x, w, bn, False, stride, padding, groups)
+    # one node after the conv, whose parents are the conv output, gamma, beta
+    conv_rec, bn_rec = graph_records(out)
+    assert (conv_rec[0], bn_rec[0]) == ("conv2d", "batch_norm_eval")
+    assert bn_rec[1] == (conv_rec[2], id(bn.gamma), id(bn.beta))
+    g = r.normal(size=out.shape)
+    tsum(out * constant(g)).backward()
+    want = conv_bn_eval_grad_oracle(x.data, w.data, bn, g, stride, padding, groups)
+    for what, got, ref in zip(("dx", "dw", "dgamma", "dbeta"),
+                              (x.grad, w.grad, bn.gamma.grad, bn.beta.grad), want):
+        assert got.shape == ref.shape, what
+        assert np.abs(got - ref).max() <= 1e-12, what
 
 
 def test_batch_norm_eval_leaves_buffers_and_is_rowwise():
@@ -83,33 +135,43 @@ def test_batch_norm_eval_rejects_negative_running_var():
         conv_bn(constant(np.ones((1, 2, 2, 2))), constant(np.ones((2, 2, 1, 1))), bn, False)
 
 
-def composed_norm(x, gamma, beta, axes, eps):
-    """The norm as separate autodiff ops: mean, subtract, square, mean,
-    sqrt, then the per-channel affine."""
-    m = tmean(x, axis=axes, keepdims=True)
+def composed_norm(x, gamma, beta, g, axes, eps):
+    """(output, dx, dgamma, dbeta) of the norm composed from separate steps
+    (mean, subtract, square, mean, sqrt, the per-channel affine) under the
+    upstream gradient ``g``, each step's gradient taken by the chain rule."""
+    count = np.prod([x.shape[a] for a in axes])
+    m = x.mean(axis=axes, keepdims=True)
     xc = x - m
-    v = tmean(xc * xc, axis=axes, keepdims=True)
-    xn = xc * (1.0 / tsqrt(v + eps))
-    return add_bias(mul(xn, reshape(gamma, (1, 1, 1, gamma.shape[0]))), beta)
+    v = (xc * xc).mean(axis=axes, keepdims=True)
+    r = 1.0 / np.sqrt(v + eps)
+    xn = xc * r
+    out = xn * gamma + beta
+    affine_axes = (0, 1, 2)
+    dgamma, dbeta = (g * xn).sum(axis=affine_axes), g.sum(axis=affine_axes)
+    dxn = g * gamma
+    dr = (dxn * xc).sum(axis=axes, keepdims=True)
+    dv = dr * -0.5 * r**3
+    dxc = dxn * r + dv * 2.0 * xc / count
+    dx = dxc - dxc.sum(axis=axes, keepdims=True) / count
+    return out, dx, dgamma, dbeta
 
 
 def fused_and_composed(norm, x, gamma, beta, g):
     """(output, dx, dgamma, dbeta) of the fused norm and of the composed one
     under the upstream gradient ``g``; the fused norm must be one graph node."""
-    results = []
-    for fused in (True, False):
-        leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
-        if norm == "batch":
-            bn = make_batch_norm(x.shape[-1], np.float64)
-            bn.gamma, bn.beta = leaves[1], leaves[2]
-            out = batch_norm(leaves[0], bn) if fused else composed_norm(*leaves, (0, 1, 2), BN_EPS)
-        else:
-            out = layer_norm_channels(*leaves) if fused else composed_norm(*leaves, -1, LN_EPS)
-        if fused:
-            assert out._node.parents == tuple(leaves)
-        tsum(out * constant(g)).backward()
-        results.append([out.data] + [t.grad for t in leaves])
-    return results
+    leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    if norm == "batch":
+        bn = make_batch_norm(x.shape[-1], np.float64)
+        bn.gamma, bn.beta = leaves[1], leaves[2]
+        out = batch_norm(leaves[0], bn)
+        axes, eps = (0, 1, 2), BN_EPS
+    else:
+        out = layer_norm_channels(*leaves)
+        axes, eps = (3,), LN_EPS
+    assert out._node.parents == tuple(leaves)
+    tsum(out * constant(g)).backward()
+    fused = [out.data] + [t.grad for t in leaves]
+    return fused, composed_norm(x, gamma, beta, g, axes, eps)
 
 
 # C = 1, a 1x1 map, a single row, and a general map

@@ -51,6 +51,45 @@ def test_cross_entropy_extreme_logits_finite():
     assert loss.data < 1e-6  # the right class dominates
 
 
+def np_cross_entropy_grad(logits, labels):
+    z = logits - logits.max(axis=1, keepdims=True)
+    p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    p[np.arange(len(labels)), labels] -= 1.0
+    return p / len(labels)
+
+
+@pytest.mark.parametrize("scale", [0.1, 3.0, 1e4])
+def test_cross_entropy_and_gradient_match_numpy_oracle(scale):
+    r = np.random.default_rng(int(scale * 10))
+    for _ in range(20):
+        b, k = r.integers(1, 9), r.integers(2, 7)
+        logits = scale * r.normal(size=(b, k))
+        if scale == 1e4:  # saturated rows: +-1e4 exactly, as in a diverging run
+            logits = np.where(r.random((b, k)) < 0.5, -1e4, 1e4) + r.normal(size=(b, k))
+        labels = r.integers(0, k, size=b)
+        t = Tensor(logits, requires_grad=True)
+        loss = cross_entropy(t, labels)
+        assert graph_records(loss) == [("cross_entropy", (id(t),), id(loss))]
+        want = np_cross_entropy(logits, labels)
+        assert abs(loss.item() - want) <= 1e-12 * max(1.0, abs(want))
+        (loss * 2.5).backward()  # an upstream gradient other than 1
+        assert np.abs(t.grad - 2.5 * np_cross_entropy_grad(logits, labels)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_cross_entropy_rejects_non_finite_logits(bad):
+    # -inf on the label's own logit makes the loss +inf
+    logits = np.zeros((2, 3))
+    logits[1, 2] = bad
+    with pytest.raises(FloatingPointError):
+        cross_entropy(Tensor(logits), np.array([0, 2]))
+
+
+def test_cross_entropy_rejects_labels_of_the_wrong_length():
+    with pytest.raises(ShapeError):
+        cross_entropy(Tensor(np.zeros((2, 4))), np.array([0, 1, 2]))
+
+
 def test_cross_entropy_gradient_is_softmax_minus_onehot():
     logits = Tensor(
         np.array([[1.0, 2.0, 0.5, -1.0], [0.0, 0.0, 0.0, 0.0]]), requires_grad=True
