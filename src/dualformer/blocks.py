@@ -20,7 +20,7 @@ import numpy as np
 
 from . import precision
 from .conv import conv2d
-from .init import ones_param, trunc_normal, zeros_param
+from .init import ones_param, trunc_normal, truncated_normal, zeros_param
 from .mhpa import MhpaConfig, MhpaHeadParams, MhpaParams, mhpa_forward
 from .norms import BatchNorm2d, conv_bn, layer_norm_channels, make_batch_norm
 from .partition import NormVectors
@@ -106,24 +106,22 @@ def make_mhpa(
 ) -> MhpaParams:
     if channels % cfg.num_heads:
         raise ShapeError(f"{channels} channels do not split into {cfg.num_heads} heads")
-    d = channels // cfg.num_heads
+    h, d = cfg.num_heads, channels // cfg.num_heads
     dh = max(1, d // 4)
     k = cfg.downsample_rate
-    heads = []
-    for _ in range(cfg.num_heads):
-        heads.append(
-            MhpaHeadParams(
-                token_w=trunc_normal(rng, (d, d)),
-                token_b=zeros_param(d),
-                imp_w1=trunc_normal(rng, (d, dh)),
-                imp_b1=zeros_param(dh),
-                imp_w2=trunc_normal(rng, (dh, 1)),
-                imp_b2=zeros_param(1),
-                agg_w=trunc_normal(rng, (2 * d, d)),
-                agg_b=zeros_param(d),
-                norms=NormVectors(rng.standard_normal((cfg.hash_bits, d))),
-            )
-        )
+    shapes = ((d, d), (d, dh), (dh, 1), (2 * d, d), (cfg.hash_bits, d))
+    token_w, imp_w1, imp_w2, agg_w, beta = (np.empty((h, *s)) for s in shapes)
+    for i in range(h):  # head by head in field order, as a per-head build draws
+        for w in (token_w, imp_w1, imp_w2, agg_w):
+            w[i] = truncated_normal(rng, w.shape[1:])
+        beta[i] = rng.standard_normal(beta.shape[1:])
+    heads = MhpaHeadParams(
+        token_w=Tensor(token_w, requires_grad=True), token_b=zeros_param(h * d),
+        imp_w1=Tensor(imp_w1, requires_grad=True), imp_b1=zeros_param(h * dh),
+        imp_w2=Tensor(imp_w2, requires_grad=True), imp_b2=zeros_param(h),
+        agg_w=Tensor(agg_w, requires_grad=True), agg_b=zeros_param(h * d),
+        norms=NormVectors(beta),
+    )
     return MhpaParams(
         ln_gamma=ones_param(channels),
         ln_beta=zeros_param(channels),

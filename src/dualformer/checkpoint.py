@@ -10,7 +10,9 @@ outputs bit for bit at f32.
 
 Files written before the conv biases that batch norm cancels were removed
 carry those biases as entries; the reader folds each into its norm's
-running mean (:data:`_RETIRED_BIASES`).
+running mean (:data:`_RETIRED_BIASES`). Files written before attention
+layers stored their heads stacked carry one ``heads[i].*`` entry per head;
+the reader merges them into the stacked entries (:func:`_merge_head_entries`).
 """
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ import re
 import struct
 from contextlib import contextmanager
 from typing import BinaryIO
+
+import numpy as np
 
 from .model import ConfigError, Model, build_model, config_from_text, config_to_text, iter_state
 from .tensor_io import TensorFormatError, _read_exact, read_tensor_stream, write_tensor_stream
@@ -36,6 +40,7 @@ _RETIRED_BIASES = (
     (re.compile(r"(.+\.convs\[\d+\])\[1\]"), r"\1[1]"),
 )
 _OLD_EMBED_BN = re.compile(r"(\.convs\[\d+\])\[2\]\.")
+_PER_HEAD = re.compile(r"(.+\.heads)\[(\d+)\](\..+)")
 
 
 class CheckpointError(ValueError):
@@ -83,7 +88,7 @@ def read_checkpoint_stream(stream: BinaryIO):
             order.append(name)
     except (TensorFormatError, ConfigError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    return cfg, *_fold_retired_biases(state, order)
+    return cfg, *_merge_head_entries(*_fold_retired_biases(state, order))
 
 
 def _fold_retired_biases(state: dict, order: list) -> tuple[dict, list]:
@@ -102,6 +107,34 @@ def _fold_retired_biases(state: dict, order: list) -> tuple[dict, list]:
                     )
                 state[mean] = state[mean] - bias
     return state, [n for n in order if n in state]
+
+
+def _merge_head_entries(state: dict, order: list) -> tuple[dict, list]:
+    """Merge per-head entries ``heads[i].x``, i = 0..h-1, into the stacked
+    ``heads.x``: weights and normals stack along a new leading axis, and
+    biases, the rank-1 entries, concatenate."""
+    groups, merged = {}, []
+    for name in order:
+        match = _PER_HEAD.fullmatch(name)
+        if match is None:
+            merged.append(name)
+            continue
+        stacked, i = match[1] + match[3], int(match[2])
+        heads = groups.setdefault(stacked, {})
+        if not heads:
+            merged.append(stacked)
+        if i in heads:
+            raise CheckpointError(f"entry {name!r} repeats head {i}")
+        heads[i] = state.pop(name)
+    for stacked, heads in groups.items():
+        parts = [heads.get(i) for i in range(len(heads))]
+        if any(p is None or p.shape != parts[0].shape for p in parts):
+            raise CheckpointError(
+                f"per-head entries of {stacked!r} are not heads 0..{len(heads) - 1} "
+                f"of one shape: {sorted((i, p.shape) for i, p in heads.items())}"
+            )
+        state[stacked] = np.concatenate(parts) if parts[0].ndim == 1 else np.stack(parts)
+    return state, merged
 
 
 @contextmanager

@@ -13,14 +13,14 @@ assignment of shape (..., n); any leading axes are batch axes. The head
 checks the ids once, turning them into one (..., n, K) one-hot bucket matrix
 that every attention op takes: bucket sums are ``bucketsᵀ @ x`` and lookups
 ``buckets @ table``. Heads never interact before the expansion conv, so a
-layer runs all of them as one batch: (B, heads, n, d) tokens against one
-head whose tensors are stacked along a leading head axis (``stack_heads``).
+layer stores its heads stacked and runs them as one batch: (B, heads, n, d)
+tokens against one head whose weights carry a leading head axis.
 
 Intra, inter and the aggregate are one autodiff node each, with a
 hand-derived backward that sums weight gradients over the batch axes. They
-take both layouts: a head's weights are (d, ·) and its biases (·,), or
-(heads, d, ·) and (heads, ·) when stacked, and a bias adds along the rows of
-its head as ``b[..., None, :]``.
+take both layouts: weights (d, ·), or (heads, d, ·) when stacked. A bias is
+a vector in both, the heads' biases concatenated, so the optimizer's rank
+rule never decays it; it adds as ``b.reshape(w.shape[:-2] + (1, k))``.
 
 Division safety: every data-dependent denominator in the intra weighting
 carries +1e-6, and intra inputs are expected to be nonnegative (the layer
@@ -30,7 +30,8 @@ and an empty bucket gets weight exactly zero however high it scores.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,28 +55,43 @@ from .tensor import (
     one_hot,
     reshape,
     sigmoid,
-    stack,
     transpose,
 )
 
 EPS = 1e-6
 
 
-@dataclass(eq=False)
+@dataclass
 class MhpaHeadParams:
-    """Learnable state for one head: token projection, importance predictor,
-    aggregation projection, and the frozen hashing hyperplanes. Compared and
-    hashed by identity, so a head keys its hash site in ``mhpa_forward``."""
+    """Learnable state of a layer's heads: token projection, importance
+    predictor, aggregation projection, and the frozen hashing hyperplanes.
 
-    token_w: Tensor  # (d, d)
-    token_b: Tensor  # (d,)
-    imp_w1: Tensor  # (d, dh)
-    imp_b1: Tensor  # (dh,)
-    imp_w2: Tensor  # (dh, 1)
-    imp_b2: Tensor  # (1,)
-    agg_w: Tensor  # (2d, d)
-    agg_b: Tensor  # (d,)
-    norms: NormVectors
+    A layer stores its heads as one stacked struct: each weight and the
+    normals carry a leading head axis, and each bias is the heads' biases
+    concatenated. ``head[i]`` is head ``i`` alone, shaped as on the right.
+    """
+
+    token_w: Tensor  # (heads, d, d) stacked; (d, d) alone
+    token_b: Tensor  # (heads·d,); (d,)
+    imp_w1: Tensor  # (heads, d, dh); (d, dh)
+    imp_b1: Tensor  # (heads·dh,); (dh,)
+    imp_w2: Tensor  # (heads, dh, 1); (dh, 1)
+    imp_b2: Tensor  # (heads,); (1,)
+    agg_w: Tensor  # (heads, 2d, d); (2d, d)
+    agg_b: Tensor  # (heads·d,); (d,)
+    norms: NormVectors  # beta (heads, bits, d); (bits, d)
+
+    def __getitem__(self, i: int) -> MhpaHeadParams:
+        """Head ``i`` of a stacked head, each tensor a view into the stacked
+        one with its ``requires_grad``; gradients of a forward through the
+        views stay on the views."""
+        views = {}
+        for wn, bn in (("token_w", "token_b"), ("imp_w1", "imp_b1"),
+                       ("imp_w2", "imp_b2"), ("agg_w", "agg_b")):
+            w, b = getattr(self, wn), getattr(self, bn)
+            views[wn] = Tensor._wrap(w.data[i], w.requires_grad, None)
+            views[bn] = Tensor._wrap(b.data.reshape(w.shape[0], -1)[i], b.requires_grad, None)
+        return MhpaHeadParams(**views, norms=NormVectors(self.norms.beta[i]))
 
 
 @dataclass
@@ -90,9 +106,10 @@ class MhpaConfig:
         return 1 << self.hash_bits
 
 
-@dataclass
+@dataclass(eq=False)
 class MhpaParams:
-    """One attention layer over a C-channel map."""
+    """One attention layer over a C-channel map. Compared and hashed by
+    identity, so a layer keys its hash site in ``mhpa_forward``."""
 
     ln_gamma: Tensor  # (C,)
     ln_beta: Tensor  # (C,)
@@ -100,15 +117,7 @@ class MhpaParams:
     down_b: Tensor  # (C,)
     up_w: Tensor  # (C*k*k, C, 1, 1)
     up_b: Tensor  # (C*k*k,)
-    heads: list[MhpaHeadParams] = field(default_factory=list)
-
-
-def stack_heads(heads: list[MhpaHeadParams]) -> MhpaHeadParams:
-    """One head whose every tensor carries a leading head axis, for running
-    all heads in one batch; gradients split back to the per-head tensors."""
-    tensors = {f.name: stack([getattr(h, f.name) for h in heads])
-               for f in fields(MhpaHeadParams) if f.name != "norms"}
-    return MhpaHeadParams(**tensors, norms=NormVectors(np.stack([h.norms.beta for h in heads])))
+    heads: MhpaHeadParams  # stacked
 
 
 # -- attention ops --------------------------------------------------------
@@ -134,10 +143,17 @@ def _weight_grad(a: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), w.shape)
 
 
-def _bias_grad(g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gradient at ``b`` of adding ``b[..., None, :]`` to every row of its
-    head, summed over the batch axes."""
-    return _unbroadcast(g, b.shape[:-1] + (1, b.shape[-1])).reshape(b.shape)
+def _bias_rows(op: str, b: Tensor, w: Tensor) -> np.ndarray:
+    """The bias of ``x @ w`` as (..., 1, k) rows through w's leading axes."""
+    rows = w.shape[:-2] + (1, w.shape[-1])
+    if b.shape != (math.prod(rows),):
+        raise ShapeError(f"{op}: bias {b.shape} does not fit weight {w.shape}")
+    return b.data.reshape(rows)
+
+
+def _bias_grad(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Gradient at a bias added as ``rows``, summed over the batch axes."""
+    return _unbroadcast(g, rows.shape).reshape(-1)
 
 
 def intra_partition_attention(x: Tensor, x_tilde: Tensor, buckets: np.ndarray) -> Tensor:
@@ -202,14 +218,15 @@ def inter_partition_attention(
     _check_bucket_op(op, buckets, xt, w1, b1, w2, b2)
     if w1.shape[-2] != xt.shape[-1]:
         raise ShapeError(f"{op}: predictor {w1.shape} does not take {xt.shape[-1]} channels")
+    r1, r2 = _bias_rows(op, b1, w1), _bias_rows(op, b2, w2)
     counts = buckets.sum(axis=-2)
     # an empty bucket's sum is a zero row, so its descriptor stays exactly zero
     inv = (1.0 / np.maximum(counts, 1))[..., None]
     descr = np.swapaxes(buckets, -1, -2) @ xt.data
     descr *= inv
-    z = descr @ w1.data + b1.data[..., None, :]
+    z = descr @ w1.data + r1
     h, s = _gelu_parts(z)
-    scores = h @ w2.data + b2.data[..., None, :]  # (..., K, 1)
+    scores = h @ w2.data + r2  # (..., K, 1)
     coeff = _softmax(scores, -2, (counts > 0)[..., None])
     out = descr * coeff
 
@@ -219,8 +236,8 @@ def inter_partition_attention(
         ddescr = g * coeff
         ddescr += dz @ np.swapaxes(w1.data, -1, -2)
         ddescr *= inv
-        return (buckets @ ddescr, _weight_grad(descr, dz, w1.data), _bias_grad(dz, b1.data),
-                _weight_grad(h, dscores, w2.data), _bias_grad(dscores, b2.data))
+        return (buckets @ ddescr, _weight_grad(descr, dz, w1.data), _bias_grad(dz, r1),
+                _weight_grad(h, dscores, w2.data), _bias_grad(dscores, r2))
 
     return _make(out, (xt, w1, b1, w2, b2), backward, op)
 
@@ -245,10 +262,11 @@ def global_local_aggregate(
             f"{op}: intra {intra.shape}, inter {inter.shape} and buckets {buckets.shape} "
             f"do not fit agg_w {w.shape}"
         )
+    rows = _bias_rows(op, b, w)
     top, bot = w.data[..., :d, :], w.data[..., d:, :]
     out = intra.data @ top
     out += buckets @ (inter.data @ bot)
-    out += b.data[..., None, :]
+    out += rows
 
     def backward(g):
         gp = np.swapaxes(buckets, -1, -2) @ g  # at the projected bucket rows
@@ -256,7 +274,7 @@ def global_local_aggregate(
             [_weight_grad(intra.data, g, top), _weight_grad(inter.data, gp, bot)], axis=-2
         )
         return (g @ np.swapaxes(top, -1, -2), gp @ np.swapaxes(bot, -1, -2), dw,
-                _bias_grad(g, b.data))
+                _bias_grad(g, rows))
 
     return _make(out, (intra, inter, w, b), backward, op)
 
@@ -297,7 +315,7 @@ def mhpa_head_forward(
     The weight path gates raw tokens through a sigmoid; the value path is the
     token projection. When ``assign`` is given it is used verbatim (frozen
     partitions); otherwise tokens are hashed against the head's hyperplanes.
-    A ``stack_heads`` head runs every head at once on (..., heads, n, d).
+    A stacked head runs every head at once on (..., heads, n, d).
     """
     if assign is None:
         assign = hash_codes(
@@ -338,11 +356,11 @@ def mhpa_forward(
     C to C*k^2 -> channel-to-spatial unfold with the raw input as skip. With
     the expansion conv zeroed the layer is exactly the identity.
 
-    ``sites`` maps heads to their hash sites. When it holds every head of
-    the layer, each replays its ``"assignment"`` verbatim (frozen
-    partitions). When it holds none, the heads hash their tokens and each
-    stores ``{"assignment", "shape"}`` under itself, ``"shape"`` being the
-    (H/k, W/k) token grid. Holding only some of the heads is a ShapeError.
+    ``sites`` maps layers to their hash sites. A layer with an entry replays
+    its ``"assignment"``, (B, heads, n), verbatim (frozen partitions). A
+    layer without one hashes all heads' tokens in one call and stores
+    ``{"assignment", "shape"}`` under itself, ``"shape"`` being the
+    (H/k, W/k) token grid.
     """
     if x.ndim != 4:
         raise ShapeError(f"mhpa_forward: expected (B, H, W, C), got {x.shape}")
@@ -350,34 +368,22 @@ def mhpa_forward(
     k = cfg.downsample_rate
     if k < 1 or h % k or w % k:
         raise ShapeError(f"mhpa_forward: map {h}x{w} not divisible by downsample rate {k}")
-    if cfg.num_heads != len(params.heads) or c % cfg.num_heads:
-        raise ShapeError(
-            f"mhpa_forward: {c} channels do not split into {cfg.num_heads} heads"
-        )
     heads = cfg.num_heads
+    if params.heads.token_w.shape[:-2] != (heads,) or c % heads:
+        raise ShapeError(f"mhpa_forward: {c} channels do not split into {heads} heads")
     d = c // heads
 
     skip = x
     normed = layer_norm_channels(x, params.ln_gamma, params.ln_beta)
     down = conv2d(normed, params.down_w, params.down_b, stride=k, padding=1, groups=c)
     hs, ws = down.shape[1:3]
-    n = hs * ws
-    toks = transpose(reshape(down, (b, n, heads, d)), (0, 2, 1, 3))  # (B, heads, n, d)
-    stacked = stack_heads(params.heads)
-
-    given = [] if sites is None else [np.asarray(sites[h]["assignment"])
-                                      for h in params.heads if h in sites]
-    if given and len(given) != heads:
-        raise ShapeError(f"mhpa_forward: sites holds {len(given)} of the layer's {heads} heads")
-    if any(a.shape != (b, n) for a in given):
-        raise ShapeError(f"mhpa_forward: replayed assignments must have shape {(b, n)}")
-    # with no assignment given, the head hashes all heads' tokens in one call
-    out, assign = mhpa_head_forward(toks, stacked, cfg.num_clusters,
-                                    assign=np.stack(given, axis=1) if given else None,
+    toks = transpose(reshape(down, (b, hs * ws, heads, d)), (0, 2, 1, 3))  # (B, heads, n, d)
+    site = None if sites is None else sites.get(params)
+    out, assign = mhpa_head_forward(toks, params.heads, cfg.num_clusters,
+                                    assign=None if site is None else np.asarray(site["assignment"]),
                                     attend=cfg.attend)
-    if sites is not None and not given:
-        for i, head in enumerate(params.heads):
-            sites[head] = {"assignment": assign[:, i], "shape": (hs, ws)}
+    if sites is not None and site is None:
+        sites[params] = {"assignment": assign, "shape": (hs, ws)}
 
     merged = reshape(transpose(out, (0, 2, 1, 3)), (b, hs, ws, c))
     up = conv2d(merged, params.up_w, params.up_b)

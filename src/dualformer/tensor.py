@@ -480,23 +480,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _make(out, tuple(tensors), backward, "concat")
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis; the gradient
-    splits back along it."""
-    tensors = [_coerce(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("stack: need at least one tensor")
-    for t in tensors[1:]:
-        if t.shape != tensors[0].shape:
-            raise ShapeError(f"stack: shapes {tensors[0].shape} and {t.shape} differ")
-    out = np.stack([t.data for t in tensors])
-
-    def backward(g):
-        return tuple(g)
-
-    return _make(out, tuple(tensors), backward, "stack")
-
-
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice along one axis."""
     a = _coerce(a)
@@ -520,20 +503,21 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 def add_bias(a, b) -> Tensor:
     """Add a bias along the last axis; the one sanctioned rank-promoting add.
 
-    ``b`` is (d,) for every row of ``a[..., d]``, or (heads, d) for
-    head-stacked rows ``a[..., heads, n, d]``, one bias row per head.
+    ``b`` is (d,) for every row of ``a[..., d]``, or (heads·d,) for
+    head-stacked rows ``a[..., heads, n, d]``, each head's d entries in turn.
     """
     a = _coerce(a)
     b = _coerce(b, like=a)
-    per_head = b.ndim == 2 and a.ndim >= 3 and a.shape[-3] == b.shape[0]
-    if not (b.ndim == 1 or per_head) or b.shape[-1] != a.shape[-1]:
+    d = a.shape[-1]
+    per_head = b.shape != (d,) and a.ndim >= 3 and b.shape == (a.shape[-3] * d,)
+    if not (per_head or b.shape == (d,)):
         raise ShapeError(f"add_bias: bias {b.shape} does not fit the rows of {a.shape}")
-    out = a.data + (b.data[:, None] if per_head else b.data)
+    out = a.data + (b.data.reshape(-1, 1, d) if per_head else b.data)
     kept = (a.ndim - 3, a.ndim - 1) if per_head else (a.ndim - 1,)
     reduce_axes = tuple(i for i in range(a.ndim) if i not in kept)
 
     def backward(g):
-        return g, g.sum(axis=reduce_axes)
+        return g, g.sum(axis=reduce_axes).reshape(b.shape)
 
     return _make(out, (a, b), backward, "add_bias")
 

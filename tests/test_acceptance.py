@@ -80,7 +80,6 @@ from dualformer.tensor import (
     segment_sum,
     sigmoid,
     softmax,
-    stack,
     tmean,
     transpose,
     tsum,
@@ -433,10 +432,10 @@ def op_inventory(r):
     rh = np.random.default_rng(23)
     stacked_leaf = lambda *s: Tensor(0.5 * rh.normal(size=s), requires_grad=True)
     stacked = MhpaHeadParams(
-        token_w=stacked_leaf(2, 4, 4), token_b=stacked_leaf(2, 4),
-        imp_w1=stacked_leaf(2, 4, 2), imp_b1=stacked_leaf(2, 2),
-        imp_w2=stacked_leaf(2, 2, 1), imp_b2=stacked_leaf(2, 1),
-        agg_w=stacked_leaf(2, 8, 4), agg_b=stacked_leaf(2, 4),
+        token_w=stacked_leaf(2, 4, 4), token_b=stacked_leaf(8),
+        imp_w1=stacked_leaf(2, 4, 2), imp_b1=stacked_leaf(4),
+        imp_w2=stacked_leaf(2, 2, 1), imp_b2=stacked_leaf(2),
+        agg_w=stacked_leaf(2, 8, 4), agg_b=stacked_leaf(8),
         norms=NormVectors(rh.standard_normal((2, 3, 4))),
     )
     stacked_buckets = one_hot(rh.choice([0, 2], size=(2, 2, 5)), 3, np.float64)
@@ -490,9 +489,8 @@ def op_inventory(r):
          [leaf(r, 6, 4), leaf(r, 3, 4)]),
         ("channel_to_spatial", lambda x, s: channel_to_spatial(x, 2, s),
          [map_leaf(r, 1, 8, 2, 2), map_leaf(r, 1, 2, 4, 4)]),
-        ("stack", lambda x, y: stack([x, y]), [a(), a()]),
-        # head-stacked (B, heads, n, d) tokens against (heads, ...) head
-        # tensors, every one audited; bucket 1 is empty in every row, so the
+        # head-stacked (B, heads, n, d) tokens against a stacked head,
+        # (heads, ...) weights and (heads·k,) biases, every one audited; bucket 1 is empty in every row, so the
         # inter softmax's mask is audited too
         ("inter_attention_stacked",
          lambda xt, w1, b1, w2, b2: inter_partition_attention(xt, stacked_buckets, stacked),

@@ -11,6 +11,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -103,3 +105,24 @@ def test_dataclass_fields_resolve():
         have = {f.name for f in dataclasses.fields(resolve(mod_name, cls))}
         missing += [f"{mod_name}.{cls}.{n}" for n in names if n not in have]
     assert missing == []
+
+
+def test_tokens_workload_head():
+    # tokens-3136 runs make_mhpa(...).heads[0] alone, and its f64 reference
+    # and sign hash read every tensor of it in these single-head shapes
+    from dualformer import blocks, mhpa, tensor
+
+    rng = np.random.default_rng(0)
+    head = blocks.make_mhpa(64, mhpa.MhpaConfig(hash_bits=3, num_heads=1), rng).heads[0]
+    shapes = {f.name: getattr(head, f.name).shape
+              for f in dataclasses.fields(head) if f.name != "norms"}
+    assert shapes == {
+        "token_w": (64, 64), "token_b": (64,), "imp_w1": (64, 16), "imp_b1": (16,),
+        "imp_w2": (16, 1), "imp_b2": (1,), "agg_w": (128, 64), "agg_b": (64,),
+    }
+    assert head.norms.beta.shape == (3, 64)
+    x = tensor.Tensor(rng.standard_normal((49, 64)), requires_grad=True)
+    out, assign = mhpa.mhpa_head_forward(x, head, 8)
+    tensor.tsum(out).backward()
+    assert out.shape == (49, 64) and assign.shape == (49,)
+    assert x.grad.shape == (49, 64) and np.abs(x.grad).max() > 0

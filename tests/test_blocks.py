@@ -196,8 +196,8 @@ def test_block_sites_replay_partitions():
     x = rand_map(rng(26), 8)
     sites = {}
     out1 = dual_block_forward(x, p, sites=sites)
-    assert list(sites) == p.mhpa.heads
-    replay = {head: {"assignment": e["assignment"]} for head, e in sites.items()}
+    assert list(sites) == [p.mhpa]
+    replay = {layer: {"assignment": e["assignment"]} for layer, e in sites.items()}
     out2 = dual_block_forward(x, p, sites=replay)
     assert np.array_equal(out1.data, out2.data)
 

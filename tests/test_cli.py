@@ -185,7 +185,7 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
     assert list(tmp_path.iterdir()) == []  # no temp litter either
 
 
-@pytest.mark.parametrize("script", ["run_ablation.py", "dump_visuals.py"])
+@pytest.mark.parametrize("script", ["run_ablation.py"])
 def test_script_help(script):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     res = subprocess.run(

@@ -373,14 +373,16 @@ def composed_head(tokens, head, num_clusters, assign, attend):
 
 
 def leaf_head(r, d, heads=None):
-    """A head whose tensors are gradient leaves; with ``heads``, stacked
-    along a leading head axis as ``stack_heads`` builds it."""
+    """A head whose tensors are gradient leaves; with ``heads``, stacked as
+    ``make_mhpa`` builds it: weights with a leading head axis and each bias
+    the heads' biases concatenated."""
     lead = () if heads is None else (heads,)
     dh = max(1, d // 4)
     t = lambda *s: Tensor(0.5 * r.normal(size=lead + s), requires_grad=True)
+    v = lambda k: Tensor(0.5 * r.normal(size=(heads or 1) * k), requires_grad=True)
     return MhpaHeadParams(
-        token_w=t(d, d), token_b=t(d), imp_w1=t(d, dh), imp_b1=t(dh),
-        imp_w2=t(dh, 1), imp_b2=t(1), agg_w=t(2 * d, d), agg_b=t(d),
+        token_w=t(d, d), token_b=v(d), imp_w1=t(d, dh), imp_b1=v(dh),
+        imp_w2=t(dh, 1), imp_b2=v(1), agg_w=t(2 * d, d), agg_b=v(d),
         norms=NormVectors(r.standard_normal(lead + (3, d))),
     )
 
@@ -683,15 +685,16 @@ def test_layer_frozen_replay_is_bitwise():
     replay = {head: {"assignment": e["assignment"]} for head, e in sites.items()}
     out2 = mhpa_forward(x, params, cfg, sites=replay)
     assert np.array_equal(out1.data, out2.data)
-    assert len(sites) == cfg.num_heads
-    assert all(e["shape"] == (2, 2) for e in sites.values())  # 4x4 map, rate 2
+    assert list(sites) == [params]  # one site per layer, (B, heads, n)
+    assert sites[params]["assignment"].shape == (2, cfg.num_heads, 4)
+    assert sites[params]["shape"] == (2, 2)  # 4x4 map, rate 2
     assert all(set(e) == {"assignment"} for e in replay.values())  # replay records nothing
 
 
-def per_head_loop(x, params, cfg, given):
-    """The layer with one single-head call per head on its narrowed channel
-    slice, the heads' outputs concatenated; ``given`` maps heads to replayed
-    assignments. Returns the output and each head's assignment."""
+def per_head_loop(x, params, cfg):
+    """The layer with one single-head call per head, ``params.heads[hi]``, on
+    its narrowed channel slice, the heads' outputs concatenated. Returns the
+    output and each head's assignment."""
     b, _, _, c = x.shape
     k = cfg.downsample_rate
     d = c // cfg.num_heads
@@ -700,9 +703,9 @@ def per_head_loop(x, params, cfg, given):
     hs, ws = down.shape[1:3]
     toks = reshape(down, (b, hs * ws, c))
     outs, assigns = [], []
-    for hi, head in enumerate(params.heads):
-        out, assign = mhpa_head_forward(narrow(toks, 2, hi * d, d), head, cfg.num_clusters,
-                                        assign=given.get(head), attend=cfg.attend)
+    for hi in range(cfg.num_heads):
+        out, assign = mhpa_head_forward(narrow(toks, 2, hi * d, d), params.heads[hi],
+                                        cfg.num_clusters, attend=cfg.attend)
         outs.append(out)
         assigns.append(assign)
     up = conv2d(reshape(concat(outs, axis=-1), (b, hs, ws, c)), params.up_w, params.up_b)
@@ -714,8 +717,7 @@ def loop_setup(heads, attend, seed):
     cfg = MhpaConfig(downsample_rate=2, hash_bits=3, num_heads=heads, attend=attend)
     params = make_mhpa(8, cfg, r)
     # unit-scale weights, so the heads move the output by O(1)
-    for t in [params.up_w, *(v for h in params.heads for v in vars(h).values()
-                             if isinstance(v, Tensor))]:
+    for t in [params.up_w, *(v for v in vars(params.heads).values() if isinstance(v, Tensor))]:
         t.data[:] = 0.5 * r.normal(size=t.shape)
     return cfg, params, constant(r.normal(size=(2, 12, 12, 8)))
 
@@ -727,26 +729,21 @@ def test_layer_matches_per_head_loop(heads, attend):
         cfg, params, x = loop_setup(heads, attend, seed=20 + heads)
         sites = {}
         got = mhpa_forward(x, params, cfg, sites=sites)
-        want, assigns = per_head_loop(x, params, cfg, {})
+        want, assigns = per_head_loop(x, params, cfg)
     assert np.abs(got.data - want.data).max() <= 1e-12
-    assert [sites[h]["assignment"].tolist() for h in params.heads] == [a.tolist() for a in assigns]
-    assert all(sites[h]["shape"] == (6, 6) for h in params.heads)
+    stored = sites[params]["assignment"]
+    assert [stored[:, hi].tolist() for hi in range(heads)] == [a.tolist() for a in assigns]
+    assert sites[params]["shape"] == (6, 6)
 
 
-def test_layer_partial_sites_rejected():
-    # a sites dict replays every head of a layer or records them all
+def test_layer_replay_of_wrong_shape_rejected():
+    # a layer replays one (B, heads, n) assignment for all its heads
     cfg, params, x = loop_setup(4, "full", seed=30)
-    r = np.random.default_rng(31)
-    for held in [(0,), (0, 2), (0, 1, 3)]:
-        sites = {params.heads[i]: {"assignment": r.integers(0, 8, size=(2, 36))} for i in held}
-        before = dict(sites)
-        with pytest.raises(ShapeError, match=f"sites holds {len(held)} of the layer's 4 heads"):
+    for shape in [(2, 36), (2, 3, 36), (2, 4, 35), (1, 4, 36)]:
+        sites = {params: {"assignment": np.zeros(shape, dtype=np.int64)}}
+        with pytest.raises(ShapeError, match="assignment"):
             mhpa_forward(x, params, cfg, sites=sites)
-        assert sites == before
-    short = {h: {"assignment": np.zeros((2, 36), dtype=np.int64)} for h in params.heads}
-    short[params.heads[1]] = {"assignment": np.zeros((2, 35), dtype=np.int64)}
-    with pytest.raises(ShapeError, match="replayed assignments"):
-        mhpa_forward(x, params, cfg, sites=short)
+        assert set(sites[params]) == {"assignment"}  # a failed replay records nothing
 
 
 def test_layer_rejects_indivisible_grid():

@@ -47,6 +47,7 @@ from dualformer.model import (
     named_parameters,
 )
 from dualformer.conv import conv2d
+from dualformer.init import INIT_STD, truncated_normal
 from dualformer.mhpa import MhpaConfig
 from dualformer.norms import BN_EPS
 from dualformer.tensor import ShapeError, constant, graph_records
@@ -256,6 +257,27 @@ def test_same_seed_same_bits_different_seed_differs():
     for k, v in iter_state(c):
         diffs += int(not np.array_equal(state_a[k], v))
     assert diffs > 0
+
+
+def test_truncated_normal_matches_whole_array_resampling():
+    # the init redraws only the outliers and tests only the redraws; this
+    # oracle retests the whole array each round, so builds stay bitwise only
+    # if both consume the same draws in the same order
+    def oracle(rng, shape):
+        vals = rng.standard_normal(shape)
+        bad = np.abs(vals) > 2.0
+        while bad.any():
+            vals[bad] = rng.standard_normal(int(bad.sum()))
+            bad = np.abs(vals) > 2.0
+        return vals * INIT_STD
+
+    for seed in range(20):
+        for shape in [(64, 64), (16, 1), (3,), (8, 1, 3, 3)]:
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = truncated_normal(a, shape)
+            assert got.tobytes() == oracle(b, shape).tobytes()
+            assert a.standard_normal() == b.standard_normal()  # same stream position
+            assert np.abs(got).max() <= 2 * INIT_STD
 
 
 def test_state_walk_covers_buffers():
@@ -537,6 +559,17 @@ def bn_fed_convs(model):
             yield f"{p}.dw_w", f"{p}.dw_b", mb.dw_w, mb.bn2
 
 
+def checkpoint_bytes(config, entries):
+    """Format-1 checkpoint bytes holding ``entries`` as given."""
+    text = config_to_text(config).encode("utf-8")
+    buf = io.BytesIO()
+    buf.write(b"DFCK" + struct.pack("<II", 1, len(text)) + text + struct.pack("<I", len(entries)))
+    for name, arr in entries:
+        buf.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
+        write_tensor_stream(buf, arr)
+    return buf.getvalue()
+
+
 def legacy_stream(model, biases):
     """Checkpoint bytes in the layout written before conv biases were retired:
     each bias entry right after its kernel, patch-embed norms at ``[2]``."""
@@ -545,13 +578,26 @@ def legacy_stream(model, biases):
         entries.append((re.sub(r"(\.convs\[\d+\])\[1\]\.", r"\1[2].", name), arr))
         if name in biases:
             entries.append(biases[name])
-    text = config_to_text(model.config).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(b"DFCK" + struct.pack("<II", 1, len(text)) + text + struct.pack("<I", len(entries)))
-    for name, arr in entries:
-        buf.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
-        write_tensor_stream(buf, arr)
-    return buf.getvalue()
+    return checkpoint_bytes(model.config, entries)
+
+
+def per_head_entries(model):
+    """Entries in the layout written before attention layers stored their
+    heads stacked: head by head, one ``heads[i].x`` entry per head tensor."""
+    entries, layer = [], []
+    for name, arr in iter_state(model):
+        if ".heads." not in name:
+            entries.append((name, arr))
+            continue
+        layer.append((name, arr))
+        if name.endswith(".norms.beta"):  # a layer's last head entry
+            heads = arr.shape[0]
+            for i in range(heads):
+                for n, a in layer:
+                    part = a[i] if a.ndim > 1 else np.split(a, heads)[i]
+                    entries.append((n.replace(".heads.", f".heads[{i}]."), part))
+            layer = []
+    return entries
 
 
 def test_checkpoint_legacy_conv_biases_fold_into_running_mean(tmp_path, monkeypatch):
@@ -619,6 +665,43 @@ def test_checkpoint_legacy_bias_of_wrong_shape_is_checkpoint_error():
     raw = legacy_stream(model, {w_name: (b_name, np.zeros(w.shape[0] + 1, np.float32))})
     with pytest.raises(CheckpointError, match="retired entry"):
         read_checkpoint_stream(io.BytesIO(raw))
+
+
+def test_checkpoint_with_per_head_entries_loads_bitwise(tmp_path):
+    model = build_model(get_preset("Micro"), seed=9)
+    r = np.random.default_rng(9)
+    for _, p in named_parameters(model):  # every head bias and terminal off zero
+        p.data += 0.05 * r.standard_normal(p.shape)
+    entries = per_head_entries(model)
+    names = [n for n, _ in entries]
+    assert "stages[3].blocks[0].mhpa.heads[3].imp_b2" in names
+    assert not any(".heads." in n for n in names)
+    path, current = tmp_path / "per_head.ckpt", tmp_path / "stacked.ckpt"
+    path.write_bytes(checkpoint_bytes(model.config, entries))
+    save_checkpoint(str(current), model)
+    loaded = load_checkpoint(str(path))
+    # the file format rounds the hash normals to f32, so the state matches
+    # the stacked file's, and the logits the writer's
+    for (name, a), (_, b) in zip(iter_state(loaded), iter_state(load_checkpoint(str(current)))):
+        assert a.tobytes() == b.tobytes(), name
+    x = r.normal(size=(2, 3, 32, 32)).astype(np.float32)
+    assert forward(loaded, x).data.tobytes() == forward(model, x).data.tobytes()
+
+
+@pytest.mark.parametrize("edit", ["missing", "repeated", "unequal"])
+def test_checkpoint_per_head_entries_that_do_not_stack_are_checkpoint_error(edit):
+    model = build_model(get_preset("Micro"), seed=0)
+    entries = per_head_entries(model)
+    at = [n for n, _ in entries].index("stages[3].blocks[0].mhpa.heads[1].token_w")
+    name, arr = entries[at]
+    if edit == "missing":
+        del entries[at]
+    elif edit == "repeated":
+        entries[at] = (name.replace("heads[1]", "heads[0]"), arr)
+    else:
+        entries[at] = (name, arr[:-1])
+    with pytest.raises(CheckpointError, match="heads.token_w|repeats head 0"):
+        read_checkpoint_stream(io.BytesIO(checkpoint_bytes(model.config, entries)))
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,6 @@
 """Loss, optimizer, and the toy training loop."""
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,26 @@ def test_adamw_skips_decay_on_vectors():
     opt = AdamW([("b", vec)], lr=0.1, weight_decay=0.5)
     opt.step()
     assert np.allclose(vec.data, 2.0 - 0.1 * 0.5 / (0.5 + 1e-8), atol=1e-12)
+
+
+def test_adamw_decays_every_tensor_but_the_biases_and_norm_affines():
+    # decay goes by rank, so each bias, gamma and beta must stay a vector
+    model = build_model(get_preset("Micro"), seed=0)
+    params = named_parameters(model)
+    r = np.random.default_rng(0)
+    for _, p in params:
+        p.data += r.standard_normal(p.shape)  # the zero terminals too
+        p.grad = np.zeros_like(p.data)
+    before = {n: p.data.copy() for n, p in params}
+    AdamW(params, lr=0.1, weight_decay=0.5).step()
+    vector = re.compile(r"(.+_)?(b\d?|gamma|beta)")
+    kept = [n for n, _ in params if vector.fullmatch(n.rsplit(".", 1)[-1])]
+    assert any(n.endswith("imp_b2") for n in kept)
+    for n, p in params:
+        if n in kept:
+            assert np.array_equal(p.data, before[n]), n
+        else:
+            assert (np.abs(p.data) < np.abs(before[n])).all(), n
 
 
 def test_adamw_sign_descent_drives_param_down():
