@@ -10,6 +10,7 @@ import dataclasses
 import sys
 
 from dualformer.blocks import MODES
+from dualformer.checkpoint import atomic_open
 from dualformer.data import make_shapes
 from dualformer.model import build_model, get_preset
 from dualformer.train import train_toy
@@ -39,7 +40,7 @@ def main() -> int:
             f"{mode:10s} train {last['train_loss']:.4f}  "
             f"val {last['val_loss']:.4f}  acc {last['val_acc']:.4f}"
         )
-    with open(args.out, "w") as fh:
+    with atomic_open(args.out, "w") as fh:
         fh.write("mode,train_loss,val_loss,val_acc\n")
         for mode, tl, vl, va in rows:
             fh.write(f"{mode},{tl:.6f},{vl:.6f},{va:.6f}\n")

@@ -99,7 +99,7 @@ def write_pgm(path: str, gray: np.ndarray) -> None:
 
 
 def dump_partitions(model: Model, images, out_dir: str, sample: int = 0) -> list[str]:
-    """Write one PGM per hash site showing bucket ids for one input.
+    """Write one PGM per head of every hash site showing bucket ids for one input.
 
     Returns the written paths. File names carry stage, block and head so a
     directory listing reads as the traversal order.
@@ -113,10 +113,10 @@ def dump_partitions(model: Model, images, out_dir: str, sample: int = 0) -> list
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for entry in trace:
-        assign = entry["assignment"][sample]
-        gray = partition_to_grayscale(assign, entry["num_clusters"], entry["shape"])
-        name = f"stage{entry['stage']}_block{entry['block']}_h{entry['head']}.pgm"
-        path = os.path.join(out_dir, name)
-        write_pgm(path, gray)
-        paths.append(path)
+        for head, assign in enumerate(entry["assignment"][sample]):
+            gray = partition_to_grayscale(assign, entry["num_clusters"], entry["shape"])
+            name = f"stage{entry['stage']}_block{entry['block']}_h{head}.pgm"
+            path = os.path.join(out_dir, name)
+            write_pgm(path, gray)
+            paths.append(path)
     return paths

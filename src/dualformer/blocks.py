@@ -120,7 +120,9 @@ def make_mhpa(
         imp_w1=Tensor(imp_w1, requires_grad=True), imp_b1=zeros_param(h * dh),
         imp_w2=Tensor(imp_w2, requires_grad=True), imp_b2=zeros_param(h),
         agg_w=Tensor(agg_w, requires_grad=True), agg_b=zeros_param(h * d),
-        norms=NormVectors(beta),
+        # drawn in f64, kept in the model's dtype: a checkpoint stores f32,
+        # so a reloaded f32 model hashes against the very same planes
+        norms=NormVectors(beta.astype(precision.default_dtype())),
     )
     return MhpaParams(
         ln_gamma=ones_param(channels),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .blocks import MBCONV_EXPANSION, split_channels
 from .mhpa import MhpaConfig
-from .model import Model, ModelConfig, NUM_STAGES
+from .model import ModelConfig, NUM_STAGES
 
 
 def conv2d_flops(h_out: int, w_out: int, c_in: int, c_out: int, kernel: int, groups: int = 1) -> int:
@@ -82,9 +82,8 @@ def block_flops(h: int, w: int, cfg: ModelConfig, stage: int) -> dict:
     return parts
 
 
-def count_flops(model_or_cfg, h: int = 224, w: int = 224) -> dict:
+def count_flops(cfg: ModelConfig, h: int = 224, w: int = 224) -> dict:
     """Per-stage and total MACs for one image at h x w."""
-    cfg = model_or_cfg.config if isinstance(model_or_cfg, Model) else model_or_cfg
     cfg.validate()
     if h % 32 or w % 32:
         raise ValueError(f"resolution {h}x{w} must be a multiple of 32")

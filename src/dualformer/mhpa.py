@@ -11,15 +11,19 @@ input resolution through a skip connection. Maps are channels-last
 Shape grammar: a head takes (..., n, d) tokens with an integer bucket
 assignment of shape (..., n); any leading axes are batch axes. The head
 checks the ids once, turning them into one (..., n, K) one-hot bucket matrix
-that every attention op takes: bucket sums are ``bucketsᵀ @ x`` and lookups
-``buckets @ table``. Heads never interact before the expansion conv, so a
-layer stores its heads stacked and runs them as one batch: (B, heads, n, d)
-tokens against one head whose weights carry a leading head axis.
+that every attention stage takes: bucket sums are ``bucketsᵀ @ x`` and
+lookups ``buckets @ table``. Heads never interact before the expansion conv,
+so a layer stores its heads stacked and runs them as one batch: (B, heads,
+n, d) tokens against one head whose weights carry a leading head axis.
 
-Intra, inter and the aggregate are one autodiff node each, with a
-hand-derived backward that sums weight gradients over the batch axes. They
-take both layouts: weights (d, ·), or (heads, d, ·) when stacked. A bias is
-a vector in both, the heads' biases concatenated, so the optimizer's rank
+A head batch is one autodiff node, ``partition_attention``, fed by the
+sigmoid gate and the tokens. Its forward projects the values x̃, then runs
+the intra, inter and aggregate stages; its hand-derived backward runs them
+in reverse and sums weight gradients over the batch axes. The stages are
+array functions that return their output and a backward closure; the node
+checks every shape and dtype once, and an ablation arm skips the stage it
+drops. Weights are (d, ·), or (heads, d, ·) when stacked. A bias is a
+vector in both, the heads' biases concatenated, so the optimizer's rank
 rule never decays it; it adds as ``b.reshape(w.shape[:-2] + (1, k))``.
 
 Division safety: every data-dependent denominator in the intra weighting
@@ -41,7 +45,6 @@ from .partition import NormVectors, hash_codes
 from .tensor import (
     ShapeError,
     Tensor,
-    _coerce,
     _gelu_grad,
     _gelu_parts,
     _guard_finite,
@@ -49,9 +52,6 @@ from .tensor import (
     _softmax,
     _softmax_grad,
     _unbroadcast,
-    add_bias,
-    constant,
-    matmul,
     one_hot,
     reshape,
     sigmoid,
@@ -59,6 +59,10 @@ from .tensor import (
 )
 
 EPS = 1e-6
+
+
+# each weight of a head with the bias added to its product
+_PAIRS = (("token_w", "token_b"), ("imp_w1", "imp_b1"), ("imp_w2", "imp_b2"), ("agg_w", "agg_b"))
 
 
 @dataclass
@@ -86,8 +90,7 @@ class MhpaHeadParams:
         one with its ``requires_grad``; gradients of a forward through the
         views stay on the views."""
         views = {}
-        for wn, bn in (("token_w", "token_b"), ("imp_w1", "imp_b1"),
-                       ("imp_w2", "imp_b2"), ("agg_w", "agg_b")):
+        for wn, bn in _PAIRS:
             w, b = getattr(self, wn), getattr(self, bn)
             views[wn] = Tensor._wrap(w.data[i], w.requires_grad, None)
             views[bn] = Tensor._wrap(b.data.reshape(w.shape[0], -1)[i], b.requires_grad, None)
@@ -128,27 +131,14 @@ def segment_counts(assign: np.ndarray, num_clusters: int) -> np.ndarray:
     return one_hot(assign, num_clusters, np.int64).sum(axis=-2)
 
 
-def _check_bucket_op(op: str, buckets: np.ndarray, *tensors: Tensor) -> None:
-    """Every tensor shares the bucket matrix's dtype, and the first its rows."""
-    rows = tensors[0].shape[:-1]
-    if buckets.shape[:-1] != rows:
-        raise ShapeError(f"{op}: bucket matrix {buckets.shape} does not fit rows {rows}")
-    for t in tensors:
-        if t.dtype != buckets.dtype:
-            raise TypeError(f"{op}: mixed dtypes: {t.dtype} vs buckets {buckets.dtype}")
-
-
 def _weight_grad(a: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Gradient at ``w`` of ``a @ w``, summed over the batch axes."""
     return _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), w.shape)
 
 
-def _bias_rows(op: str, b: Tensor, w: Tensor) -> np.ndarray:
+def _bias_rows(b: Tensor, w: Tensor) -> np.ndarray:
     """The bias of ``x @ w`` as (..., 1, k) rows through w's leading axes."""
-    rows = w.shape[:-2] + (1, w.shape[-1])
-    if b.shape != (math.prod(rows),):
-        raise ShapeError(f"{op}: bias {b.shape} does not fit weight {w.shape}")
-    return b.data.reshape(rows)
+    return b.data.reshape(w.shape[:-2] + (1, w.shape[-1]))
 
 
 def _bias_grad(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -156,31 +146,29 @@ def _bias_grad(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return _unbroadcast(g, rows.shape).reshape(-1)
 
 
-def intra_partition_attention(x: Tensor, x_tilde: Tensor, buckets: np.ndarray) -> Tensor:
-    """Reweight tokens inside each bucket, as one autodiff node.
+def intra_partition_attention(x: np.ndarray, x_tilde: np.ndarray, buckets: np.ndarray):
+    """Reweight tokens inside each bucket: the intra stage, on arrays.
 
     Per bucket and per channel: w_i = x_i / (sum_j x_j + eps), then
     out_i = (w_i * x̃_i) / (sum_j w_j + eps). ``x`` supplies the weights and
     is expected to be nonnegative (gate it upstream); ``x_tilde`` supplies
     the values. Each denominator is one reciprocal per bucket, looked up per
-    token, and a non-finite one raises ``FloatingPointError``.
+    token, and a non-finite one raises ``FloatingPointError``. Returns
+    ``(out, backward)``; ``backward(g)`` gives the gradients at ``x`` and
+    ``x_tilde``.
     """
-    x, xt = _coerce(x), _coerce(x_tilde)
     op = "intra_partition_attention"
-    if x.shape != xt.shape:
-        raise ShapeError(f"{op}: weights {x.shape} vs values {xt.shape}")
-    _check_bucket_op(op, buckets, x, xt)
     bt = np.swapaxes(buckets, -1, -2)
     # per-bucket reciprocals (..., K, d); every (n, d) buffer is written in
     # place, since each fresh one costs its page faults
     with np.errstate(divide="ignore", invalid="ignore"):
-        ra = _guard_finite(1.0 / (bt @ x.data + EPS), op)
+        ra = _guard_finite(1.0 / (bt @ x + EPS), op)
         w = buckets @ ra
-        w *= x.data
+        w *= x
         rb = _guard_finite(1.0 / (bt @ w + EPS), op)
     out = buckets @ rb
     out *= w
-    out *= xt.data
+    out *= x_tilde
 
     def backward(g):
         # with Σ a bucket sum, looked up back per token: dx̃ = g w rb,
@@ -188,8 +176,8 @@ def intra_partition_attention(x: Tensor, x_tilde: Tensor, buckets: np.ndarray) -
         dw = buckets @ rb
         dw *= g
         dxt = dw * w
-        dw *= xt.data
-        buf = dxt * xt.data  # g out
+        dw *= x_tilde
+        buf = dxt * x_tilde  # g out
         dw -= np.matmul(buckets, rb * (bt @ buf), out=buf)
         sum_dww = bt @ np.multiply(dw, w, out=buf)
         dx = dw
@@ -197,86 +185,136 @@ def intra_partition_attention(x: Tensor, x_tilde: Tensor, buckets: np.ndarray) -
         dx -= np.matmul(buckets, ra * sum_dww, out=buf)
         return dx, dxt
 
-    return _make(out, (x, xt), backward, op)
+    return out, backward
 
 
-def inter_partition_attention(
-    x_tilde: Tensor, buckets: np.ndarray, head: MhpaHeadParams
-) -> Tensor:
-    """Bucket descriptors scaled by normalized importance, as one autodiff node.
+def inter_partition_attention(x_tilde: np.ndarray, buckets: np.ndarray, head: MhpaHeadParams):
+    """The inter stage, on arrays: bucket descriptors scaled by importance.
 
     Each bucket's descriptor is the mean of its tokens; a two-layer
     importance predictor scores every bucket and a softmax over buckets
     (restricted to non-empty ones) produces coefficients summing to one.
-    Returns one row per bucket, (..., num_clusters, d), zeros for empty
-    buckets. The node's parents are ``x_tilde`` and the predictor's four
-    tensors.
+    The output is one row per bucket, (..., num_clusters, d), zeros for
+    empty buckets. Returns ``(out, backward)``; ``backward(g)`` gives the
+    gradients at ``x_tilde`` and the predictor's four tensors.
     """
-    xt = _coerce(x_tilde)
-    w1, b1, w2, b2 = head.imp_w1, head.imp_b1, head.imp_w2, head.imp_b2
-    op = "inter_partition_attention"
-    _check_bucket_op(op, buckets, xt, w1, b1, w2, b2)
-    if w1.shape[-2] != xt.shape[-1]:
-        raise ShapeError(f"{op}: predictor {w1.shape} does not take {xt.shape[-1]} channels")
-    r1, r2 = _bias_rows(op, b1, w1), _bias_rows(op, b2, w2)
+    w1, w2 = head.imp_w1.data, head.imp_w2.data
+    r1, r2 = _bias_rows(head.imp_b1, head.imp_w1), _bias_rows(head.imp_b2, head.imp_w2)
     counts = buckets.sum(axis=-2)
     # an empty bucket's sum is a zero row, so its descriptor stays exactly zero
     inv = (1.0 / np.maximum(counts, 1))[..., None]
-    descr = np.swapaxes(buckets, -1, -2) @ xt.data
+    descr = np.swapaxes(buckets, -1, -2) @ x_tilde
     descr *= inv
-    z = descr @ w1.data + r1
+    z = descr @ w1 + r1
     h, s = _gelu_parts(z)
-    scores = h @ w2.data + r2  # (..., K, 1)
+    scores = h @ w2 + r2  # (..., K, 1)
     coeff = _softmax(scores, -2, (counts > 0)[..., None])
     out = descr * coeff
 
     def backward(g):
         dscores = _softmax_grad(coeff, (g * descr).sum(axis=-1, keepdims=True), -2)
-        dz = _gelu_grad(z, s, dscores @ np.swapaxes(w2.data, -1, -2))
+        dz = _gelu_grad(z, s, dscores @ np.swapaxes(w2, -1, -2))
         ddescr = g * coeff
-        ddescr += dz @ np.swapaxes(w1.data, -1, -2)
+        ddescr += dz @ np.swapaxes(w1, -1, -2)
         ddescr *= inv
-        return (buckets @ ddescr, _weight_grad(descr, dz, w1.data), _bias_grad(dz, r1),
-                _weight_grad(h, dscores, w2.data), _bias_grad(dscores, r2))
+        return (buckets @ ddescr, _weight_grad(descr, dz, w1), _bias_grad(dz, r1),
+                _weight_grad(h, dscores, w2), _bias_grad(dscores, r2))
 
-    return _make(out, (xt, w1, b1, w2, b2), backward, op)
+    return out, backward
 
 
-def global_local_aggregate(
-    intra: Tensor, inter: Tensor, buckets: np.ndarray, head: MhpaHeadParams
-) -> Tensor:
-    """Fuse per-token and per-bucket views, as one autodiff node: project
-    each token's intra row through the top half of ``agg_w`` and add its
-    bucket's inter row projected through the bottom half, plus ``agg_b``.
-
-    This is ``[intra, inter row] @ agg_w + agg_b`` with the bucket rows
-    projected before the lookup, so no (n, 2d) concatenation is formed.
+def global_local_aggregate(intra, inter, buckets: np.ndarray, head: MhpaHeadParams):
+    """The aggregate stage, on arrays: ``[intra, inter row] @ agg_w + agg_b``
+    per token, with the bucket rows projected before the lookup, so no
+    (n, 2d) concatenation is formed. A view given as ``None`` (a stage an
+    ablation arm skips) is dropped, and its half of ``agg_w`` gets a zero
+    gradient. Returns ``(out, backward)``; ``backward(g)`` gives the
+    gradients at ``intra``, ``inter`` (``None`` if dropped), ``agg_w`` and
+    ``agg_b``.
     """
-    intra, inter = _coerce(intra), _coerce(inter)
-    op = "global_local_aggregate"
-    w, b = head.agg_w, head.agg_b
-    _check_bucket_op(op, buckets, intra, inter, w, b)
-    d = intra.shape[-1]
-    if buckets.shape[-1] != inter.shape[-2] or inter.shape[-1] != d or w.shape[-2] != 2 * d:
-        raise ShapeError(
-            f"{op}: intra {intra.shape}, inter {inter.shape} and buckets {buckets.shape} "
-            f"do not fit agg_w {w.shape}"
-        )
-    rows = _bias_rows(op, b, w)
-    top, bot = w.data[..., :d, :], w.data[..., d:, :]
-    out = intra.data @ top
-    out += buckets @ (inter.data @ bot)
+    w = head.agg_w.data
+    rows = _bias_rows(head.agg_b, head.agg_w)
+    d = w.shape[-1]
+    top, bot = w[..., :d, :], w[..., d:, :]
+    out = None if intra is None else intra @ top
+    if inter is not None:
+        looked_up = buckets @ (inter @ bot)
+        out = looked_up if out is None else np.add(out, looked_up, out=out)
     out += rows
 
     def backward(g):
-        gp = np.swapaxes(buckets, -1, -2) @ g  # at the projected bucket rows
-        dw = np.concatenate(
-            [_weight_grad(intra.data, g, top), _weight_grad(inter.data, gp, bot)], axis=-2
-        )
-        return (g @ np.swapaxes(top, -1, -2), gp @ np.swapaxes(bot, -1, -2), dw,
-                _bias_grad(g, rows))
+        dintra = dinter = None
+        dw = np.zeros_like(w)
+        if intra is not None:
+            dw[..., :d, :] = _weight_grad(intra, g, top)
+            dintra = g @ np.swapaxes(top, -1, -2)
+        if inter is not None:
+            gp = np.swapaxes(buckets, -1, -2) @ g  # at the projected bucket rows
+            dw[..., d:, :] = _weight_grad(inter, gp, bot)
+            dinter = gp @ np.swapaxes(bot, -1, -2)
+        return dintra, dinter, dw, _bias_grad(g, rows)
 
-    return _make(out, (intra, inter, w, b), backward, op)
+    return out, backward
+
+
+def _check_node(op: str, parents: tuple[Tensor, ...], buckets: np.ndarray) -> None:
+    """Every shape and dtype the stages rely on, checked once: ``parents`` are
+    the gate, the tokens and a head's tensors in ``_PAIRS`` order."""
+    gate, tokens, *head = parents
+    d, lead, dh = tokens.shape[-1], head[0].shape[:-2], head[2].shape[-1]
+    if (gate.shape != tokens.shape or buckets.shape[:-1] != tokens.shape[:-1]
+            or tokens.shape[-2 - len(lead):-2] != lead):
+        raise ShapeError(f"{op}: gate {gate.shape}, bucket matrix {buckets.shape} and "
+                         f"head axes {lead} do not fit tokens {tokens.shape}")
+    shapes = ((d, d), (d, dh), (dh, 1), (2 * d, d))
+    for (wn, bn), w, b, shape in zip(_PAIRS, head[::2], head[1::2], shapes):
+        if w.shape != lead + shape or b.shape != (math.prod(lead) * shape[1],):
+            raise ShapeError(f"{op}: {wn} {w.shape} and {bn} {b.shape} do not fit "
+                             f"{d}-channel tokens, {lead + shape} expected")
+    for t in parents:
+        if t.dtype != buckets.dtype:
+            raise TypeError(f"{op}: mixed dtypes: {t.dtype} vs buckets {buckets.dtype}")
+
+
+def partition_attention(gate: Tensor, tokens: Tensor, buckets: np.ndarray,
+                        head: MhpaHeadParams, attend: str) -> Tensor:
+    """A head batch as one autodiff node, whose parents are the gate, the
+    tokens and the head's eight tensors. The forward projects the values
+    x̃ = tokens @ ``token_w`` + ``token_b``, then runs the intra stage
+    (weights from ``gate``), the inter stage and the aggregate; ``attend``
+    ``"intra_only"`` or ``"inter_only"`` skips the other stage, whose inputs
+    get no gradient. The backward runs the stages in reverse and sums dx̃
+    in place."""
+    op = "partition_attention"
+    parents = (gate, tokens, *(getattr(head, name) for pair in _PAIRS for name in pair))
+    _check_node(op, parents, buckets)
+    w = head.token_w.data
+    rows = _bias_rows(head.token_b, head.token_w)
+    xt = tokens.data @ w
+    xt += rows
+    intra = inter = None
+    if attend != "inter_only":
+        intra, intra_backward = intra_partition_attention(gate.data, xt, buckets)
+    if attend != "intra_only":
+        inter, inter_backward = inter_partition_attention(xt, buckets, head)
+    out, aggregate_backward = global_local_aggregate(intra, inter, buckets, head)
+
+    def backward(g):
+        dintra, dinter, dagg_w, dagg_b = aggregate_backward(g)
+        dgate = dxt = None
+        dimp = (None,) * 4
+        if intra is not None:
+            dgate, dxt = intra_backward(dintra)
+        if inter is not None:
+            dxt_inter, *dimp = inter_backward(dinter)
+            dxt = dxt_inter if dxt is None else np.add(dxt, dxt_inter, out=dxt)
+        # one sum over the batch and token axes, as add_bias reduces; the
+        # axis-by-axis sums of _bias_grad would round differently
+        dtb = dxt.sum(axis=tuple(range(dxt.ndim - rows.ndim)) + (dxt.ndim - 2,))
+        return (dgate, dxt @ np.swapaxes(w, -1, -2), _weight_grad(tokens.data, dxt, w),
+                dtb.reshape(-1), *dimp, dagg_w, dagg_b)
+
+    return _make(out, parents, backward, op)
 
 
 def channel_to_spatial(x: Tensor, rate: int, skip: Tensor) -> Tensor:
@@ -312,10 +350,11 @@ def mhpa_head_forward(
 ) -> tuple[Tensor, np.ndarray]:
     """Run one head over (..., n, d) tokens; returns (output, assignment).
 
-    The weight path gates raw tokens through a sigmoid; the value path is the
-    token projection. When ``assign`` is given it is used verbatim (frozen
-    partitions); otherwise tokens are hashed against the head's hyperplanes.
-    A stacked head runs every head at once on (..., heads, n, d).
+    The weight path gates raw tokens through a sigmoid node; the rest, value
+    projection included, is one :func:`partition_attention` node. When
+    ``assign`` is given it is used verbatim (frozen partitions); otherwise
+    tokens are hashed, in f64, against the head's hyperplanes. A stacked
+    head runs every head at once on (..., heads, n, d).
     """
     if assign is None:
         assign = hash_codes(
@@ -326,19 +365,7 @@ def mhpa_head_forward(
             f"mhpa_head_forward: assignment {assign.shape} does not match tokens {tokens.shape}"
         )
     buckets = one_hot(assign, num_clusters, tokens.dtype)
-    gate = sigmoid(tokens)
-    x_tilde = add_bias(matmul(tokens, head.token_w), head.token_b)
-
-    if attend == "inter_only":
-        intra = constant(np.zeros_like(x_tilde.data), dtype=x_tilde.dtype)
-    else:
-        intra = intra_partition_attention(gate, x_tilde, buckets)
-    if attend == "intra_only":
-        shape = x_tilde.shape[:-2] + (num_clusters, x_tilde.shape[-1])
-        inter = constant(np.zeros(shape), dtype=x_tilde.dtype)
-    else:
-        inter = inter_partition_attention(x_tilde, buckets, head)
-    out = global_local_aggregate(intra, inter, buckets, head)
+    out = partition_attention(sigmoid(tokens), tokens, buckets, head, attend)
     return out, assign
 
 

@@ -240,7 +240,7 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
 def hash_sites(model: Model):
     """Yield (stage, block, layer, config) for every attention layer in
     traversal order, stage and block counting from 1. A layer is one hash
-    site per head."""
+    site, hashing all its heads at once."""
     for si, stage in enumerate(model.stages, 1):
         for bi, block in enumerate(stage.blocks, 1):
             if block.mhpa is not None:
@@ -271,23 +271,16 @@ def _features(model: Model, images, train: bool, sites=None, stages: int = NUM_S
 def forward(model: Model, images, train: bool = False, frozen=None) -> Tensor:
     """Images (B, 3, H, W) to logits (B, num_classes).
 
-    ``frozen`` is a flat sequence of partition assignments, one per head in
-    :func:`hash_sites` order: the ``"assignment"`` entries
-    :func:`capture_partitions` returns.
+    ``frozen`` is a sequence of partition assignments, one (B, heads, n)
+    array per attention layer in :func:`hash_sites` order: the
+    ``"assignment"`` entries :func:`capture_partitions` returns.
     """
     sites = None
     if frozen is not None:
-        frozen = [np.asarray(a) for a in frozen]
-        total = sum(cfg.num_heads for *_, cfg in hash_sites(model))
-        if len(frozen) != total:
-            raise ShapeError(f"frozen: {len(frozen)} assignments for {total} hash sites")
-        sites = {}
-        for *_, layer, cfg in hash_sites(model):
-            group, frozen = frozen[:cfg.num_heads], frozen[cfg.num_heads:]
-            if any(a.ndim != 2 or a.shape != group[0].shape for a in group):
-                raise ShapeError(f"frozen: a layer's heads need (B, n) assignments of one "
-                                 f"shape, got {[a.shape for a in group]}")
-            sites[layer] = {"assignment": np.stack(group, axis=1)}
+        layers = [layer for _, _, layer, _ in hash_sites(model)]
+        if len(frozen) != len(layers):
+            raise ShapeError(f"frozen: {len(frozen)} assignments for {len(layers)} hash sites")
+        sites = {layer: {"assignment": a} for layer, a in zip(layers, frozen)}
     x = _features(model, images, train, sites)
     pooled = tmean(x, axis=(1, 2))  # (B, C)
     return add_bias(matmul(pooled, model.head_w), model.head_b)
@@ -301,9 +294,10 @@ def forward_features(model: Model, images, stage: int) -> Tensor:
 
 
 def capture_partitions(model: Model, images, train: bool = False) -> list:
-    """Run the stages and return one dict per head, layer by layer in
-    :func:`hash_sites` order, with keys ``stage``, ``block``, ``head``,
-    ``assignment`` (bucket ids, (B, n)), ``shape`` (the token grid) and ``num_clusters``.
+    """Run the stages and return one dict per attention layer in
+    :func:`hash_sites` order, with keys ``stage``, ``block``, ``assignment``
+    (bucket ids, (B, heads, n)), ``shape`` (the token grid) and
+    ``num_clusters``.
 
     The head has no hash sites, so it does not run, and no graph is recorded.
     """
@@ -311,9 +305,9 @@ def capture_partitions(model: Model, images, train: bool = False) -> list:
     with no_grad():
         _features(model, images, train, sites)
     return [
-        {"stage": si, "block": bi, "head": hi, "assignment": sites[layer]["assignment"][:, hi],
+        {"stage": si, "block": bi, "assignment": sites[layer]["assignment"],
          "shape": sites[layer]["shape"], "num_clusters": cfg.num_clusters}
-        for si, bi, layer, cfg in hash_sites(model) for hi in range(cfg.num_heads)
+        for si, bi, layer, cfg in hash_sites(model)
     ]
 
 

@@ -6,11 +6,10 @@ tensor as an op node holding the parent tensors and a backward closure.
 accumulates gradients into leaves that require them.
 
 Broadcasting is deliberately restricted: elementwise binary ops accept
-exactly-matching shapes, a scalar paired with a tensor, or equal-rank
-shapes where a mismatching axis has size 1 on one side. Anything else
-raises ``ShapeError``; callers reshape explicitly. Bias addition along
-the last axis goes through :func:`add_bias`. Matmul follows numpy's batched
-semantics on the leading dimensions.
+exactly-matching shapes or a scalar (one element) paired with a tensor.
+Anything else raises ``ShapeError``; callers reshape explicitly. Bias
+addition along the last axis goes through :func:`add_bias`. Matmul follows
+numpy's batched semantics on the leading dimensions.
 
 Softmax checks its output and raises ``FloatingPointError`` instead of
 letting NaN/Inf propagate. The closed-form nodes that other modules build
@@ -152,21 +151,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     # numpy must not hijack `ndarray op Tensor`
     __array_ufunc__ = None
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tsum(self)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -241,16 +233,11 @@ def _coerce_pair(a, b) -> tuple[Tensor, Tensor]:
 
 
 def _check_elementwise(sa, sb, op: str) -> None:
-    # scalar with tensor is always fine
-    if math.prod(sa) == 1 or math.prod(sb) == 1:
-        return
-    if sa == sb:
-        return
-    if len(sa) == len(sb) and all(m == n or m == 1 or n == 1 for m, n in zip(sa, sb)):
+    if sa == sb or math.prod(sa) == 1 or math.prod(sb) == 1:
         return
     raise ShapeError(
-        f"{op}: shapes {sa} and {sb} do not combine; only exact matches, "
-        "scalars, or equal-rank size-1 axes broadcast (reshape explicitly otherwise)"
+        f"{op}: shapes {sa} and {sb} do not combine; only exact matches and "
+        "scalars do (reshape explicitly otherwise)"
     )
 
 
@@ -382,35 +369,22 @@ def gelu(a) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
-def _axis_tuple(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def tsum(a, axis=None, keepdims=False) -> Tensor:
+def tsum(a) -> Tensor:
+    """The sum of every element, as a scalar."""
     a = _coerce(a)
-    axes = _axis_tuple(axis, a.ndim)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
+    out = a.data.sum()
 
     def backward(g):
-        if not keepdims:
-            shape = list(a.shape)
-            for ax in axes:
-                shape[ax] = 1
-            g = g.reshape(shape)
-        # a copy, not a broadcast view: a matmul in the next backward would
-        # take numpy's strided loop on a view in place of BLAS
-        return (np.ascontiguousarray(np.broadcast_to(g, a.shape)),)
+        # a filled array, not a broadcast view: a matmul in the next backward
+        # would take numpy's strided loop on a view in place of BLAS
+        return (np.full_like(a.data, g),)
 
     return _make(out, (a,), backward, "sum")
 
 
 def tmean(a, axis=None) -> Tensor:
     a = _coerce(a)
-    axes = _axis_tuple(axis, a.ndim)
+    axes = tuple(range(a.ndim)) if axis is None else tuple(np.atleast_1d(axis) % a.ndim)
     count = math.prod(a.shape[ax] for ax in axes)
     out = a.data.mean(axis=axes)
     shape = [1 if ax in axes else n for ax, n in enumerate(a.shape)]
@@ -501,23 +475,17 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 
 
 def add_bias(a, b) -> Tensor:
-    """Add a bias along the last axis; the one sanctioned rank-promoting add.
-
-    ``b`` is (d,) for every row of ``a[..., d]``, or (heads·d,) for
-    head-stacked rows ``a[..., heads, n, d]``, each head's d entries in turn.
-    """
+    """Add a (d,) bias to every row of ``a[..., d]``; the one sanctioned
+    rank-promoting add."""
     a = _coerce(a)
     b = _coerce(b, like=a)
-    d = a.shape[-1]
-    per_head = b.shape != (d,) and a.ndim >= 3 and b.shape == (a.shape[-3] * d,)
-    if not (per_head or b.shape == (d,)):
+    if b.shape != a.shape[-1:]:
         raise ShapeError(f"add_bias: bias {b.shape} does not fit the rows of {a.shape}")
-    out = a.data + (b.data.reshape(-1, 1, d) if per_head else b.data)
-    kept = (a.ndim - 3, a.ndim - 1) if per_head else (a.ndim - 1,)
-    reduce_axes = tuple(i for i in range(a.ndim) if i not in kept)
+    out = a.data + b.data
+    reduce_axes = tuple(range(a.ndim - 1))
 
     def backward(g):
-        return g, g.sum(axis=reduce_axes).reshape(b.shape)
+        return g, g.sum(axis=reduce_axes)
 
     return _make(out, (a, b), backward, "add_bias")
 

@@ -46,6 +46,7 @@ from dualformer.mhpa import (
     inter_partition_attention,
     intra_partition_attention,
     mhpa_head_forward,
+    partition_attention,
 )
 from dualformer.model import (
     PRESETS,
@@ -257,6 +258,20 @@ def oracle_aggregate(intra, inter, assign, head):
     return out
 
 
+def oracle_head(tokens, assign, k, head, attend):
+    """A whole head from the loop oracles: the sigmoid gate and the value
+    projection, then intra and inter (an ablation arm's dropped view is
+    zero) fused per token."""
+    xt = tokens @ head.token_w.data + head.token_b.data
+    intra = np.zeros_like(xt)
+    if attend != "inter_only":
+        intra = oracle_intra(1.0 / (1.0 + np.exp(-tokens)), xt, assign, k)
+    inter = np.zeros((k, xt.shape[1]))
+    if attend != "intra_only":
+        inter = oracle_inter(xt, assign, k, head)
+    return oracle_aggregate(intra, inter, assign, head)
+
+
 def nhwc(a):
     """(B, C, H, W) data in the channels-last layout the model runs on."""
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
@@ -317,9 +332,10 @@ def test_check_02_loop_oracle_equivalence():
     start = time.perf_counter()
     r = np.random.default_rng(42)
     worst = {name: 0.0 for name in
-             ("intra", "inter", "aggregate", "channel_to_spatial", "lsh", "vanilla")}
+             ("intra", "inter", "aggregate", "head", "channel_to_spatial", "lsh", "vanilla")}
+    rt = np.random.default_rng(43)  # the head's tokens, so every other op keeps its draws
     with precision.precision("f64"):
-        for _ in range(110):
+        for i in range(110):
             n = int(r.integers(1, 33))
             d = int(r.integers(1, 9))
             k = int(r.integers(1, 9))
@@ -329,22 +345,28 @@ def test_check_02_loop_oracle_equivalence():
             x = np.abs(r.normal(size=(n, d))) + 0.1
             xt = r.normal(size=(n, d))
             buckets = one_hot(assign, k, np.float64)
-            got = intra_partition_attention(constant(x), constant(xt), buckets).data
+            got, _ = intra_partition_attention(x, xt, buckets)
             worst["intra"] = max(worst["intra"],
                                  np.abs(got - oracle_intra(x, xt, assign, k)).max())
 
-            got = inter_partition_attention(constant(xt), buckets, head).data
+            got, _ = inter_partition_attention(xt, buckets, head)
             worst["inter"] = max(worst["inter"],
                                  np.abs(got - oracle_inter(xt, assign, k, head)).max())
 
             intra_np = r.normal(size=(n, d))
             inter_np = r.normal(size=(k, d))
-            got = global_local_aggregate(
-                constant(intra_np), constant(inter_np), buckets, head
-            ).data
+            got, _ = global_local_aggregate(intra_np, inter_np, buckets, head)
             worst["aggregate"] = max(
                 worst["aggregate"],
                 np.abs(got - oracle_aggregate(intra_np, inter_np, assign, head)).max(),
+            )
+
+            attend = ("full", "intra_only", "inter_only")[i % 3]
+            tokens = rt.normal(size=(n, d))
+            got, _ = mhpa_head_forward(constant(tokens), head, k, assign=assign, attend=attend)
+            worst["head"] = max(
+                worst["head"],
+                np.abs(got.data - oracle_head(tokens, assign, k, head, attend)).max(),
             )
 
             rate = int(r.integers(1, 4))
@@ -389,11 +411,8 @@ def test_check_02_loop_oracle_equivalence():
 # -- 3: finite-difference gradient audit ----------------------------------
 
 
-def leaf(r, *shape, positive=False):
-    data = r.normal(size=shape)
-    if positive:
-        data = np.abs(data) + 0.5
-    return Tensor(data, requires_grad=True)
+def leaf(r, *shape):
+    return Tensor(r.normal(size=shape), requires_grad=True)
 
 
 def map_leaf(r, *shape):
@@ -407,6 +426,9 @@ def op_inventory(r):
     assign = r.integers(0, 3, size=6)
     buckets = one_hot(assign, 3, np.float64)
     head = rand_head(r, 4)
+    for t in vars(head).values():  # as gradient leaves
+        if isinstance(t, Tensor):
+            t.requires_grad = True
     # off-default gamma and beta, so their gradients are audited standalone
     bn = make_batch_norm(3, np.float64)
     rb = np.random.default_rng(19)
@@ -439,6 +461,24 @@ def op_inventory(r):
         norms=NormVectors(rh.standard_normal((2, 3, 4))),
     )
     stacked_buckets = one_hot(rh.choice([0, 2], size=(2, 2, 5)), 3, np.float64)
+    # the head batch node, single and stacked, in every mode: the gate
+    # (positive, as a sigmoid's output is), the tokens and every head tensor
+    # are audited, except what the mode's skipped stage would have used
+    rn = np.random.default_rng(31)
+    skipped = {"full": (), "intra_only": ("imp_w1", "imp_b1", "imp_w2", "imp_b2"),
+               "inter_only": ("gate",)}
+
+    def node_case(h, b, attend):
+        shape = b.shape[:-1] + (4,)
+        named = {"gate": Tensor(0.2 + rn.random(shape), requires_grad=True),
+                 "tokens": Tensor(rn.normal(size=shape), requires_grad=True),
+                 **{k: v for k, v in vars(h).items() if isinstance(v, Tensor)}}
+        return (
+            f"partition_attention_{'stacked' if h is stacked else 'single'}_{attend}",
+            lambda *_: partition_attention(named["gate"], named["tokens"], b, h, attend),
+            [t for k, t in named.items() if k not in skipped[attend]],
+        )
+
     # the loss from its own stream too; logits of a few units put the softmax
     # off its flat middle
     rc = np.random.default_rng(29)
@@ -449,7 +489,7 @@ def op_inventory(r):
         ("mul", lambda x, y: x * y, [a(), a()]),
         ("sigmoid", sigmoid, [a()]),
         ("gelu", gelu, [a()]),
-        ("sum", lambda x: tsum(x, axis=1), [a()]),
+        ("sum", tsum, [a()]),
         ("mean", lambda x: tmean(x, axis=0), [a()]),
         ("reshape", lambda x: reshape(x, (4, 3)), [a()]),
         ("transpose", lambda x: transpose(x, (1, 0)), [a()]),
@@ -481,26 +521,16 @@ def op_inventory(r):
         ("conv_bn_train_depthwise", *conv_bn_case(True, 4, stride=1, groups=4)),
         ("vanilla_attention", vanilla_attention,
          [leaf(r, 6, 4), leaf(r, 4, 3), leaf(r, 4, 3), leaf(r, 4, 3)]),
-        ("intra_attention", lambda x, xt: intra_partition_attention(x, xt, buckets),
-         [leaf(r, 6, 4, positive=True), leaf(r, 6, 4)]),
-        ("inter_attention", lambda xt: inter_partition_attention(xt, buckets, head),
-         [leaf(r, 6, 4)]),
-        ("aggregate", lambda i1, i2: global_local_aggregate(i1, i2, buckets, head),
-         [leaf(r, 6, 4), leaf(r, 3, 4)]),
         ("channel_to_spatial", lambda x, s: channel_to_spatial(x, 2, s),
          [map_leaf(r, 1, 8, 2, 2), map_leaf(r, 1, 2, 4, 4)]),
-        # head-stacked (B, heads, n, d) tokens against a stacked head,
-        # (heads, ...) weights and (heads·k,) biases, every one audited; bucket 1 is empty in every row, so the
-        # inter softmax's mask is audited too
-        ("inter_attention_stacked",
-         lambda xt, w1, b1, w2, b2: inter_partition_attention(xt, stacked_buckets, stacked),
-         [stacked_leaf(2, 2, 5, 4), stacked.imp_w1, stacked.imp_b1, stacked.imp_w2,
-          stacked.imp_b2]),
         ("cross_entropy", lambda x: cross_entropy(x, ce_labels), [ce_logits]),
-        ("aggregate_stacked",
-         lambda i1, i2, w, b: global_local_aggregate(i1, i2, stacked_buckets, stacked),
-         [stacked_leaf(2, 2, 5, 4), stacked_leaf(2, 2, 3, 4), stacked.agg_w, stacked.agg_b]),
     ]
+    # head-stacked (B, heads, n, d) tokens against a stacked head, (heads, ...)
+    # weights and (heads·k,) biases; bucket 1 is empty in every row, so the
+    # inter softmax's mask is audited too
+    for attend in skipped:
+        cases.append(node_case(head, buckets, attend))
+        cases.append(node_case(stacked, stacked_buckets, attend))
     return cases
 
 
@@ -696,9 +726,7 @@ def test_check_09_invariant_suite():
             assign = r.integers(0, k, size=n)
             head = rand_head(r, d)
             xt = r.normal(size=(n, d)) + 0.5
-            out = inter_partition_attention(
-                constant(xt), one_hot(assign, k, np.float64), head
-            ).data
+            out, _ = inter_partition_attention(xt, one_hot(assign, k, np.float64), head)
             counts = np.bincount(assign, minlength=k)
             total = 0.0
             recoverable = True
@@ -724,9 +752,9 @@ def test_check_09_invariant_suite():
             d = int(r.integers(1, 9))
             x = r.uniform(1.0, 3.0, size=(1, d))
             xt = r.uniform(-0.5, 0.5, size=(1, d))
-            out = intra_partition_attention(
-                constant(x), constant(xt), one_hot(np.zeros(1, dtype=np.int64), 1, np.float64)
-            ).data
+            out, _ = intra_partition_attention(
+                x, xt, one_hot(np.zeros(1, dtype=np.int64), 1, np.float64)
+            )
             if np.abs(out - xt).max() > 2e-6:
                 problems.append("singleton identity")
                 break
@@ -740,12 +768,10 @@ def test_check_09_invariant_suite():
             for c in range(k):
                 idx = np.flatnonzero(assign == c)
                 perm[idx] = idx[r.permutation(idx.size)]
-            base = intra_partition_attention(
-                constant(x), constant(xt), one_hot(assign, k, np.float64)
-            ).data
-            shuf = intra_partition_attention(
-                constant(x[perm]), constant(xt[perm]), one_hot(assign[perm], k, np.float64)
-            ).data
+            base, _ = intra_partition_attention(x, xt, one_hot(assign, k, np.float64))
+            shuf, _ = intra_partition_attention(
+                x[perm], xt[perm], one_hot(assign[perm], k, np.float64)
+            )
             if np.abs(shuf - base[perm]).max() > 1e-9:
                 problems.append("permutation equivariance")
                 break

@@ -185,15 +185,31 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
     assert list(tmp_path.iterdir()) == []  # no temp litter either
 
 
-@pytest.mark.parametrize("script", ["run_ablation.py"])
-def test_script_help(script):
+def run_script(script, *args, cwd=None):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--help"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
         capture_output=True,
         text=True,
         timeout=60,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+@pytest.mark.parametrize("script", ["run_ablation.py"])
+def test_script_help(script):
+    res = run_script(script, "--help")
     assert res.returncode == 0, res.stderr
     assert "usage:" in res.stdout
+
+
+def test_ablation_writes_its_csv_atomically(tmp_path):
+    out = tmp_path / "ablation.csv"
+    res = run_script("run_ablation.py", "--modes", "parallel", "--n", "8", "--epochs", "1",
+                     "--batch", "8", "--out", out, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    header, row = out.read_text().splitlines()
+    assert header == "mode,train_loss,val_loss,val_acc"
+    assert row.startswith("parallel,") and len(row.split(",")) == 4
+    assert list(tmp_path.iterdir()) == [out]  # no temp file left beside it

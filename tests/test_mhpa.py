@@ -22,6 +22,7 @@ from dualformer.mhpa import (
     intra_partition_attention,
     mhpa_forward,
     mhpa_head_forward,
+    partition_attention,
     partition_to_grayscale,
     segment_counts,
 )
@@ -30,8 +31,8 @@ from dualformer.conv import conv2d
 from dualformer.norms import layer_norm_channels
 from dualformer.partition import NormVectors, hash_codes
 from dualformer.tensor import (
-    ShapeError, Tensor, add, add_bias, concat, constant, gather_segments, gelu, graph_records,
-    matmul, mul, narrow, one_hot, reshape, segment_sum, sigmoid, softmax, tsum,
+    ShapeError, Tensor, add, concat, constant, gather_segments, gelu, graph_records, matmul,
+    mul, narrow, one_hot, reshape, segment_sum, sigmoid, softmax, tsum,
 )
 
 
@@ -109,8 +110,14 @@ def rand_assign(r, n, k):
 
 
 def buckets(assign, k):
-    """The one-hot bucket matrix the attention ops take, in the current dtype."""
+    """The one-hot bucket matrix the attention stages take, in the current dtype."""
     return one_hot(assign, k, precision.default_dtype())
+
+
+def node_of(stage, parents):
+    """An array stage's ``(out, backward)`` as one autodiff node over ``parents``."""
+    out, backward = stage
+    return tensor._make(out, tuple(parents), backward, "stage")
 
 
 # -- intra ---------------------------------------------------------------
@@ -119,9 +126,9 @@ def buckets(assign, k):
 def test_intra_frozen_hand_case():
     # one bucket, one channel: weights 2/8 and 6/8, weight sum 1, so the
     # outputs are w_i * values: [0.25*4, 0.75*2] = [1.0, 1.5] up to eps
-    x = constant([[2.0], [6.0]])
-    xt = constant([[4.0], [2.0]])
-    out = intra_partition_attention(x, xt, buckets(np.array([0, 0]), 1)).data
+    x = np.array([[2.0], [6.0]])
+    xt = np.array([[4.0], [2.0]])
+    out, _ = intra_partition_attention(x, xt, buckets(np.array([0, 0]), 1))
     assert np.allclose(out, [[1.0], [1.5]], atol=1e-5)
 
 
@@ -135,20 +142,19 @@ def test_intra_matches_oracle_many_instances():
             x = np.abs(r.normal(size=(n, d))) + 0.1
             xt = r.normal(size=(n, d))
             assign = rand_assign(r, n, k)
-            got = intra_partition_attention(constant(x), constant(xt), buckets(assign, k)).data
+            got, _ = intra_partition_attention(x, xt, buckets(assign, k))
             assert np.allclose(got, intra_oracle(x, xt, assign, k), atol=1e-6)
 
 
 def test_intra_shape_mismatch_rejected():
-    assign = np.zeros(3, dtype=np.int64)
-    with pytest.raises(ShapeError):
-        intra_partition_attention(
-            constant(np.ones((3, 2))), constant(np.ones((3, 3))), buckets(assign, 2)
-        )
-    with pytest.raises(ShapeError):
-        intra_partition_attention(
-            constant(np.ones((4, 2))), constant(np.ones((4, 2))), buckets(assign, 2)
-        )
+    # the node checks the gate's shape once for the intra stage
+    head = make_head(np.random.default_rng(0), 2)
+    b = buckets(np.zeros(3, dtype=np.int64), 2)
+    tokens = constant(np.ones((3, 2)))
+    with pytest.raises(ShapeError, match="gate"):
+        partition_attention(constant(np.ones((3, 3))), tokens, b, head, "full")
+    with pytest.raises(ShapeError, match="gate"):
+        partition_attention(constant(np.ones((4, 2))), tokens, b, head, "full")
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,7 +174,7 @@ def test_intra_singleton_identity(weight, value, seed):
     assign = np.zeros(n, dtype=np.int64)
     assign[lone] = 1  # token sits alone in bucket 1
     with precision.precision("f64"):
-        out = intra_partition_attention(constant(x), constant(xt), buckets(assign, 2)).data
+        out, _ = intra_partition_attention(x, xt, buckets(assign, 2))
     assert abs(out[lone, 0] - value) <= 2e-6
 
 
@@ -185,7 +191,7 @@ def test_inter_matches_oracle_many_instances():
             xt = r.normal(size=(n, d))
             assign = rand_assign(r, n, k)
             head = make_head(r, d)
-            got = inter_partition_attention(constant(xt), buckets(assign, k), head).data
+            got, _ = inter_partition_attention(xt, buckets(assign, k), head)
             want = inter_oracle(xt, assign, k, head)
             assert np.allclose(got, want, atol=1e-6)
 
@@ -195,7 +201,7 @@ def test_inter_single_bucket_returns_descriptor():
     with precision.precision("f64"):
         xt = r.normal(size=(7, 3))
         assign = np.zeros(7, dtype=np.int64)
-        out = inter_partition_attention(constant(xt), buckets(assign, 1), make_head(r, 3)).data
+        out, _ = inter_partition_attention(xt, buckets(assign, 1), make_head(r, 3))
     # coefficient over a single bucket is exactly one
     assert np.allclose(out[0], xt.mean(axis=0), atol=1e-12)
 
@@ -204,7 +210,7 @@ def test_inter_empty_buckets_are_zero_rows():
     r = np.random.default_rng(3)
     xt = r.normal(size=(5, 2)).astype(np.float32)
     assign = np.array([0, 0, 3, 3, 3])
-    out = inter_partition_attention(constant(xt), buckets(assign, 8), make_head(r, 2)).data
+    out, _ = inter_partition_attention(xt, buckets(assign, 8), make_head(r, 2))
     for k in range(8):
         if k not in (0, 3):
             assert np.all(out[k] == 0.0)
@@ -255,7 +261,7 @@ def test_inter_zeroed_predictor_gives_uniform_coefficients():
         head.imp_b1.data[:] = 0.0
         head.imp_w2.data[:] = 0.0
         head.imp_b2.data[:] = 0.0
-        out = inter_partition_attention(constant(xt), buckets(assign, 4), head).data
+        out, _ = inter_partition_attention(xt, buckets(assign, 4), head)
         for k in range(4):
             want = 0.25 * xt[assign == k].mean(axis=0)
             assert np.allclose(out[k], want, atol=1e-12)
@@ -269,7 +275,7 @@ def test_inter_coefficients_sum_to_one(n, d, k, seed):
     assign = rand_assign(r, n, k)
     with precision.precision("f64"):
         head = make_head(r, d)
-        out = inter_partition_attention(constant(xt), buckets(assign, k), head).data
+        out, _ = inter_partition_attention(xt, buckets(assign, k), head)
     total = 0.0
     recovered = False
     counts = np.bincount(assign, minlength=k)
@@ -299,29 +305,27 @@ def test_aggregate_matches_oracle_many_instances():
             head = make_head(r, d)
             intra = r.normal(size=(n, d))
             inter = r.normal(size=(k, d))
-            got = global_local_aggregate(
-                constant(intra), constant(inter), buckets(assign, k), head
-            ).data
+            got, _ = global_local_aggregate(intra, inter, buckets(assign, k), head)
             want = aggregate_oracle(intra, inter, assign, head)
             assert np.allclose(got, want, atol=1e-6)
 
 
 def test_aggregate_wrong_bucket_rows_rejected():
-    # bucket id 3 has no row in a 3-row bucket table
+    # a bucket matrix with a row per token of another batch: the aggregate
+    # would look up bucket rows for tokens that are not there
     r = np.random.default_rng(6)
-    assign = np.array([0, 1, 2, 3, 3])
     head = make_head(r, 3)
-    with pytest.raises(ShapeError):
-        global_local_aggregate(
-            constant(np.ones((5, 3))), constant(np.ones((3, 3))), buckets(assign, 4), head
-        )
+    tokens = constant(np.ones((5, 3)))
+    for assign in (np.array([0, 1, 2, 3]), np.zeros((2, 5), dtype=np.int64)):
+        with pytest.raises(ShapeError, match="bucket matrix"):
+            partition_attention(tokens, tokens, buckets(assign, 4), head, "full")
 
 
-# -- one node per op against the composed ops ------------------------------
+# -- the node and its stages against the composed ops ----------------------
 #
-# The three ops as they were composed from public tensor ops before each
-# became one node with a hand-derived backward. Autodiff through these is
-# the oracle for the nodes' forwards and every gradient, in f64.
+# The head as it was composed from public tensor ops before it became one
+# node with hand-derived backward stages. Autodiff through these is the
+# oracle for the node's and each stage's forward and every gradient, in f64.
 
 
 def divide(a, b):
@@ -334,6 +338,18 @@ def divide(a, b):
     return tensor._make(a.data / b.data, (a, b), backward, "div")
 
 
+def spread(a, d):
+    """(..., 1) columns repeated over d columns, as a matmul with a ones row."""
+    return matmul(a, constant(np.ones((1, d))))
+
+
+def bias_add(x, b, w):
+    """``x @ w``'s bias added to ``x``: the bias as (..., 1, k) rows through
+    w's leading axes, repeated over x's rows by a matmul with a ones column."""
+    rows = reshape(b, w.shape[:-2] + (1, w.shape[-1]))
+    return add(x, matmul(constant(np.ones(x.shape[:-1] + (1,))), rows))
+
+
 def composed_intra(x, x_tilde, buckets):
     sums = segment_sum(x, buckets)
     w = divide(x, gather_segments(sums, buckets) + EPS)
@@ -343,24 +359,25 @@ def composed_intra(x, x_tilde, buckets):
 
 def composed_inter(x_tilde, buckets, head):
     counts = buckets.sum(axis=-2)
-    inv = (1.0 / np.maximum(counts, 1))[..., None]
+    d = x_tilde.shape[-1]
+    inv = np.broadcast_to((1.0 / np.maximum(counts, 1))[..., None], counts.shape + (d,))
     descr = mul(segment_sum(x_tilde, buckets), constant(inv, dtype=x_tilde.dtype))
-    h = gelu(add_bias(matmul(descr, head.imp_w1), head.imp_b1))
-    scores = add_bias(matmul(h, head.imp_w2), head.imp_b2)
+    h = gelu(bias_add(matmul(descr, head.imp_w1), head.imp_b1, head.imp_w1))
+    scores = bias_add(matmul(h, head.imp_w2), head.imp_b2, head.imp_w2)
     # -inf on empty buckets before the softmax masks them as the node does
     mask = np.where(counts > 0, 0.0, -np.inf)[..., None]
-    return mul(descr, softmax(add(scores, constant(mask)), axis=-2))
+    return mul(descr, spread(softmax(add(scores, constant(mask)), axis=-2), d))
 
 
 def composed_aggregate(intra, inter, buckets, head):
     fused = concat([intra, gather_segments(inter, buckets)], axis=-1)
-    return add_bias(matmul(fused, head.agg_w), head.agg_b)
+    return bias_add(matmul(fused, head.agg_w), head.agg_b, head.agg_w)
 
 
 def composed_head(tokens, head, num_clusters, assign, attend):
     b = one_hot(assign, num_clusters, tokens.dtype)
     gate = sigmoid(tokens)
-    xt = add_bias(matmul(tokens, head.token_w), head.token_b)
+    xt = bias_add(matmul(tokens, head.token_w), head.token_b, head.token_w)
     if attend == "inter_only":
         intra = constant(np.zeros(xt.shape))
     else:
@@ -433,7 +450,7 @@ def test_intra_node_matches_composed(lead, n, heads):
         b = layout_buckets(r, lead, n)
         x = Tensor(np.abs(r.normal(size=lead + (n, 4))) + 0.1, requires_grad=True)
         xt = Tensor(r.normal(size=lead + (n, 4)), requires_grad=True)
-        assert_node_matches(lambda: intra_partition_attention(x, xt, b),
+        assert_node_matches(lambda: node_of(intra_partition_attention(x.data, xt.data, b), (x, xt)),
                             lambda: composed_intra(x, xt, b), [x, xt], r)
 
 
@@ -445,7 +462,7 @@ def test_inter_node_matches_composed(lead, n, heads):
         head = leaf_head(r, 4, heads)
         xt = Tensor(r.normal(size=lead + (n, 4)), requires_grad=True)
         leaves = [xt, head.imp_w1, head.imp_b1, head.imp_w2, head.imp_b2]
-        assert_node_matches(lambda: inter_partition_attention(xt, b, head),
+        assert_node_matches(lambda: node_of(inter_partition_attention(xt.data, b, head), leaves),
                             lambda: composed_inter(xt, b, head), leaves, r)
 
 
@@ -458,8 +475,9 @@ def test_aggregate_node_matches_composed(lead, n, heads):
         intra = Tensor(r.normal(size=lead + (n, 4)), requires_grad=True)
         inter = Tensor(r.normal(size=lead + (8, 4)), requires_grad=True)
         leaves = [intra, inter, head.agg_w, head.agg_b]
-        assert_node_matches(lambda: global_local_aggregate(intra, inter, b, head),
-                            lambda: composed_aggregate(intra, inter, b, head), leaves, r)
+        assert_node_matches(
+            lambda: node_of(global_local_aggregate(intra.data, inter.data, b, head), leaves),
+            lambda: composed_aggregate(intra, inter, b, head), leaves, r)
 
 
 @pytest.mark.parametrize("attend", ["full", "intra_only", "inter_only"])
@@ -485,7 +503,31 @@ def test_head_forward_matches_composed(lead, n, heads, attend):
         assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max()), t.shape
 
 
+@pytest.mark.parametrize("attend", ["full", "intra_only", "inter_only"])
+def test_head_batch_is_one_node(attend):
+    # the gate is a sigmoid of the tokens; everything after it, the value
+    # projection included, is the one partition_attention node
+    r = np.random.default_rng(75)
+    with precision.precision("f64"):
+        head = leaf_head(r, 4, 2)
+        tokens = Tensor(r.normal(size=(3, 2, 5, 4)), requires_grad=True)
+        out, _ = mhpa_head_forward(tokens, head, 8, attend=attend)
+    gate = out._node.parents[0]
+    assert [rec[0] for rec in graph_records(out)] == ["sigmoid", "partition_attention"]
+    assert gate._node.name == "sigmoid" and gate._node.parents == (tokens,)
+    assert out._node.parents == (gate, tokens, *(getattr(head, n) for n in (
+        "token_w", "token_b", "imp_w1", "imp_b1", "imp_w2", "imp_b2", "agg_w", "agg_b")))
+    tsum(out).backward()
+    # a skipped stage's tensors get no gradient, and its half of agg_w a zero one
+    assert (tokens.grad is not None) and (head.token_b.grad is not None)
+    assert (head.imp_w1.grad is None) == (attend == "intra_only")
+    top, bot = head.agg_w.grad[:, :4], head.agg_w.grad[:, 4:]
+    assert (not top.any()) == (attend == "inter_only")
+    assert (not bot.any()) == (attend == "intra_only")
+
+
 def test_ops_reject_mixed_dtypes_and_misfit_heads():
+    # the node checks every dtype and every head tensor's shape, once
     r = np.random.default_rng(80)
     b = one_hot(r.integers(0, 4, size=5), 4, np.float64)
     x64 = constant(np.abs(r.normal(size=(5, 3))), dtype=np.float64)
@@ -493,18 +535,18 @@ def test_ops_reject_mixed_dtypes_and_misfit_heads():
     head32 = make_head(r, 3)
     with precision.precision("f64"):
         head = make_head(r, 3)
-    with pytest.raises(TypeError):
-        intra_partition_attention(x64, x32, b)
-    with pytest.raises(TypeError):
-        inter_partition_attention(x32, b, head)
-    with pytest.raises(TypeError):
-        inter_partition_attention(x64, b, head32)
-    with pytest.raises(TypeError):
-        global_local_aggregate(x64, constant(np.ones((4, 3)), dtype=np.float64), b, head32)
-    with pytest.raises(ShapeError):
-        inter_partition_attention(constant(np.ones((5, 2)), dtype=np.float64), b, head)
-    with pytest.raises(ShapeError):
-        global_local_aggregate(x64, constant(np.ones((4, 2)), dtype=np.float64), b, head)
+        narrow_head = make_head(r, 2)
+        stacked = leaf_head(r, 3, 2)
+    for gate, tokens, h in ((x32, x64, head), (x64, x32, head), (x64, x64, head32)):
+        with pytest.raises(TypeError):
+            partition_attention(gate, tokens, b, h, "full")
+    with pytest.raises(ShapeError, match="token_w"):
+        partition_attention(x64, x64, b, narrow_head, "full")
+    with pytest.raises(ShapeError, match="head axes"):
+        partition_attention(x64, x64, b, stacked, "full")
+    head.agg_b = constant(np.zeros(4), dtype=np.float64)
+    with pytest.raises(ShapeError, match="agg_b"):
+        partition_attention(x64, x64, b, head, "full")
 
 
 def test_intra_nonfinite_denominator_raises():
@@ -512,7 +554,7 @@ def test_intra_nonfinite_denominator_raises():
     # and a NaN weight leaves it NaN
     b = one_hot(np.array([0, 1]), 2, np.float64)
     for bad in (-EPS, np.nan):
-        x = constant(np.array([[1.0], [bad]]), dtype=np.float64)
+        x = np.array([[1.0], [bad]])
         with pytest.raises(FloatingPointError):
             intra_partition_attention(x, x, b)
 
@@ -564,13 +606,13 @@ def test_head_forward_composes_public_ops():
         t = constant(tokens)
         out, used = mhpa_head_forward(t, head, k)
         assert np.array_equal(used, assign)
-        gate = sigmoid(t)
-        xt = constant(tokens @ head.token_w.data + head.token_b.data)
+        gate = sigmoid(t).data
+        xt = tokens @ head.token_w.data + head.token_b.data
         b = buckets(assign, k)
-        intra = intra_partition_attention(gate, xt, b)
-        inter = inter_partition_attention(xt, b, head)
-        want = global_local_aggregate(intra, inter, b, head)
-        assert np.allclose(out.data, want.data, atol=1e-10)
+        intra, _ = intra_partition_attention(gate, xt, b)
+        inter, _ = inter_partition_attention(xt, b, head)
+        want, _ = global_local_aggregate(intra, inter, b, head)
+        assert np.allclose(out.data, want, atol=1e-10)
 
 
 def test_head_forward_batched_matches_per_instance():
@@ -622,8 +664,8 @@ def test_head_forward_builds_one_bucket_matrix(monkeypatch):
     head = make_head(r, 4)
     mhpa_head_forward(constant(r.normal(size=(2, 9, 4))), head, 8)
     assert calls == [8]
-    ops = (intra_partition_attention, inter_partition_attention, global_local_aggregate,
-           tensor.segment_sum, tensor.gather_segments)
+    ops = (partition_attention, intra_partition_attention, inter_partition_attention,
+           global_local_aggregate, tensor.segment_sum, tensor.gather_segments)
     for op in ops:
         names = list(inspect.signature(op).parameters)
         assert "buckets" in names and "num_clusters" not in names, op.__name__
@@ -650,10 +692,8 @@ def test_within_cluster_permutation_equivariance(n, d, k, seed):
     perm = np.arange(n)
     perm[members] = members[r.permutation(members.size)]
     with precision.precision("f64"):
-        base = intra_partition_attention(constant(x), constant(xt), buckets(assign, k)).data
-        shuffled = intra_partition_attention(
-            constant(x[perm]), constant(xt[perm]), buckets(assign[perm], k)
-        ).data
+        base, _ = intra_partition_attention(x, xt, buckets(assign, k))
+        shuffled, _ = intra_partition_attention(x[perm], xt[perm], buckets(assign[perm], k))
     assert np.allclose(shuffled, base[perm], atol=1e-9)
 
 

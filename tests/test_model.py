@@ -43,6 +43,7 @@ from dualformer.model import (
     forward,
     forward_features,
     get_preset,
+    hash_sites,
     iter_state,
     named_parameters,
 )
@@ -349,7 +350,8 @@ def test_trace_replay_full_model_bitwise(mode):
     x = np.random.default_rng(3).normal(size=(2, 3, 32, 32)).astype(np.float32)
     out1 = forward(model, x)
     trace = capture_partitions(model, x)
-    assert len(trace) == sum(get_preset("Micro").heads)  # one block per stage
+    # one record per attention layer, one block per stage, all heads in it
+    assert [e["assignment"].shape[:2] for e in trace] == [(2, h) for h in model.config.heads]
     out2 = forward(model, x, frozen=[e["assignment"] for e in trace])
     assert np.array_equal(out1.data, out2.data)
     wrong = forward(model, x, frozen=[np.zeros_like(e["assignment"]) for e in trace])
@@ -391,6 +393,31 @@ def test_frozen_count_must_match_hash_sites(delta):
     frozen = frozen[:-1] if delta < 0 else frozen + frozen[:1]
     with pytest.raises(ShapeError, match=f"{len(frozen)} assignments for {len(frozen) - delta}"):
         forward(model, x, frozen=frozen)
+
+
+def test_frozen_assignment_of_one_head_rejected():
+    # a layer replays one (B, heads, n) assignment; one head's (B, n) ids do not fit
+    model = build_model(get_preset("Micro"), seed=3)
+    x = np.random.default_rng(3).normal(size=(1, 3, 32, 32)).astype(np.float32)
+    frozen = [e["assignment"] for e in capture_partitions(model, x)]
+    frozen[-1] = frozen[-1][:, 0]
+    with pytest.raises(ShapeError, match="assignment"):
+        forward(model, x, frozen=frozen)
+
+
+def test_train_graph_runs_each_head_batch_as_one_node():
+    # Micro's train graph from the loss: each attention layer is a sigmoid
+    # gate and one partition_attention node, fed straight by the tokens
+    model = build_model(get_preset("Micro"), seed=0)
+    x = np.random.default_rng(0).normal(size=(2, 3, 32, 32)).astype(np.float32)
+    records = graph_records(cross_entropy(forward(model, x, train=True), np.arange(2)))
+    assert len(records) == 151
+    made_by = {out: (op, ins) for op, ins, out in records}
+    nodes = [ins for op, ins, _ in records if op == "partition_attention"]
+    assert len(nodes) == 4  # one attention layer per stage
+    for gate, tokens, *head in nodes:
+        assert made_by[gate] == ("sigmoid", (tokens,))
+        assert made_by[tokens][0] == "transpose" and len(head) == 8
 
 
 def test_float_frozen_assignment_rejected():
@@ -486,6 +513,20 @@ def test_checkpoint_roundtrip_bitwise_forward(tmp_path):
     got = forward(loaded, x).data
     assert np.array_equal(got, want)
     assert loaded.config == model.config
+
+
+def test_checkpoint_keeps_hash_normals_and_partitions_bitwise(tmp_path):
+    # the normals live in the model's dtype, so the f32 file stores them exactly
+    model = build_model(get_preset("Micro"), seed=7)
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, model)
+    loaded = load_checkpoint(path)
+    for (_, _, a, _), (_, _, b, _) in zip(hash_sites(model), hash_sites(loaded)):
+        assert a.heads.norms.beta.dtype == np.float32
+        assert a.heads.norms.beta.tobytes() == b.heads.norms.beta.tobytes()
+    x = np.random.default_rng(7).normal(size=(2, 3, 32, 32)).astype(np.float32)
+    for e, f in zip(capture_partitions(model, x), capture_partitions(loaded, x)):
+        assert np.array_equal(e["assignment"], f["assignment"])
 
 
 def test_failed_save_leaves_existing_checkpoint(tmp_path, monkeypatch):
