@@ -8,9 +8,9 @@ init, so a fresh block is exactly the identity map.
 
 Ablation wiring: ``conv_only``/``attn_only`` replace the other branch with a
 pass-through on its channel share; ``intra_only``/``inter_only`` keep the
-block shape and zero one component inside the attention math; ``series``
-runs the inverted bottleneck and the attention layer over the full channel
-width one after the other instead of side by side.
+block shape and run one stage of the attention math (:func:`attention_stages`);
+``series`` runs the inverted bottleneck and the attention layer over the full
+channel width one after the other instead of side by side.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 from . import precision
 from .conv import conv2d
 from .init import ones_param, trunc_normal, truncated_normal, zeros_param
-from .mhpa import MhpaConfig, MhpaHeadParams, MhpaParams, mhpa_forward
+from .mhpa import MhpaConfig, MhpaHeadParams, MhpaParams, head_shapes, mhpa_forward
 from .norms import BatchNorm2d, conv_bn, layer_norm_channels, make_batch_norm
 from .partition import NormVectors
 from .tensor import ShapeError, Tensor, concat, gelu, narrow
@@ -37,6 +37,11 @@ def split_channels(channels: int, mode: str) -> tuple[int, int]:
         return channels, channels
     conv = int(round(channels * SPLIT_RATIO))
     return conv, channels - conv
+
+
+def attention_stages(mode: str) -> str:
+    """A block mode's ``MhpaConfig.attend``: the two ablation arms run one stage."""
+    return mode if mode in ("intra_only", "inter_only") else "full"
 
 
 # -- inverted bottleneck branch ---------------------------------------------
@@ -107,9 +112,8 @@ def make_mhpa(
     if channels % cfg.num_heads:
         raise ShapeError(f"{channels} channels do not split into {cfg.num_heads} heads")
     h, d = cfg.num_heads, channels // cfg.num_heads
-    dh = max(1, d // 4)
     k = cfg.downsample_rate
-    shapes = ((d, d), (d, dh), (dh, 1), (2 * d, d), (cfg.hash_bits, d))
+    shapes = (*head_shapes(d), (cfg.hash_bits, d))
     token_w, imp_w1, imp_w2, agg_w, beta = (np.empty((h, *s)) for s in shapes)
     for i in range(h):  # head by head in field order, as a per-head build draws
         for w in (token_w, imp_w1, imp_w2, agg_w):
@@ -117,7 +121,7 @@ def make_mhpa(
         beta[i] = rng.standard_normal(beta.shape[1:])
     heads = MhpaHeadParams(
         token_w=Tensor(token_w, requires_grad=True), token_b=zeros_param(h * d),
-        imp_w1=Tensor(imp_w1, requires_grad=True), imp_b1=zeros_param(h * dh),
+        imp_w1=Tensor(imp_w1, requires_grad=True), imp_b1=zeros_param(h * imp_w1.shape[-1]),
         imp_w2=Tensor(imp_w2, requires_grad=True), imp_b2=zeros_param(h),
         agg_w=Tensor(agg_w, requires_grad=True), agg_b=zeros_param(h * d),
         # drawn in f64, kept in the model's dtype: a checkpoint stores f32,
@@ -161,8 +165,7 @@ def make_dual_block(
     if mode not in MODES:
         raise ValueError(f"unknown block mode {mode!r}, expected one of {MODES}")
     conv_c, attn_c = split_channels(channels, mode)
-    attend = mode if mode in ("intra_only", "inter_only") else "full"
-    cfg = replace(mhpa_cfg, attend=attend)
+    cfg = replace(mhpa_cfg, attend=attention_stages(mode))
     need_conv = mode != "attn_only"
     need_attn = mode != "conv_only"
     hidden = int(round(channels * ffn_ratio))

@@ -7,8 +7,10 @@ Biases, normalizations, activations and comparisons are free.
 """
 from __future__ import annotations
 
-from .blocks import MBCONV_EXPANSION, split_channels
-from .mhpa import MhpaConfig
+from dataclasses import replace
+
+from .blocks import MBCONV_EXPANSION, attention_stages, split_channels
+from .mhpa import MhpaConfig, head_shapes
 from .model import ModelConfig, NUM_STAGES
 
 
@@ -25,22 +27,23 @@ def vanilla_attention_flops(n: int, d: int) -> int:
     return 3 * n * d * d + 2 * n * n * d
 
 
-def partition_attention_flops(n: int, d: int, hash_bits: int = 3) -> int:
+def partition_attention_flops(n: int, d: int, hash_bits: int = 3, attend: str = "full") -> int:
     """One partition-attention head over n tokens of width d.
 
     hash n*d*bits, value projection n*d^2, intra-partition weighting
     2*n*d, inter-partition descriptors and importance head
-    K*(d*dh + dh + 2*d), aggregation projection n*2d*d. Every term is
-    linear in n; nothing scales with n^2.
+    K*(d*dh + dh + 2*d), aggregation projection n*2d*d. ``attend``
+    ``"intra_only"`` or ``"inter_only"`` drops the other stage and its half
+    of the aggregation. Every term is linear in n; nothing scales with n^2.
     """
     k = 1 << hash_bits
-    dh = max(1, d // 4)
-    hash_cost = n * d * hash_bits
-    values = n * d * d
-    intra = 2 * n * d
-    inter = k * (d * dh + dh + 2 * d)
-    aggregate = n * 2 * d * d
-    return hash_cost + values + intra + inter + aggregate
+    _, (_, dh), _, _ = head_shapes(d)
+    total = n * d * hash_bits + n * d * d  # hash, value projection
+    if attend != "inter_only":  # weighting, and the intra half of aggregation
+        total += 2 * n * d + n * d * d
+    if attend != "intra_only":  # descriptors, importance, and the inter half
+        total += k * (d * dh + dh + 2 * d) + n * d * d
+    return total
 
 
 def mhpa_layer_flops(h: int, w: int, channels: int, cfg: MhpaConfig) -> dict:
@@ -50,7 +53,7 @@ def mhpa_layer_flops(h: int, w: int, channels: int, cfg: MhpaConfig) -> dict:
     n = hd * wd
     d = channels // cfg.num_heads
     down = conv2d_flops(hd, wd, channels, channels, 3, groups=channels)
-    heads = cfg.num_heads * partition_attention_flops(n, d, cfg.hash_bits)
+    heads = cfg.num_heads * partition_attention_flops(n, d, cfg.hash_bits, cfg.attend)
     up = conv2d_flops(hd, wd, channels, channels * k * k, 1)
     total = down + heads + up
     return {"down": down, "heads": heads, "up": up, "total": total}
@@ -76,7 +79,8 @@ def block_flops(h: int, w: int, cfg: ModelConfig, stage: int) -> dict:
     if cfg.mode != "attn_only":
         parts["conv"] = mbconv_flops(h, w, conv_c)
     if cfg.mode != "conv_only":
-        parts["attn"] = mhpa_layer_flops(h, w, attn_c, cfg.mhpa_config(stage))["total"]
+        mhpa_cfg = replace(cfg.mhpa_config(stage), attend=attention_stages(cfg.mode))
+        parts["attn"] = mhpa_layer_flops(h, w, attn_c, mhpa_cfg)["total"]
     parts["ffn"] = ffn_flops(h, w, c, int(round(c * cfg.ffn_ratio)))
     parts["total"] = parts["conv"] + parts["attn"] + parts["ffn"]
     return parts

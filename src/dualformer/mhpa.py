@@ -65,6 +65,14 @@ EPS = 1e-6
 _PAIRS = (("token_w", "token_b"), ("imp_w1", "imp_b1"), ("imp_w2", "imp_b2"), ("agg_w", "agg_b"))
 
 
+def head_shapes(d: int, dh: int | None = None) -> tuple[tuple[int, int], ...]:
+    """One head's weight shapes over d-channel tokens, in ``_PAIRS`` order,
+    the importance predictor ``dh`` wide (built max(1, d // 4) wide); each
+    bias is as long as its weight's last axis."""
+    dh = max(1, d // 4) if dh is None else dh
+    return (d, d), (d, dh), (dh, 1), (2 * d, d)
+
+
 @dataclass
 class MhpaHeadParams:
     """Learnable state of a layer's heads: token projection, importance
@@ -266,8 +274,7 @@ def _check_node(op: str, parents: tuple[Tensor, ...], buckets: np.ndarray) -> No
             or tokens.shape[-2 - len(lead):-2] != lead):
         raise ShapeError(f"{op}: gate {gate.shape}, bucket matrix {buckets.shape} and "
                          f"head axes {lead} do not fit tokens {tokens.shape}")
-    shapes = ((d, d), (d, dh), (dh, 1), (2 * d, d))
-    for (wn, bn), w, b, shape in zip(_PAIRS, head[::2], head[1::2], shapes):
+    for (wn, bn), w, b, shape in zip(_PAIRS, head[::2], head[1::2], head_shapes(d, dh)):
         if w.shape != lead + shape or b.shape != (math.prod(lead) * shape[1],):
             raise ShapeError(f"{op}: {wn} {w.shape} and {bn} {b.shape} do not fit "
                              f"{d}-channel tokens, {lead + shape} expected")

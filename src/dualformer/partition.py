@@ -49,17 +49,15 @@ class Partition:
 
     assignment: np.ndarray  # (n,) int64 in [0, num_clusters)
     num_clusters: int
-    counts: np.ndarray = field(default=None)  # (num_clusters,) int64
+    counts: np.ndarray = field(init=False)  # (num_clusters,) int64
     centroids: np.ndarray | None = None  # (num_clusters, d), k-means only
 
     def __post_init__(self):
-        self.assignment = np.asarray(self.assignment)
         self.validate()
 
     def validate(self) -> None:
-        """Check the ids, then count them unless counts were given, then
-        check that the counts tally."""
-        a = self.assignment
+        """Check the ids, then count them."""
+        a = np.asarray(self.assignment)
         if a.ndim != 1 or a.shape[0] < 1:
             raise PartitionError(f"assignment must be a non-empty vector, got {a.shape}")
         if not np.issubdtype(a.dtype, np.integer):
@@ -69,10 +67,7 @@ class Partition:
         if a.min() < 0 or a.max() >= self.num_clusters:
             raise PartitionError(f"assignment values outside [0, {self.num_clusters})")
         self.assignment = a.astype(np.int64, copy=False)
-        if self.counts is None:
-            self.counts = np.bincount(self.assignment, minlength=self.num_clusters)
-        if self.counts.shape != (self.num_clusters,) or int(self.counts.sum()) != a.shape[0]:
-            raise PartitionError("counts do not tally with the assignment")
+        self.counts = np.bincount(self.assignment, minlength=self.num_clusters)
 
 
 def _as_array(tokens) -> np.ndarray:

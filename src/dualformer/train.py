@@ -62,9 +62,9 @@ class AdamW:
     params: list
     lr: float = 3e-3
     weight_decay: float = 0.05
-    step_count: int = 0
-    _m: dict = field(default_factory=dict)
-    _v: dict = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    _m: dict = field(default_factory=dict, init=False)
+    _v: dict = field(default_factory=dict, init=False)
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -115,9 +115,15 @@ def clip_gradients(params, max_norm: float) -> float:
 
 @dataclass
 class TrainReport:
-    epochs: list = field(default_factory=list)
-    final_val_acc: float = 0.0
-    final_val_loss: float = 0.0
+    epochs: list = field(default_factory=list, init=False)
+
+    @property
+    def final_val_acc(self) -> float:
+        return self.epochs[-1]["val_acc"] if self.epochs else 0.0
+
+    @property
+    def final_val_loss(self) -> float:
+        return self.epochs[-1]["val_loss"] if self.epochs else 0.0
 
     def to_csv(self) -> str:
         lines = ["epoch,train_loss,val_loss,val_acc"]
@@ -208,6 +214,4 @@ def train_toy(
                 f"epoch {epoch:3d}  train {row['train_loss']:.4f}  "
                 f"val {val_loss:.4f}  acc {val_acc:.4f}"
             )
-    report.final_val_acc = report.epochs[-1]["val_acc"] if report.epochs else 0.0
-    report.final_val_loss = report.epochs[-1]["val_loss"] if report.epochs else 0.0
     return report

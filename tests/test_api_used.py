@@ -12,7 +12,9 @@ and nested functions included, must be passed by some call in the scanned
 code, by keyword or by position; otherwise it is a constant posing as an
 option. Calls are matched to definitions by name, a class call to its
 ``__init__``, and a call with ``*args`` or ``**kwargs`` counts as passing
-what it could.
+what it could. A dataclass field with a default is a parameter of the
+class call too, unless it is declared ``field(init=False)``, and a
+``replace(obj, name=...)`` call also passes it.
 """
 import ast
 import re
@@ -68,30 +70,6 @@ def _scan():
 DEFS, REFS = _scan()
 
 
-def _defaulted():
-    """(module.function(param), callee name, param, position among the call's
-    arguments or None for keyword-only) for every defaulted parameter."""
-    for path in sorted(PKG.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        owner = {fn: cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                 for fn in cls.body if isinstance(fn, FUNCS)}
-        for fn in ast.walk(tree):
-            if not isinstance(fn, FUNCS):
-                continue
-            cls = owner.get(fn)
-            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
-            bound = int(cls is not None and not static)  # self is not a call argument
-            callee = cls.name if fn.name == "__init__" else fn.name
-            qual = f"{path.stem}.{cls.name + '.' if cls else ''}{fn.name}"
-            pos = fn.args.posonlyargs + fn.args.args
-            first = len(pos) - len(fn.args.defaults)
-            for i, arg in enumerate(pos[first:], first):
-                yield f"{qual}({arg.arg})", callee, arg.arg, i - bound
-            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
-                if default is not None:
-                    yield f"{qual}({arg.arg})", callee, arg.arg, None
-
-
 def _calls() -> dict:
     """Callee name -> every call to that name in the scanned code."""
     calls = {}
@@ -103,6 +81,57 @@ def _calls() -> dict:
     return calls
 
 
+CALLS = _calls()
+
+
+def _field_options(value) -> dict:
+    """A dataclass field's ``field(...)`` keywords, or its plain default."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return {kw.arg: kw.value for kw in value.keywords}
+    return {} if value is None else {"default": value}
+
+
+def _fields(cls: ast.ClassDef):
+    """(field, options) for each ``__init__`` parameter of a dataclass, in order."""
+    # @dataclass or @dataclass(...)
+    if not any(getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in cls.decorator_list):
+        return []
+    fields = [(s.target.id, _field_options(s.value)) for s in cls.body
+              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return [(f, opts) for f, opts in fields if getattr(opts.get("init"), "value", True)]
+
+
+def _defaulted():
+    """(module.function(param), param, [(call, position among the call's
+    arguments or None for keyword only)]) for every defaulted parameter and
+    every dataclass field with a default."""
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {fn: cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, FUNCS)}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.ClassDef):
+                for i, (name, opts) in enumerate(_fields(fn)):
+                    if {"default", "default_factory"} & set(opts):
+                        chances = [(c, i) for c in CALLS.get(fn.name, ())]
+                        chances += [(c, None) for c in CALLS.get("replace", ())]
+                        yield f"{path.stem}.{fn.name}({name})", name, chances
+            if not isinstance(fn, FUNCS):
+                continue
+            cls = owner.get(fn)
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            bound = int(cls is not None and not static)  # self is not a call argument
+            calls = CALLS.get(cls.name if fn.name == "__init__" else fn.name, ())
+            qual = f"{path.stem}.{cls.name + '.' if cls else ''}{fn.name}"
+            pos = fn.args.posonlyargs + fn.args.args
+            first = len(pos) - len(fn.args.defaults)
+            for i, arg in enumerate(pos[first:], first):
+                yield f"{qual}({arg.arg})", arg.arg, [(c, i - bound) for c in calls]
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield f"{qual}({arg.arg})", arg.arg, [(c, None) for c in calls]
+
+
 def _passes(call, param: str, index) -> bool:
     if any(kw.arg in (param, None) for kw in call.keywords):
         return True
@@ -112,7 +141,6 @@ def _passes(call, param: str, index) -> bool:
 
 
 DEFAULTED = list(_defaulted())
-CALLS = _calls()
 
 
 def test_every_definition_has_a_caller():
@@ -127,8 +155,8 @@ def test_every_definition_has_a_caller():
 def test_every_defaulted_parameter_is_passed():
     unset = sorted(
         qual
-        for qual, callee, param, index in DEFAULTED
-        if not any(_passes(call, param, index) for call in CALLS.get(callee, ()))
+        for qual, param, chances in DEFAULTED
+        if not any(_passes(call, param, index) for call, index in chances)
     )
     assert [q for q in unset if q not in ALLOWED] == []
 

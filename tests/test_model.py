@@ -52,7 +52,6 @@ from dualformer.init import INIT_STD, truncated_normal
 from dualformer.mhpa import MhpaConfig
 from dualformer.norms import BN_EPS
 from dualformer.tensor import ShapeError, constant, graph_records
-from dualformer.tensor_io import write_tensor_stream
 from dualformer.train import cross_entropy
 
 
@@ -491,6 +490,30 @@ def test_count_flops_scales_with_depth():
         assert sb["blocks"] == 2 * sa["blocks"]
 
 
+@pytest.mark.parametrize("mode", ["intra_only", "inter_only"])
+def test_count_flops_drops_the_stage_an_ablation_arm_skips(mode):
+    # per head, intra_only skips the inter stage, K(d dh + dh + 2d), and the
+    # inter half of the aggregation, n d^2; inter_only skips the intra
+    # weighting, 2 n d, and the intra half
+    for cfg in PRESETS.values():
+        for size in (32, 224):
+            full = count_flops(cfg, size, size)
+            skipped = 0
+            for si, stage in enumerate(full["stages"]):
+                heads, rate = cfg.heads[si], cfg.mhpa_config(si).downsample_rate
+                n = -(-stage["grid"][0] // rate) * -(-stage["grid"][1] // rate)
+                d = (cfg.channels[si] - cfg.channels[si] // 2) // heads
+                dh = max(1, d // 4)
+                own = 8 * (d * dh + dh + 2 * d) if mode == "intra_only" else 2 * n * d
+                skipped += cfg.depths[si] * heads * (own + n * d * d)
+            arm = count_flops(dataclasses.replace(cfg, mode=mode), size, size)
+            assert arm["total"] == full["total"] - skipped, (cfg.name, size)
+    micro = count_flops(get_preset("Micro"), 32, 32)["total"]
+    assert micro == 1_074_032
+    arm = count_flops(dataclasses.replace(get_preset("Micro"), mode=mode), 32, 32)["total"]
+    assert micro - arm == {"intra_only": 8_688, "inter_only": 3_200}[mode]
+
+
 def test_count_flops_monotonic_in_resolution():
     cfg = get_preset("Micro")
     assert count_flops(cfg, 64, 64)["total"] > count_flops(cfg, 32, 32)["total"]
@@ -533,15 +556,15 @@ def test_failed_save_leaves_existing_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), build_model(get_preset("Micro"), seed=0))
     before = path.read_bytes()
-    calls = []
+    calls, write_array = [], checkpoint_module._write_array
 
     def fail_midway(stream, arr):
         calls.append(1)
         if len(calls) == 5:
             raise RuntimeError("disk gone")
-        write_tensor_stream(stream, arr)
+        write_array(stream, arr)
 
-    monkeypatch.setattr(checkpoint_module, "write_tensor_stream", fail_midway)
+    monkeypatch.setattr(checkpoint_module, "_write_array", fail_midway)
     with pytest.raises(RuntimeError, match="disk gone"):
         save_checkpoint(str(path), build_model(get_preset("Micro"), seed=1))
     assert path.read_bytes() == before
@@ -607,7 +630,7 @@ def checkpoint_bytes(config, entries):
     buf.write(b"DFCK" + struct.pack("<II", 1, len(text)) + text + struct.pack("<I", len(entries)))
     for name, arr in entries:
         buf.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
-        write_tensor_stream(buf, arr)
+        checkpoint_module._write_array(buf, arr)
     return buf.getvalue()
 
 
@@ -729,7 +752,7 @@ def test_checkpoint_with_per_head_entries_loads_bitwise(tmp_path):
     assert forward(loaded, x).data.tobytes() == forward(model, x).data.tobytes()
 
 
-@pytest.mark.parametrize("edit", ["missing", "repeated", "unequal"])
+@pytest.mark.parametrize("edit", ["missing", "repeated", "zero-padded", "unequal"])
 def test_checkpoint_per_head_entries_that_do_not_stack_are_checkpoint_error(edit):
     model = build_model(get_preset("Micro"), seed=0)
     entries = per_head_entries(model)
@@ -739,9 +762,67 @@ def test_checkpoint_per_head_entries_that_do_not_stack_are_checkpoint_error(edit
         del entries[at]
     elif edit == "repeated":
         entries[at] = (name.replace("heads[1]", "heads[0]"), arr)
+    elif edit == "zero-padded":  # a name of its own, but head 0 again
+        entries[at] = (name.replace("heads[1]", "heads[00]"), arr)
     else:
         entries[at] = (name, arr[:-1])
-    with pytest.raises(CheckpointError, match="heads.token_w|repeats head 0"):
+    with pytest.raises(CheckpointError, match="heads.token_w|repeats"):
+        read_checkpoint_stream(io.BytesIO(checkpoint_bytes(model.config, entries)))
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_checkpoint_file_layout_decodes_independently(dtype):
+    # the layout the checkpoint module documents, decoded with struct and
+    # numpy alone, against every entry iter_state yields
+    with precision.precision(dtype):
+        model = build_model(get_preset("Micro"), seed=2)
+    r = np.random.default_rng(2)
+    for _, arr in iter_state(model):  # no entry left at a constant init value
+        arr += r.standard_normal(arr.shape).astype(arr.dtype)
+    buf = io.BytesIO()
+    write_checkpoint_stream(buf, model)
+    raw, at = buf.getvalue(), 0
+
+    def take(n):
+        nonlocal at
+        at += n
+        assert at <= len(raw)
+        return raw[at - n:at]
+
+    def u32():
+        return struct.unpack("<I", take(4))[0]
+
+    assert take(4) == b"DFCK" and u32() == 1
+    assert take(u32()).decode("utf-8") == config_to_text(model.config)
+    want = list(iter_state(model))
+    assert u32() == len(want)
+    for name, arr in want:
+        assert take(u32()).decode("utf-8") == name
+        assert take(4) == b"DFT1"
+        rank = u32()
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        assert dims == arr.shape, name
+        got = np.frombuffer(take(4 * int(np.prod(dims))), dtype="<f4")
+        assert got.tobytes() == np.ascontiguousarray(arr, dtype=np.float32).tobytes(), name
+    assert at == len(raw)
+    cfg, state = read_checkpoint_stream(io.BytesIO(raw))
+    assert cfg == model.config
+    assert list(state) == [n for n, _ in want]
+
+
+@pytest.mark.parametrize("edit", ["verbatim", "legacy norm name", "stacked and per-head"])
+def test_checkpoint_repeated_entry_name_is_checkpoint_error(edit):
+    model = build_model(get_preset("Micro"), seed=0)
+    entries = list(iter_state(model))
+    at = {n: i for i, (n, _) in enumerate(entries)}
+    if edit == "verbatim":
+        entries.append(entries[at["head_b"]])
+    elif edit == "legacy norm name":  # read as stem.convs[0][1].gamma
+        entries.insert(0, ("stem.convs[0][2].gamma", entries[at["stem.convs[0][1].gamma"]][1]))
+    else:  # a per-head entry merges into a stacked name the file holds
+        stacked = entries[at["stages[3].blocks[0].mhpa.heads.token_w"]][1]
+        entries.append(("stages[3].blocks[0].mhpa.heads[0].token_w", stacked[0]))
+    with pytest.raises(CheckpointError, match="repeats"):
         read_checkpoint_stream(io.BytesIO(checkpoint_bytes(model.config, entries)))
 
 
@@ -774,6 +855,15 @@ def test_checkpoint_non_utf8_entry_name_is_checkpoint_error(micro_ckpt):
     with pytest.raises(CheckpointError) as exc:
         read_checkpoint_stream(io.BytesIO(_patched(micro_ckpt, name_at, b"\xff")))
     assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+
+def test_checkpoint_entry_errors_name_the_entry(micro_ckpt):
+    name = "stages[1].blocks[0].ffn.w1"
+    at = micro_ckpt.index(name.encode()) + len(name)
+    with pytest.raises(CheckpointError, match=re.escape(f"entry {name!r}: bad magic")):
+        read_checkpoint_stream(io.BytesIO(_patched(micro_ckpt, at, b"JUNK")))
+    with pytest.raises(CheckpointError, match=re.escape(f"entry {name!r}: truncated")):
+        read_checkpoint_stream(io.BytesIO(micro_ckpt[:at + 10]))
 
 
 @pytest.mark.parametrize("old,new", [(b"depths=1", b"depths=x"), (b"depths=", b"dexths=")])

@@ -1,26 +1,26 @@
-"""Binary tensor stream format: roundtrips and corruption handling."""
+"""The array part of a checkpoint entry: roundtrips and corruption handling."""
 import io
 import struct
 
 import numpy as np
 import pytest
 
-from dualformer.tensor_io import (
-    READ_CHUNK,
-    TensorFormatError,
-    read_tensor_stream,
-    write_tensor_stream,
-)
+from dualformer.checkpoint import READ_CHUNK, CheckpointError, _read_array, _write_array
+
+
+def read_entry(fh):
+    """One entry's array, read as the checkpoint reader reads it."""
+    return _read_array(fh, "entry 't'")
 
 
 def encoded(arr):
     buf = io.BytesIO()
-    write_tensor_stream(buf, arr)
+    _write_array(buf, arr)
     return buf.getvalue()
 
 
 def roundtrip(arr):
-    return read_tensor_stream(io.BytesIO(encoded(arr)))
+    return read_entry(io.BytesIO(encoded(arr)))
 
 
 def test_roundtrip_exact_f32():
@@ -60,27 +60,26 @@ def test_layout_bytes():
 
 
 def test_bad_magic_rejected():
-    with pytest.raises(TensorFormatError):
-        read_tensor_stream(io.BytesIO(b"NOPE" + b"\x00" * 16))
+    with pytest.raises(CheckpointError):
+        read_entry(io.BytesIO(b"NOPE" + b"\x00" * 16))
 
 
 def test_truncated_payload_rejected():
     raw = encoded(np.ones((2, 2), dtype=np.float32))
-    with pytest.raises(TensorFormatError):
-        read_tensor_stream(io.BytesIO(raw[:-3]))
+    with pytest.raises(CheckpointError):
+        read_entry(io.BytesIO(raw[:-3]))
 
 
 def test_absurd_rank_rejected():
     buf = b"DFT1" + struct.pack("<I", 99)
-    with pytest.raises(TensorFormatError):
-        read_tensor_stream(io.BytesIO(buf))
+    with pytest.raises(CheckpointError):
+        read_entry(io.BytesIO(buf))
 
 
 def test_overflowing_dims_rejected():
     buf = b"DFT1" + struct.pack("<9I", 8, *[0xFFFFFFFF] * 8)
-    with pytest.raises(TensorFormatError):
-        read_tensor_stream(io.BytesIO(buf))
-
+    with pytest.raises(CheckpointError):
+        read_entry(io.BytesIO(buf))
 
 
 def test_multi_chunk_payload_from_file(tmp_path):
@@ -89,7 +88,7 @@ def test_multi_chunk_payload_from_file(tmp_path):
     path = tmp_path / "t.dft"
     path.write_bytes(encoded(arr))
     with open(path, "rb") as fh:
-        assert np.array_equal(read_tensor_stream(fh), arr)
+        assert np.array_equal(read_entry(fh), arr)
     path.write_bytes(encoded(arr)[:-3])
-    with open(path, "rb") as fh, pytest.raises(TensorFormatError, match="truncated"):
-        read_tensor_stream(fh)
+    with open(path, "rb") as fh, pytest.raises(CheckpointError, match="truncated"):
+        read_entry(fh)

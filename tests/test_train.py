@@ -199,6 +199,13 @@ def test_toy_training_reduces_loss_and_reports():
     assert len(lines) == 5
     first = lines[1].split(",")
     assert int(first[0]) == 1 and len(first) == 4
+    assert report.final_val_acc == report.epochs[-1]["val_acc"]
+    assert report.final_val_loss == report.epochs[-1]["val_loss"]
+
+
+def test_report_with_no_epoch_reads_zero():
+    report = train.TrainReport()
+    assert report.final_val_acc == report.final_val_loss == 0.0
 
 
 def test_toy_training_deterministic():
