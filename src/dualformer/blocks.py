@@ -8,13 +8,14 @@ init, so a fresh block is exactly the identity map.
 
 Ablation wiring: ``conv_only``/``attn_only`` replace the other branch with a
 pass-through on its channel share; ``intra_only``/``inter_only`` keep the
-block shape and run one stage of the attention math (:func:`attention_stages`);
+block shape and run the attention stage their layer config's ``attend``
+names (``ModelConfig.mhpa_config`` maps a mode by :func:`attention_stages`);
 ``series`` runs the inverted bottleneck and the attention layer over the full
 channel width one after the other instead of side by side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,12 +60,11 @@ class MBConvParams:
 
 def make_mbconv(channels: int, rng: np.random.Generator) -> MBConvParams:
     hidden = MBCONV_EXPANSION * channels
-    dt = precision.default_dtype()
     return MBConvParams(
         expand_w=trunc_normal(rng, (hidden, channels, 1, 1)),
-        bn1=make_batch_norm(hidden, dt),
+        bn1=make_batch_norm(hidden),
         dw_w=trunc_normal(rng, (hidden, 1, 3, 3)),
-        bn2=make_batch_norm(hidden, dt),
+        bn2=make_batch_norm(hidden),
         proj_w=zeros_param((channels, hidden, 1, 1)),  # residual terminal
         proj_b=zeros_param(channels),
     )
@@ -165,7 +165,6 @@ def make_dual_block(
     if mode not in MODES:
         raise ValueError(f"unknown block mode {mode!r}, expected one of {MODES}")
     conv_c, attn_c = split_channels(channels, mode)
-    cfg = replace(mhpa_cfg, attend=attention_stages(mode))
     need_conv = mode != "attn_only"
     need_attn = mode != "conv_only"
     hidden = int(round(channels * ffn_ratio))
@@ -174,8 +173,8 @@ def make_dual_block(
         mode=mode,
         conv_channels=conv_c,
         mbconv=make_mbconv(conv_c, rng) if need_conv else None,
-        mhpa=make_mhpa(attn_c, cfg, rng) if need_attn else None,
-        mhpa_cfg=cfg if need_attn else None,
+        mhpa=make_mhpa(attn_c, mhpa_cfg, rng) if need_attn else None,
+        mhpa_cfg=mhpa_cfg if need_attn else None,
         ln2_gamma=ones_param(channels),
         ln2_beta=zeros_param(channels),
         ffn=make_ffn(channels, hidden, rng),
@@ -219,10 +218,9 @@ class PatchEmbedParams:
 
 
 def make_patch_embed(widths: list[int], rng: np.random.Generator) -> PatchEmbedParams:
-    dt = precision.default_dtype()
     convs = []
     for cin, cout in zip(widths[:-1], widths[1:]):
-        convs.append((trunc_normal(rng, (cout, cin, 3, 3)), make_batch_norm(cout, dt)))
+        convs.append((trunc_normal(rng, (cout, cin, 3, 3)), make_batch_norm(cout)))
     return PatchEmbedParams(convs=convs)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import ShapeError, Tensor, _coerce, _make, add_bias
+from .tensor import ShapeError, Tensor, _check_vectors, _coerce, _make
 
 
 def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -28,11 +28,10 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     """Correlate ``x[B,H,W,C]`` with ``w[O,C/groups,kh,kw]``.
 
     ``groups`` must be 1 (dense) or equal to the channel count (depthwise,
-    where ``w`` has shape ``[C,1,kh,kw]``). Bias, when given, is added per
-    output channel.
+    where ``w`` has shape ``[C,1,kh,kw]``). A bias ``b[O]`` in ``x``'s dtype,
+    when given, is added per output channel in place, in the conv's own node.
     """
-    x = _coerce(x)
-    w = _coerce(w)
+    x, w = _coerce(x), _coerce(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {w.shape}")
     if stride < 1 or padding < 0:
@@ -44,11 +43,12 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
             raise ShapeError(f"conv2d: kernel expects {Cg} channels, input has {C}")
     elif groups == C:
         if Cg != 1 or O != C:
-            raise ShapeError(
-                f"conv2d: depthwise kernel must be [{C},1,kh,kw], got {w.shape}"
-            )
+            raise ShapeError(f"conv2d: depthwise kernel must be [{C},1,kh,kw], got {w.shape}")
     else:
         raise ShapeError(f"conv2d: groups={groups} unsupported (use 1 or channels={C})")
+    if b is not None:
+        b = _coerce(b)
+        _check_vectors((b,), O, x.dtype, "conv2d")
     ho = conv_out_size(H, kh, stride, padding)
     wo = conv_out_size(W, kw, stride, padding)
     pointwise = kh == kw == 1 and stride == 1 and padding == 0
@@ -72,7 +72,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
         out = (cols @ w2.T).reshape(B, ho, wo, O)
 
         # like matmul, a constant input (the image at the stem) costs no dx
-        def backward(g):
+        def grads(g):
             g2 = g.reshape(B * ho * wo, O)
             dw = (g2.T @ cols).reshape(w.shape)
             if not x.requires_grad:
@@ -92,7 +92,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
         for t in range(1, kh * kw):
             out += xp[taps[t]] * wd[t]
 
-        def backward(g):
+        def grads(g):
             dwd = np.empty_like(wd)
             for t, sl in enumerate(taps):
                 dwd[t] = np.einsum("bijc,bijc->c", g, xp[sl])
@@ -105,7 +105,11 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
             dx = dxp[:, padding : padding + H, padding : padding + W]
             return np.ascontiguousarray(dx), dw
 
-    y = _make(out, (x, w), backward, "conv2d")
-    if b is not None:
-        y = add_bias(y, b)
-    return y
+    if b is None:
+        return _make(out, (x, w), grads, "conv2d")
+    out += b.data
+
+    def backward(g):
+        return (*grads(g), g.sum(axis=(0, 1, 2)))
+
+    return _make(out, (x, w, b), backward, "conv2d")

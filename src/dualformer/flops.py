@@ -7,9 +7,7 @@ Biases, normalizations, activations and comparisons are free.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .blocks import MBCONV_EXPANSION, attention_stages, split_channels
+from .blocks import MBCONV_EXPANSION, split_channels
 from .mhpa import MhpaConfig, head_shapes
 from .model import ModelConfig, NUM_STAGES
 
@@ -79,8 +77,7 @@ def block_flops(h: int, w: int, cfg: ModelConfig, stage: int) -> dict:
     if cfg.mode != "attn_only":
         parts["conv"] = mbconv_flops(h, w, conv_c)
     if cfg.mode != "conv_only":
-        mhpa_cfg = replace(cfg.mhpa_config(stage), attend=attention_stages(cfg.mode))
-        parts["attn"] = mhpa_layer_flops(h, w, attn_c, mhpa_cfg)["total"]
+        parts["attn"] = mhpa_layer_flops(h, w, attn_c, cfg.mhpa_config(stage))["total"]
     parts["ffn"] = ffn_flops(h, w, c, int(round(c * cfg.ffn_ratio)))
     parts["total"] = parts["conv"] + parts["attn"] + parts["ffn"]
     return parts

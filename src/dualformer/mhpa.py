@@ -6,7 +6,8 @@ bucket (intra), summarized per bucket and reweighted across buckets (inter),
 and the two views are fused back per token. Around the heads sit a strided
 depthwise downsample and a channel-to-spatial expansion that restores the
 input resolution through a skip connection. Maps are channels-last
-(B, H, W, C), so the token grid is a reshape of the downsampled map.
+(B, H, W, C), so the token grid is a view of the downsampled map, and each
+layout change (head split, head merge, unfold) is one transpose node.
 
 Shape grammar: a head takes (..., n, d) tokens with an integer bucket
 assignment of shape (..., n); any leading axes are batch axes. The head
@@ -53,7 +54,6 @@ from .tensor import (
     _softmax_grad,
     _unbroadcast,
     one_hot,
-    reshape,
     sigmoid,
     transpose,
 )
@@ -328,7 +328,8 @@ def channel_to_spatial(x: Tensor, rate: int, skip: Tensor) -> Tensor:
     """Unfold channel blocks into rate x rate spatial tiles, then add the skip.
 
     Channel index c*rate*rate + dy*rate + dx lands on spatial offset (dy, dx)
-    of output channel c. ``skip`` must already have the output shape.
+    of output channel c, through one view-permute-view :func:`transpose`
+    node. ``skip`` must already have the output shape.
     """
     b, h, w, ck2 = x.shape
     if rate < 1 or ck2 % (rate * rate):
@@ -340,9 +341,9 @@ def channel_to_spatial(x: Tensor, rate: int, skip: Tensor) -> Tensor:
         raise ShapeError(
             f"channel_to_spatial: skip {skip.shape} != expected {(b, h * rate, w * rate, c)}"
         )
-    r = reshape(x, (b, h, w, c, rate, rate))
-    r = transpose(r, (0, 1, 4, 2, 5, 3))
-    return reshape(r, (b, h * rate, w * rate, c)) + skip
+    unfolded = transpose(x, (0, 1, 4, 2, 5, 3), shape=(b, h, w, c, rate, rate),
+                         out_shape=skip.shape)
+    return unfolded + skip
 
 
 # -- layer forward -------------------------------------------------------
@@ -407,11 +408,10 @@ def mhpa_forward(
         raise ShapeError(f"mhpa_forward: {c} channels do not split into {heads} heads")
     d = c // heads
 
-    skip = x
     normed = layer_norm_channels(x, params.ln_gamma, params.ln_beta)
     down = conv2d(normed, params.down_w, params.down_b, stride=k, padding=1, groups=c)
     hs, ws = down.shape[1:3]
-    toks = transpose(reshape(down, (b, hs * ws, heads, d)), (0, 2, 1, 3))  # (B, heads, n, d)
+    toks = transpose(down, (0, 2, 1, 3), shape=(b, hs * ws, heads, d))  # (B, heads, n, d)
     site = None if sites is None else sites.get(params)
     out, assign = mhpa_head_forward(toks, params.heads, cfg.num_clusters,
                                     assign=None if site is None else np.asarray(site["assignment"]),
@@ -419,9 +419,9 @@ def mhpa_forward(
     if sites is not None and site is None:
         sites[params] = {"assignment": assign, "shape": (hs, ws)}
 
-    merged = reshape(transpose(out, (0, 2, 1, 3)), (b, hs, ws, c))
+    merged = transpose(out, (0, 2, 1, 3), out_shape=(b, hs, ws, c))
     up = conv2d(merged, params.up_w, params.up_b)
-    return channel_to_spatial(up, k, skip)
+    return channel_to_spatial(up, k, x)
 
 
 def partition_to_grayscale(assignment: np.ndarray, num_clusters: int, shape) -> np.ndarray:

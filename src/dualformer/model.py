@@ -19,6 +19,7 @@ from .blocks import (
     MODES,
     PatchEmbedParams,
     SPLIT_RATIO,
+    attention_stages,
     dual_block_forward,
     make_dual_block,
     make_patch_embed,
@@ -81,10 +82,12 @@ class ModelConfig:
                 raise ConfigError(f"stage {i}: channels must be even, got {c}")
 
     def mhpa_config(self, stage: int) -> MhpaConfig:
+        """Stage ``stage``'s (0-based) attention layers, running ``mode``'s stages."""
         return MhpaConfig(
             downsample_rate=DOWNSAMPLE_RATES[stage],
             hash_bits=HASH_BITS,
             num_heads=self.heads[stage],
+            attend=attention_stages(self.mode),
         )
 
 

@@ -15,22 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import conv2d
-from .tensor import ShapeError, Tensor, _coerce, _guard_finite, _make
+from .init import ones_param, zeros_param
+from .tensor import Tensor, _check_vectors, _coerce, _guard_finite, _make
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 LN_EPS = 1e-5
-
-
-def _check_affine(x: Tensor, gamma: Tensor, beta: Tensor, op: str) -> int:
-    """The channel count of ``x``, once gamma and beta fit it in shape and dtype."""
-    c = x.shape[-1]
-    for p in (gamma, beta):
-        if p.shape != (c,):
-            raise ShapeError(f"{op}: affine vector {p.shape} does not fit {c} channels")
-        if p.dtype != x.dtype:
-            raise TypeError(f"{op}: mixed dtypes: {x.dtype} vs {p.dtype}")
-    return c
 
 
 def _fused_norm(x: Tensor, gamma: Tensor, beta: Tensor, per_channel: bool, eps: float, op: str):
@@ -42,7 +32,8 @@ def _fused_norm(x: Tensor, gamma: Tensor, beta: Tensor, per_channel: bool, eps: 
     statistic raises ``FloatingPointError``.
     """
     x = _coerce(x)
-    c = _check_affine(x, gamma, beta, op)
+    c = x.shape[-1]
+    _check_vectors((gamma, beta), c, x.dtype, op)
     x2 = x.data.reshape(-1, c)
     ones_n, ones_c = np.ones(x2.shape[0], x2.dtype), np.ones(c, x2.dtype)
     if per_channel:
@@ -95,13 +86,10 @@ class BatchNorm2d:
     running_var: np.ndarray
 
 
-def make_batch_norm(channels: int, dtype) -> BatchNorm2d:
-    return BatchNorm2d(
-        gamma=Tensor(np.ones(channels), requires_grad=True, dtype=dtype),
-        beta=Tensor(np.zeros(channels), requires_grad=True, dtype=dtype),
-        running_mean=np.zeros(channels, dtype=dtype),
-        running_var=np.ones(channels, dtype=dtype),
-    )
+def make_batch_norm(channels: int) -> BatchNorm2d:
+    """Identity batch norm in the default dtype, running buffers included."""
+    gamma, beta = ones_param(channels), zeros_param(channels)
+    return BatchNorm2d(gamma, beta, np.zeros_like(beta.data), np.ones_like(gamma.data))
 
 
 def batch_norm(x: Tensor, bn: BatchNorm2d) -> Tensor:
@@ -128,7 +116,8 @@ def _running_norm(y: Tensor, bn: BatchNorm2d) -> Tensor:
     (a negative running variance, say) raises ``FloatingPointError``.
     """
     op = "batch_norm_eval"
-    c = _check_affine(y, bn.gamma, bn.beta, op)
+    c = y.shape[-1]
+    _check_vectors((bn.gamma, bn.beta), c, y.dtype, op)
     rm = bn.running_mean.astype(y.dtype, copy=False)
     rv = bn.running_var.astype(y.dtype, copy=False)
     with np.errstate(divide="ignore", invalid="ignore"):

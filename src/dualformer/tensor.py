@@ -7,9 +7,10 @@ accumulates gradients into leaves that require them.
 
 Broadcasting is deliberately restricted: elementwise binary ops accept
 exactly-matching shapes or a scalar (one element) paired with a tensor.
-Anything else raises ``ShapeError``; callers reshape explicitly. Bias
-addition along the last axis goes through :func:`add_bias`. Matmul follows
-numpy's batched semantics on the leading dimensions.
+Anything else raises ``ShapeError``. A layout change is one :func:`transpose`
+node, which may view its input and its output under new shapes. A conv adds
+its bias in its own node; :func:`add_bias` adds the classifier head's along
+the last axis. Matmul follows numpy's batched semantics on leading axes.
 
 Softmax checks its output and raises ``FloatingPointError`` instead of
 letting NaN/Inf propagate. The closed-form nodes that other modules build
@@ -236,8 +237,7 @@ def _check_elementwise(sa, sb, op: str) -> None:
     if sa == sb or math.prod(sa) == 1 or math.prod(sb) == 1:
         return
     raise ShapeError(
-        f"{op}: shapes {sa} and {sb} do not combine; only exact matches and "
-        "scalars do (reshape explicitly otherwise)"
+        f"{op}: shapes {sa} and {sb} do not combine; only exact matches and scalars do"
     )
 
 
@@ -252,6 +252,16 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+def _check_vectors(vectors, n: int, dtype, op: str) -> None:
+    """Per-channel vectors (a bias, a norm's gamma and beta) must be (n,) and
+    of the map's ``dtype``, which mixing them in would promote or round."""
+    for v in vectors:
+        if v.shape != (n,):
+            raise ShapeError(f"{op}: vector {v.shape} does not fit {n} channels")
+        if v.dtype != dtype:
+            raise TypeError(f"{op}: mixed dtypes: {dtype} vs {v.dtype}")
 
 
 def _guard_finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -398,29 +408,26 @@ def tmean(a, axis=None) -> Tensor:
 # -- shape ops ----------------------------------------------------------------
 
 
-def reshape(a, shape) -> Tensor:
-    a = _coerce(a)
-    try:
-        out = a.data.reshape(shape)
-    except ValueError as e:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}: {e}") from None
-
-    def backward(g):
-        return (g.reshape(a.shape),)
-
-    return _make(out, (a,), backward, "reshape")
-
-
-def transpose(a, axes) -> Tensor:
+def transpose(a, axes, shape=None, out_shape=None) -> Tensor:
+    """Permute the axes of ``a`` viewed as ``shape``, and view the result as
+    ``out_shape``: one node and one copy, whose backward runs the inverse.
+    Either view defaults to the array as it stands."""
     a = _coerce(a)
     axes = tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"transpose: {axes} is not a permutation of rank {a.ndim}")
-    out = np.ascontiguousarray(a.data.transpose(axes))
+    try:
+        src = a.data if shape is None else a.data.reshape(shape)
+        if sorted(axes) != list(range(src.ndim)):
+            raise ValueError(f"{axes} is not a permutation of rank {src.ndim}")
+        out = np.ascontiguousarray(src.transpose(axes))
+        mid = out.shape
+        if out_shape is not None:
+            out = out.reshape(out_shape)
+    except ValueError as e:
+        raise ShapeError(f"transpose: {a.shape} as {shape}, {axes}, {out_shape}: {e}") from None
     inv = tuple(np.argsort(axes))
 
     def backward(g):
-        return (np.ascontiguousarray(g.transpose(inv)),)
+        return (np.ascontiguousarray(g.reshape(mid).transpose(inv)).reshape(a.shape),)
 
     return _make(out, (a,), backward, "transpose")
 
@@ -479,8 +486,7 @@ def add_bias(a, b) -> Tensor:
     rank-promoting add."""
     a = _coerce(a)
     b = _coerce(b, like=a)
-    if b.shape != a.shape[-1:]:
-        raise ShapeError(f"add_bias: bias {b.shape} does not fit the rows of {a.shape}")
+    _check_vectors((b,), a.shape[-1], a.dtype, "add_bias")
     out = a.data + b.data
     reduce_axes = tuple(range(a.ndim - 1))
 

@@ -77,7 +77,6 @@ from dualformer.tensor import (
     matmul,
     narrow,
     one_hot,
-    reshape,
     segment_sum,
     sigmoid,
     softmax,
@@ -430,7 +429,7 @@ def op_inventory(r):
         if isinstance(t, Tensor):
             t.requires_grad = True
     # off-default gamma and beta, so their gradients are audited standalone
-    bn = make_batch_norm(3, np.float64)
+    bn = make_batch_norm(3)
     rb = np.random.default_rng(19)
     bn.gamma.data[:] = 1.0 + 0.3 * rb.normal(size=3)
     bn.beta.data[:] = rb.normal(size=3)
@@ -439,7 +438,7 @@ def op_inventory(r):
     rs = np.random.default_rng(17)
 
     def conv_bn_case(train, cin, stride, groups):
-        bn_conv = make_batch_norm(4, np.float64)
+        bn_conv = make_batch_norm(4)
         bn_conv.running_mean = rs.normal(size=4)
         bn_conv.running_var = 0.5 + rs.random(4)
         bn_conv.gamma.data[:] = 1.0 + 0.3 * rs.normal(size=4)
@@ -491,8 +490,12 @@ def op_inventory(r):
         ("gelu", gelu, [a()]),
         ("sum", tsum, [a()]),
         ("mean", lambda x: tmean(x, axis=0), [a()]),
-        ("reshape", lambda x: reshape(x, (4, 3)), [a()]),
         ("transpose", lambda x: transpose(x, (1, 0)), [a()]),
+        # viewed in and out, as channel_to_spatial unfolds 8 channels at rate 2
+        ("transpose_viewed",
+         lambda x: transpose(x, (0, 1, 4, 2, 5, 3), shape=(1, 2, 2, 2, 2, 2),
+                             out_shape=(1, 4, 4, 2)),
+         [map_leaf(r, 1, 8, 2, 2)]),
         ("concat", lambda x, y: concat([x, y], axis=1), [a(), a()]),
         ("narrow", lambda x: narrow(x, 1, 1, 2), [a()]),
         ("add_bias", add_bias, [a(), leaf(r, 4)]),
@@ -502,6 +505,7 @@ def op_inventory(r):
         ("softmax", lambda x: softmax(x, axis=-1), [a()]),
         ("segment_sum", lambda x: segment_sum(x, buckets), [leaf(r, 6, 4)]),
         ("gather_segments", lambda t: gather_segments(t, buckets), [leaf(r, 3, 4)]),
+        # a conv adds its bias inside its own node, audited with the kernel
         ("conv2d", lambda x, w, b: conv2d(x, w, b, stride=2, padding=1),
          [map_leaf(r, 2, 3, 6, 6), leaf(r, 4, 3, 3, 3), leaf(r, 4)]),
         ("conv2d_grouped", lambda x, w: conv2d(x, w, stride=1, padding=1, groups=4),

@@ -9,6 +9,7 @@ import pytest
 from dualformer.blocks import (
     MBCONV_EXPANSION,
     MODES,
+    attention_stages,
     dual_block_forward,
     ffn_forward,
     make_dual_block,
@@ -97,13 +98,14 @@ def test_ffn_hidden_width_respected():
 # -- dual block ----------------------------------------------------------
 
 
-def block_cfg(heads=2):
-    return MhpaConfig(downsample_rate=2, hash_bits=3, num_heads=heads)
+def block_cfg(heads=2, mode="parallel"):
+    return MhpaConfig(downsample_rate=2, hash_bits=3, num_heads=heads,
+                      attend=attention_stages(mode))
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_block_exact_identity_at_init(mode):
-    p = make_dual_block(8, mode, block_cfg(), rng(10))
+    p = make_dual_block(8, mode, block_cfg(mode=mode), rng(10))
     assert p.mode == mode
     x = rand_map(rng(11), 8)
     out = dual_block_forward(x, p)

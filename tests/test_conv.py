@@ -8,7 +8,7 @@ import pytest
 
 from dualformer import precision
 from dualformer.conv import conv2d, conv_out_size
-from dualformer.tensor import ShapeError, Tensor, constant, tsum
+from dualformer.tensor import ShapeError, Tensor, constant, graph_records, tsum
 
 
 def conv_oracle(x, w, b=None, stride=1, padding=1, groups=1):
@@ -108,6 +108,41 @@ def test_1x1_conv_matches_oracle():
         got = conv2d(constant(nhwc(x)), constant(w))
         want = nhwc(conv_oracle(x, w, padding=0))
         assert np.allclose(got.data, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape,stride,padding,groups", [
+    ((4, 3, 3, 3), 2, 1, 1),
+    ((4, 3, 1, 1), 1, 0, 1),
+    ((3, 1, 3, 3), 1, 1, 3),
+])
+def test_bias_is_added_in_the_conv_node(shape, stride, padding, groups):
+    # bitwise the biasless conv plus the bias, with the bias gradient summed
+    # over batch and map, in one node whose third parent is the bias
+    r = rng(12)
+    x = constant(nhwc(r.normal(size=(2, 3, 6, 6)).astype(np.float32)))
+    w = Tensor(r.normal(size=shape).astype(np.float32), requires_grad=True)
+    b = Tensor(r.normal(size=shape[0]).astype(np.float32), requires_grad=True)
+    y = conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
+    plain = conv2d(x, w, stride=stride, padding=padding, groups=groups)
+    assert np.array_equal(y.data, plain.data + b.data)
+    assert [op for op, _, _ in graph_records(y)] == ["conv2d"]
+    assert y._node.parents == (x, w, b)
+    g = r.normal(size=y.shape).astype(np.float32)
+    _, dw, db = y._node.backward_fn(g)
+    assert np.array_equal(dw, plain._node.backward_fn(g)[1])
+    assert np.array_equal(db, g.sum(axis=(0, 1, 2)))
+
+
+def test_bias_must_fit_the_output_channels_and_the_input_dtype():
+    x = constant(nhwc(np.ones((1, 4, 5, 5))))
+    for w in (constant(np.ones((2, 4, 3, 3))), constant(np.ones((4, 1, 3, 3)))):
+        groups = 4 if w.shape[1] == 1 else 1
+        for bad in ((4,) if groups == 1 else (2,), (1,), (w.shape[0], 1), ()):
+            with pytest.raises(ShapeError, match="conv2d"):
+                conv2d(x, w, constant(np.ones(bad)), groups=groups)
+        # an f64 bias would be rounded into the f32 map in place
+        with pytest.raises(TypeError, match="conv2d"):
+            conv2d(x, w, constant(np.ones(w.shape[0]), dtype=np.float64), groups=groups)
 
 
 def test_group_conv_rejects_bad_channel_split():

@@ -33,7 +33,6 @@ from dualformer.tensor import (
     mul,
     narrow,
     one_hot,
-    reshape,
     segment_sum,
     sigmoid,
     softmax,
@@ -101,8 +100,11 @@ def test_reductions(seed):
 def test_shape_ops(seed):
     r = np.random.default_rng(seed)
     x = leaf(r, (2, 3, 4))
-    check(lambda t: reshape(t, (6, 4)), [x], seed=seed)
     check(lambda t: transpose(t, (2, 0, 1)), [x], seed=seed)
+    # viewed in and out, at channel_to_spatial's unfold of 8 channels at rate 2
+    y = leaf(r, (1, 2, 3, 8))
+    check(lambda t: transpose(t, (0, 1, 4, 2, 5, 3), shape=(1, 2, 3, 2, 2, 2),
+                              out_shape=(1, 4, 6, 2)), [y], seed=seed)
     check(lambda t: narrow(t, 1, 1, 2), [x], seed=seed)
     a, b = leaf(r, (2, 3)), leaf(r, (2, 2))
     check(lambda u, v: concat([u, v], axis=1), [a, b], seed=seed)
@@ -138,6 +140,7 @@ def test_segment_ops_grads(seed):
 
 @pytest.mark.parametrize("stride,padding,groups", [(1, 1, 1), (2, 1, 1), (1, 0, 1), (2, 1, 4)])
 def test_conv2d_grads(stride, padding, groups):
+    # the bias is added inside the conv's node, so each case audits it too
     r = np.random.default_rng(stride * 7 + padding + groups)
     cin, cout = 4, 4
     x = map_leaf(r, (2, cin, 5, 5))
@@ -147,6 +150,13 @@ def test_conv2d_grads(stride, padding, groups):
         lambda xx, ww, bb: conv2d(xx, ww, bb, stride=stride, padding=padding, groups=groups),
         [x, w, b],
     )
+
+
+def test_conv2d_1x1_grads():
+    # the pointwise path reads the map itself as its columns
+    r = np.random.default_rng(20)
+    check(lambda x, w, b: conv2d(x, w, b),
+          [map_leaf(r, (2, 3, 4, 4)), leaf(r, (5, 3, 1, 1), scale=0.5), leaf(r, (5,))])
 
 
 def test_layer_norm_grad():
@@ -159,7 +169,7 @@ def test_layer_norm_grad():
 
 def test_batch_norm_train_grad():
     r = np.random.default_rng(12)
-    bn = make_batch_norm(4, np.float64)
+    bn = make_batch_norm(4)
     bn.gamma.data[:] = 1.0 + 0.1 * r.normal(size=4)
     bn.beta.data[:] = 0.1 * r.normal(size=4)
     x = map_leaf(r, (3, 4, 2, 2))
@@ -170,7 +180,7 @@ def test_batch_norm_eval_grad():
     # eval-mode batch norm exists only inside conv_bn: a dense stride-2
     # conv and a depthwise one
     r = np.random.default_rng(13)
-    bn = make_batch_norm(4, np.float64)
+    bn = make_batch_norm(4)
     bn.running_mean = r.normal(size=4)
     bn.running_var = 0.5 + r.random(4)
     bn.gamma.data[:] = 1.0 + 0.3 * r.normal(size=4)

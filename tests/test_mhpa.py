@@ -32,7 +32,7 @@ from dualformer.norms import layer_norm_channels
 from dualformer.partition import NormVectors, hash_codes
 from dualformer.tensor import (
     ShapeError, Tensor, add, concat, constant, gather_segments, gelu, graph_records, matmul,
-    mul, narrow, one_hot, reshape, segment_sum, sigmoid, softmax, tsum,
+    mul, narrow, one_hot, segment_sum, sigmoid, softmax, tsum,
 )
 
 
@@ -343,10 +343,16 @@ def spread(a, d):
     return matmul(a, constant(np.ones((1, d))))
 
 
+def view(a, shape):
+    """``a`` as ``shape``, numpy's reshape both ways, so the oracles stay
+    independent of the library's layout op."""
+    return tensor._make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),), "view")
+
+
 def bias_add(x, b, w):
     """``x @ w``'s bias added to ``x``: the bias as (..., 1, k) rows through
     w's leading axes, repeated over x's rows by a matmul with a ones column."""
-    rows = reshape(b, w.shape[:-2] + (1, w.shape[-1]))
+    rows = view(b, w.shape[:-2] + (1, w.shape[-1]))
     return add(x, matmul(constant(np.ones(x.shape[:-1] + (1,))), rows))
 
 
@@ -741,14 +747,14 @@ def per_head_loop(x, params, cfg):
     normed = layer_norm_channels(x, params.ln_gamma, params.ln_beta)
     down = conv2d(normed, params.down_w, params.down_b, stride=k, padding=1, groups=c)
     hs, ws = down.shape[1:3]
-    toks = reshape(down, (b, hs * ws, c))
+    toks = view(down, (b, hs * ws, c))
     outs, assigns = [], []
     for hi in range(cfg.num_heads):
         out, assign = mhpa_head_forward(narrow(toks, 2, hi * d, d), params.heads[hi],
                                         cfg.num_clusters, attend=cfg.attend)
         outs.append(out)
         assigns.append(assign)
-    up = conv2d(reshape(concat(outs, axis=-1), (b, hs, ws, c)), params.up_w, params.up_b)
+    up = conv2d(view(concat(outs, axis=-1), (b, hs, ws, c)), params.up_w, params.up_b)
     return channel_to_spatial(up, k, x), assigns
 
 

@@ -1,5 +1,6 @@
 """Model assembly: preset fidelity, parameter accounting, config text,
 flop formulas, checkpoints."""
+import collections
 import dataclasses
 import io
 import re
@@ -14,7 +15,7 @@ from dualformer import blocks as blocks_module
 from dualformer import checkpoint as checkpoint_module
 from dualformer import model as model_module
 from dualformer import precision
-from dualformer.blocks import MODES
+from dualformer.blocks import MODES, attention_stages
 from dualformer.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -404,13 +405,28 @@ def test_frozen_assignment_of_one_head_rejected():
         forward(model, x, frozen=frozen)
 
 
+# Micro's train graph from the loss, by op. Per block (4): the split's two
+# narrows and its concat; an MBConv of 2 conv_bn, 2 GELUs, the biased 1x1
+# projection and the residual add; an attention layer of 9 (layer norm,
+# downsample, head split, sigmoid gate, head batch, head merge, expansion,
+# unfold and skip add); the FFN's layer norm, 2 biased convs, GELU and
+# residual add. Then 5 conv_bn and a GELU in the stem and the transitions,
+# the head's mean, matmul and bias, and the loss.
+MICRO_TRAIN_GRAPH = {
+    "conv2d": 33, "batch_norm": 13, "gelu": 13, "transpose": 12, "add": 12, "narrow": 8,
+    "layer_norm_channels": 8, "sigmoid": 4, "partition_attention": 4, "concat": 4,
+    "mean": 1, "matmul": 1, "add_bias": 1, "cross_entropy": 1,
+}
+
+
 def test_train_graph_runs_each_head_batch_as_one_node():
-    # Micro's train graph from the loss: each attention layer is a sigmoid
-    # gate and one partition_attention node, fed straight by the tokens
+    # each attention layer is a sigmoid gate and one partition_attention
+    # node, fed straight by the tokens
     model = build_model(get_preset("Micro"), seed=0)
     x = np.random.default_rng(0).normal(size=(2, 3, 32, 32)).astype(np.float32)
     records = graph_records(cross_entropy(forward(model, x, train=True), np.arange(2)))
-    assert len(records) == 151
+    assert collections.Counter(op for op, _, _ in records) == MICRO_TRAIN_GRAPH
+    assert len(records) == 115
     made_by = {out: (op, ins) for op, ins, out in records}
     nodes = [ins for op, ins, _ in records if op == "partition_attention"]
     assert len(nodes) == 4  # one attention layer per stage
@@ -512,6 +528,16 @@ def test_count_flops_drops_the_stage_an_ablation_arm_skips(mode):
     assert micro == 1_074_032
     arm = count_flops(dataclasses.replace(get_preset("Micro"), mode=mode), 32, 32)["total"]
     assert micro - arm == {"intra_only": 8_688, "inter_only": 3_200}[mode]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_hash_site_runs_the_stages_its_stage_config_names(mode):
+    cfg = dataclasses.replace(get_preset("Micro"), mode=mode)
+    sites = list(hash_sites(build_model(cfg, seed=0)))
+    assert len(sites) == (0 if mode == "conv_only" else 4)
+    for si, _, _, site_cfg in sites:
+        assert site_cfg == cfg.mhpa_config(si - 1)
+        assert site_cfg.attend == attention_stages(mode)
 
 
 def test_count_flops_monotonic_in_resolution():

@@ -25,7 +25,7 @@ def _f64():
 
 def off_default_bn(r, c):
     """Batch norm state with running stats, gamma and beta all off their init values."""
-    bn = make_batch_norm(c, np.float64)
+    bn = make_batch_norm(c)
     bn.running_mean = r.normal(size=c)
     bn.running_var = 0.2 + 2.0 * r.random(c)
     bn.gamma.data[:] = 1.0 + 0.5 * r.normal(size=c)
@@ -128,8 +128,19 @@ def test_batch_norm_eval_leaves_buffers_and_is_rowwise():
     assert np.array_equal(bn.running_mean, rm) and np.array_equal(bn.running_var, rv)
 
 
+@pytest.mark.parametrize("name", ["f32", "f64"])
+def test_make_batch_norm_is_identity_in_the_default_dtype(name):
+    with precision.precision(name):
+        bn = make_batch_norm(3)
+        dt = precision.default_dtype()
+    state = (bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var)
+    assert [a.dtype for a in state] == [dt] * 4
+    assert [a.tolist() for a in state] == [[1.0] * 3, [0.0] * 3, [0.0] * 3, [1.0] * 3]
+    assert bn.gamma.requires_grad and bn.beta.requires_grad
+
+
 def test_batch_norm_eval_rejects_negative_running_var():
-    bn = make_batch_norm(2, np.float64)
+    bn = make_batch_norm(2)
     bn.running_var = np.array([1.0, -1.0])
     with pytest.raises(FloatingPointError):
         conv_bn(constant(np.ones((1, 2, 2, 2))), constant(np.ones((2, 2, 1, 1))), bn, False)
@@ -161,7 +172,7 @@ def fused_and_composed(norm, x, gamma, beta, g):
     under the upstream gradient ``g``; the fused norm must be one graph node."""
     leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
     if norm == "batch":
-        bn = make_batch_norm(x.shape[-1], np.float64)
+        bn = make_batch_norm(x.shape[-1])
         bn.gamma, bn.beta = leaves[1], leaves[2]
         out = batch_norm(leaves[0], bn)
         axes, eps = (0, 1, 2), BN_EPS
@@ -197,7 +208,7 @@ def test_fused_norm_rejects_non_finite_statistics(bad):
     x = np.ones((2, 2, 2, 3))
     x[0, 0, 0, 0] = bad
     with pytest.raises(FloatingPointError):
-        batch_norm(constant(x), make_batch_norm(3, np.float64))
+        batch_norm(constant(x), make_batch_norm(3))
     with pytest.raises(FloatingPointError):
         layer_norm_channels(constant(x), constant(np.ones(3)), constant(np.zeros(3)))
 

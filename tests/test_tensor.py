@@ -24,7 +24,6 @@ from dualformer.tensor import (
     narrow,
     no_grad,
     one_hot,
-    reshape,
     segment_sum,
     sigmoid,
     softmax,
@@ -252,14 +251,39 @@ def test_sum_mean_axes_match_numpy():
         assert np.allclose(tmean(t, axis=(1, 2)).data, x.mean(axis=(1, 2)))
 
 
-def test_reshape_transpose_concat_narrow_values():
+def test_transpose_concat_narrow_values():
     x = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
     t = constant(x)
-    assert np.array_equal(reshape(t, (6, 4)).data, x.reshape(6, 4))
     assert np.array_equal(transpose(t, (2, 0, 1)).data, x.transpose(2, 0, 1))
+    # viewed in, permuted, viewed out: numpy's reshape, transpose, reshape
+    got = transpose(t, (1, 0, 2, 3), shape=(2, 3, 2, 2), out_shape=(6, 4))
+    assert np.array_equal(got.data, x.reshape(2, 3, 2, 2).transpose(1, 0, 2, 3).reshape(6, 4))
+    got = transpose(t, (1, 0), shape=(6, 4))
+    assert np.array_equal(got.data, x.reshape(6, 4).T)
+    assert np.array_equal(transpose(t, (0, 1, 2), out_shape=(24,)).data, x.reshape(24))
     assert np.array_equal(narrow(t, 2, 1, 2).data, x[:, :, 1:3])
     cat = concat([t, t], axis=1)
     assert np.array_equal(cat.data, np.concatenate([x, x], axis=1))
+
+
+def test_transpose_is_one_node_whose_backward_inverts_it():
+    x = Tensor(np.arange(24.0).reshape(2, 12), requires_grad=True, dtype=np.float64)
+    y = transpose(x, (0, 2, 1), shape=(2, 3, 4), out_shape=(8, 3))
+    assert [op for op, _, _ in graph_records(y)] == ["transpose"]
+    g = np.arange(24.0).reshape(8, 3) * 0.5
+    (dx,) = y._node.backward_fn(g)
+    assert np.array_equal(dx, g.reshape(2, 4, 3).transpose(0, 2, 1).reshape(2, 12))
+
+
+@pytest.mark.parametrize("axes,shape,out_shape", [
+    ((1, 0), (5, 5), None),  # 24 elements do not view as 25
+    ((1, 0), (4, 6), (5, 5)),
+    ((0, 0, 1), None, None),  # not a permutation
+    ((1, 0), None, None),  # rank 3 needs three axes
+])
+def test_transpose_rejects_bad_views_and_axes(axes, shape, out_shape):
+    with pytest.raises(ShapeError, match="transpose"):
+        transpose(constant(np.ones((2, 3, 4))), axes, shape=shape, out_shape=out_shape)
 
 
 def test_narrow_out_of_range():
