@@ -12,6 +12,15 @@ block shape and run the attention stage their layer config's ``attend``
 names (``ModelConfig.mhpa_config`` maps a mode by :func:`attention_stages`);
 ``series`` runs the inverted bottleneck and the attention layer over the full
 channel width one after the other instead of side by side.
+
+The inverted bottleneck (MBConv) and the FFN are one autodiff node each,
+``mbconv`` and ``ffn``, built from the array stages of ``conv``, ``norms``
+and ``tensor`` that return ``(out, backward)``. In training mode each of
+MBConv's batch norms runs on batch statistics in the op order of the
+composed ops. In inference it is folded into the conv before it: BN1's
+scale into the expand kernel with its shift as the expand bias, BN2's
+scale into the depthwise taps with the accumulator starting at its shift.
+With no graph to record, GELU runs in place over a node's own buffers.
 """
 from __future__ import annotations
 
@@ -20,12 +29,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import precision
-from .conv import conv2d
+from .conv import _dense, _depthwise
 from .init import ones_param, trunc_normal, truncated_normal, zeros_param
 from .mhpa import MhpaConfig, MhpaHeadParams, MhpaParams, head_shapes, mhpa_forward
-from .norms import BatchNorm2d, conv_bn, layer_norm_channels, make_batch_norm
+from .norms import BatchNorm2d, _conv_norm, conv_bn, layer_norm_channels, make_batch_norm
 from .partition import NormVectors
-from .tensor import ShapeError, Tensor, concat, gelu, narrow
+from .tensor import (
+    ShapeError,
+    Tensor,
+    _coerce,
+    _gelu_grad,
+    _gelu_into,
+    _gelu_parts,
+    _make,
+    _recording,
+    concat,
+    gelu,
+    narrow,
+)
 
 MBCONV_EXPANSION = 4
 SPLIT_RATIO = 0.5  # the conv branch's share of a split block's channels
@@ -70,13 +91,69 @@ def make_mbconv(channels: int, rng: np.random.Generator) -> MBConvParams:
     )
 
 
+def _check_branch(op: str, parents: tuple[Tensor, ...], shapes) -> None:
+    """A branch node's input must be a 4-d map, and each of its tensors after
+    the input must have its shape in ``shapes`` and the input's dtype."""
+    x, *tensors = parents
+    if x.ndim != 4:
+        raise ShapeError(f"{op}: expected a 4-d map, got {x.shape}")
+    for t, shape in zip(tensors, shapes):
+        if t.shape != shape:
+            raise ShapeError(f"{op}: tensor {t.shape} does not fit {x.shape[-1]}-channel "
+                             f"input, {shape} expected")
+        if t.dtype != x.dtype:
+            raise TypeError(f"{op}: mixed dtypes: {x.dtype} vs {t.dtype}")
+
+
+def _owned_gelu(h: np.ndarray, keep: bool):
+    """GELU of a buffer a node owns: ``(out, backward)``, written over ``h``
+    with no backward when no graph is kept."""
+    if not keep:
+        return _gelu_into(h, h), None
+    out, s = _gelu_parts(h)
+    return out, lambda g: _gelu_grad(h, s, g)
+
+
 def mbconv_forward(x: Tensor, p: MBConvParams, train: bool = False) -> Tensor:
-    """expand 1x1 -> BN -> GELU -> depthwise 3x3 -> BN -> GELU -> project 1x1,
-    added back onto the input."""
-    h = gelu(conv_bn(x, p.expand_w, p.bn1, train))
-    h = gelu(conv_bn(h, p.dw_w, p.bn2, train, padding=1, groups=h.shape[-1]))
-    h = conv2d(h, p.proj_w, p.proj_b)
-    return x + h
+    """Expand 1x1 -> BN -> GELU -> depthwise 3x3 -> BN -> GELU -> project
+    1x1, added back onto the input, as one ``mbconv`` autodiff node whose
+    parents are ``x`` and the branch's eight tensors.
+
+    Training mode normalizes each conv with batch statistics and moves the
+    running buffers, in the op order of the composed ops. Inference folds
+    each batch norm into the conv before it: BN1's scale into the expand
+    kernel with its shift as the expand bias, and BN2's scale into the
+    depthwise taps with the accumulator starting at its shift. The backward
+    runs the stages in reverse; through the folded weights it is the chain
+    rule, so gamma and beta get exact gradients and no scale is divided by.
+    """
+    op = "mbconv"
+    x = _coerce(x)
+    hidden, c = p.expand_w.shape[:2]
+    parents = (x, p.expand_w, p.bn1.gamma, p.bn1.beta, p.dw_w, p.bn2.gamma, p.bn2.beta,
+               p.proj_w, p.proj_b)
+    _check_branch(op, parents, ((hidden, c, 1, 1), (hidden,), (hidden,), (hidden, 1, 3, 3),
+                                (hidden,), (hidden,), (c, hidden, 1, 1), (c,)))
+    keep = _recording(parents)
+    expand = lambda h, w, start: _dense(h, w, 1, 0, x.requires_grad, start)
+    depthwise = lambda h, w, start: _depthwise(h, w, 1, 1, True, start)
+    h, expand_backward = _conv_norm(expand, x.data, p.expand_w, p.bn1, train, op)
+    h, gelu1_backward = _owned_gelu(h, keep)
+    h, dw_backward = _conv_norm(depthwise, h, p.dw_w, p.bn2, train, op)
+    h, gelu2_backward = _owned_gelu(h, keep)
+    out, proj_backward = _dense(h, p.proj_w.data, 1, 0, True, p.proj_b.data)
+    out += x.data
+
+    def backward(g):
+        dh, dproj_w = proj_backward(g)
+        dh, ddw_w, dgamma2, dbeta2 = dw_backward(gelu2_backward(dh))
+        dx, dexpand_w, dgamma1, dbeta1 = expand_backward(gelu1_backward(dh))
+        if dx is not None:
+            dx += g
+        return (dx, dexpand_w, dgamma1, dbeta1, ddw_w, dgamma2, dbeta2, dproj_w,
+                g.sum(axis=(0, 1, 2)))
+
+    return _make(out, parents, backward, op)
 
 
 # -- feed-forward ------------------------------------------------------------
@@ -100,7 +177,26 @@ def make_ffn(channels: int, hidden: int, rng: np.random.Generator) -> FfnParams:
 
 
 def ffn_forward(x: Tensor, p: FfnParams) -> Tensor:
-    return conv2d(gelu(conv2d(x, p.w1, p.b1)), p.w2, p.b2)
+    """1x1 conv + b1 -> GELU -> 1x1 conv + b2, as one ``ffn`` autodiff node
+    whose parents are ``x`` and the four tensors; the block applies the
+    pre-norm and the residual around it. With no graph to record, GELU runs
+    in place over the hidden map."""
+    op = "ffn"
+    x = _coerce(x)
+    hidden, c = p.w1.shape[:2]
+    parents = (x, p.w1, p.b1, p.w2, p.b2)
+    _check_branch(op, parents, ((hidden, c, 1, 1), (hidden,), (c, hidden, 1, 1), (c,)))
+    h, in_backward = _dense(x.data, p.w1.data, 1, 0, x.requires_grad, p.b1.data)
+    h, gelu_backward = _owned_gelu(h, _recording(parents))
+    out, out_backward = _dense(h, p.w2.data, 1, 0, True, p.b2.data)
+
+    def backward(g):
+        dh, dw2 = out_backward(g)
+        dh = gelu_backward(dh)
+        dx, dw1 = in_backward(dh)
+        return dx, dw1, dh.sum(axis=(0, 1, 2)), dw2, g.sum(axis=(0, 1, 2))
+
+    return _make(out, parents, backward, op)
 
 
 # -- attention branch construction -------------------------------------------
@@ -167,6 +263,9 @@ def make_dual_block(
     conv_c, attn_c = split_channels(channels, mode)
     need_conv = mode != "attn_only"
     need_attn = mode != "conv_only"
+    if need_attn and mhpa_cfg.attend != attention_stages(mode):
+        raise ValueError(f"a {mode!r} block runs attention stages "
+                         f"{attention_stages(mode)!r}, its config names {mhpa_cfg.attend!r}")
     hidden = int(round(channels * ffn_ratio))
     return DualBlockParams(
         channels=channels,

@@ -5,7 +5,16 @@ flipping. Only dense (groups=1) and depthwise (groups == in_channels)
 layouts are supported. Dense convs run as one matmul over (C, kh, kw)
 windows, which is already the order of ``w.reshape(O, -1)``; a 1x1 kernel
 uses the map itself as the columns. Depthwise convs shift and add over the
-kernel taps, forward and backward, so nothing here loops per pixel.
+kernel taps, forward and backward, so nothing here loops per pixel: each
+tap's (C,) weights are tiled to a (wo, C) row, so at stride 1 one multiply
+runs a whole contiguous output row, and the taps run over blocks of output
+rows (input rows for ``dx``) sized to stay in a core's L2 cache, through
+one reused product buffer. Every output element still sums its taps in
+kernel order.
+
+The array math is two stages, :func:`_dense` and :func:`_depthwise`, each
+returning ``(out, backward)``. :func:`conv2d` wraps them as one autodiff
+node; the MBConv and FFN nodes in ``blocks`` call them directly.
 """
 from __future__ import annotations
 
@@ -13,6 +22,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError, Tensor, _check_vectors, _coerce, _make
+
+# bytes of one block of output rows in the depthwise stage; the block, its
+# product buffer and the input rows it reads stay within a core's L2 (2 MiB)
+_BLOCK_BYTES = 1 << 19
 
 
 def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -22,6 +35,126 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
             f"conv2d: kernel {kernel} exceeds padded input extent {eff}"
         )
     return (eff - kernel) // stride + 1
+
+
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+
+
+def _dense(x: np.ndarray, w: np.ndarray, stride: int, padding: int, need_dx: bool,
+           start: np.ndarray | None = None):
+    """Dense conv of ``x[B,H,W,C]`` with ``w[O,C,kh,kw]``, on arrays: one
+    matmul over the (C, kh, kw) windows, plus ``start`` (a (O,) bias) when
+    given. Returns ``(out, backward)``; ``backward(g)`` gives ``(dx, dw)``,
+    with ``dx`` None unless ``need_dx``.
+    """
+    B, H, W, C = x.shape
+    O, _, kh, kw = w.shape
+    ho = conv_out_size(H, kh, stride, padding)
+    wo = conv_out_size(W, kw, stride, padding)
+    pointwise = kh == kw == 1 and stride == 1 and padding == 0
+    if pointwise:
+        cols = x.reshape(B * H * W, C)
+    else:
+        xp = _pad(x, padding)
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        cols = win.reshape(B * ho * wo, C * kh * kw)  # (C, kh, kw) per row
+    w2 = w.reshape(O, C * kh * kw)
+    out = (cols @ w2.T).reshape(B, ho, wo, O)
+    if start is not None:
+        out += start
+
+    # like matmul, a constant input (the image at the stem) costs no dx
+    def backward(g):
+        g2 = g.reshape(B * ho * wo, O)
+        dw = (g2.T @ cols).reshape(w.shape)
+        if not need_dx:
+            return None, dw
+        dcols = g2 @ w2
+        if pointwise:
+            return dcols.reshape(x.shape), dw
+        dcols = dcols.reshape(B, ho, wo, C, kh * kw)
+        dxp = np.zeros_like(xp)
+        for t in range(kh * kw):
+            u, v = divmod(t, kw)
+            dxp[:, u : u + stride * ho : stride, v : v + stride * wo : stride] += dcols[..., t]
+        dx = dxp[:, padding : padding + H, padding : padding + W]
+        return np.ascontiguousarray(dx), dw
+
+    return out, backward
+
+
+def _row_block(rows: int, row_bytes: int) -> int:
+    """Rows per block of a map of ``rows`` rows of ``row_bytes`` each: blocks
+    of ``_BLOCK_BYTES``, or one block when the whole map is at most twice
+    that, where splitting it only adds calls."""
+    if rows * row_bytes <= 2 * _BLOCK_BYTES:
+        return rows
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
+def _depthwise(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+               need_dx: bool, start: np.ndarray | None = None):
+    """Depthwise conv of ``x[B,H,W,C]`` with ``w[C,1,kh,kw]``, on arrays.
+
+    Each output element is its kernel taps summed in (u, v) order, with
+    ``start`` (a (C,) vector, when given) added to the first tap's product.
+    Returns ``(out, backward)``; ``backward(g)`` gives ``(dx, dw)``, with
+    ``dx`` None unless ``need_dx``.
+    """
+    B, H, W, C = x.shape
+    kh, kw = w.shape[2:]
+    ho = conv_out_size(H, kh, stride, padding)
+    wo = conv_out_size(W, kw, stride, padding)
+    xp = _pad(x, padding)
+    wd = w.reshape(C, kh * kw).T  # (kh*kw, C): tap t is (u, v) = divmod(t, kw)
+    rows = np.tile(wd[:, None, :], (1, wo, 1))  # each tap's weights as one output row
+    block = _row_block(ho, B * wo * C * x.itemsize)
+    buf = np.empty((B, block, wo, C), x.dtype)
+    out = np.empty((B, ho, wo, C), x.dtype)
+    for i0 in range(0, ho, block):
+        i1 = min(ho, i0 + block)
+        acc, prod = out[:, i0:i1], buf[:, : i1 - i0]
+        for t in range(kh * kw):
+            u, v = divmod(t, kw)
+            src = xp[:, u + stride * i0 : u + stride * i1 : stride, v : v + stride * wo : stride]
+            if t == 0:
+                np.multiply(src, rows[0], out=acc)
+                if start is not None:
+                    acc += start
+            else:
+                acc += np.multiply(src, rows[t], out=prod)
+
+    def backward(g):
+        dwd = np.empty_like(wd)
+        for t in range(kh * kw):
+            u, v = divmod(t, kw)
+            sl = xp[:, u : u + stride * ho : stride, v : v + stride * wo : stride]
+            dwd[t] = np.einsum("bijc,bijc->c", g, sl)
+        dw = dwd.T.reshape(w.shape)
+        if not need_dx:
+            return None, dw
+        # blocks of input rows, so each dx element gets its taps in order
+        dxp = np.zeros_like(xp)
+        hp = xp.shape[1]
+        step = _row_block(hp, dxp[:, 0].nbytes)
+        dbuf = np.empty((B, -(-step // stride), wo, C), x.dtype)
+        for r0 in range(0, hp, step):
+            r1 = min(hp, r0 + step)
+            for t in range(kh * kw):
+                u, v = divmod(t, kw)
+                # output rows i whose tap row u + stride*i lies in [r0, r1)
+                lo = max(0, -(-(r0 - u) // stride))
+                hi = min(ho, -(-(r1 - u) // stride))
+                if lo >= hi:
+                    continue
+                prod = np.multiply(g[:, lo:hi], rows[t], out=dbuf[:, : hi - lo])
+                dxp[:, u + stride * lo : u + stride * hi : stride,
+                    v : v + stride * wo : stride] += prod
+        dx = dxp[:, padding : padding + H, padding : padding + W]
+        return np.ascontiguousarray(dx), dw
+
+    return out, backward
 
 
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
@@ -36,75 +169,22 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {w.shape}")
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d: bad stride/padding ({stride}, {padding})")
-    B, H, W, C = x.shape
-    O, Cg, kh, kw = w.shape
+    C = x.shape[-1]
+    O, Cg = w.shape[:2]
     if groups == 1:
         if Cg != C:
             raise ShapeError(f"conv2d: kernel expects {Cg} channels, input has {C}")
+        stage = _dense
     elif groups == C:
         if Cg != 1 or O != C:
             raise ShapeError(f"conv2d: depthwise kernel must be [{C},1,kh,kw], got {w.shape}")
+        stage = _depthwise
     else:
         raise ShapeError(f"conv2d: groups={groups} unsupported (use 1 or channels={C})")
     if b is not None:
         b = _coerce(b)
         _check_vectors((b,), O, x.dtype, "conv2d")
-    ho = conv_out_size(H, kh, stride, padding)
-    wo = conv_out_size(W, kw, stride, padding)
-    pointwise = kh == kw == 1 and stride == 1 and padding == 0
-    xp = x.data if pointwise else np.pad(
-        x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0))
-    )
-    # input pixels that kernel tap (u, v) reads, one per output pixel
-    taps = [
-        (slice(None), slice(u, u + stride * ho, stride), slice(v, v + stride * wo, stride))
-        for u in range(kh)
-        for v in range(kw)
-    ]
-
-    if groups == 1:
-        if pointwise:
-            cols = xp.reshape(B * H * W, C)
-        else:
-            win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-            cols = win.reshape(B * ho * wo, C * kh * kw)  # (C, kh, kw) per row
-        w2 = w.data.reshape(O, C * kh * kw)
-        out = (cols @ w2.T).reshape(B, ho, wo, O)
-
-        # like matmul, a constant input (the image at the stem) costs no dx
-        def grads(g):
-            g2 = g.reshape(B * ho * wo, O)
-            dw = (g2.T @ cols).reshape(w.shape)
-            if not x.requires_grad:
-                return None, dw
-            dcols = g2 @ w2
-            if pointwise:
-                return dcols.reshape(x.shape), dw
-            dcols = dcols.reshape(B, ho, wo, C, kh * kw)
-            dxp = np.zeros_like(xp)
-            for t, sl in enumerate(taps):
-                dxp[sl] += dcols[..., t]
-            dx = dxp[:, padding : padding + H, padding : padding + W]
-            return np.ascontiguousarray(dx), dw
-    else:
-        wd = np.ascontiguousarray(w.data.reshape(C, kh * kw).T)  # (kh*kw, C)
-        out = xp[taps[0]] * wd[0]
-        for t in range(1, kh * kw):
-            out += xp[taps[t]] * wd[t]
-
-        def grads(g):
-            dwd = np.empty_like(wd)
-            for t, sl in enumerate(taps):
-                dwd[t] = np.einsum("bijc,bijc->c", g, xp[sl])
-            dw = dwd.T.reshape(w.shape)
-            if not x.requires_grad:
-                return None, dw
-            dxp = np.zeros_like(xp)
-            for t, sl in enumerate(taps):
-                dxp[sl] += g * wd[t]
-            dx = dxp[:, padding : padding + H, padding : padding + W]
-            return np.ascontiguousarray(dx), dw
-
+    out, grads = stage(x.data, w.data, stride, padding, x.requires_grad)
     if b is None:
         return _make(out, (x, w), grads, "conv2d")
     out += b.data

@@ -7,6 +7,9 @@ shift. Each views the map as (N, C) and takes every per-channel sum (over
 the N rows) and every per-row sum (over the C channels) as one
 matrix-vector product against a ones vector: numpy's reductions over the
 leading axes of a map with few channels run several times slower than BLAS.
+The array math is shared with the MBConv node: :func:`_normalize`, the
+running buffers' :func:`_running_affine`, and :func:`_conv_norm`, a conv
+stage then batch norm, folded into the conv in eval.
 """
 from __future__ import annotations
 
@@ -23,18 +26,18 @@ BN_EPS = 1e-5
 LN_EPS = 1e-5
 
 
-def _fused_norm(x: Tensor, gamma: Tensor, beta: Tensor, per_channel: bool, eps: float, op: str):
-    """``(x - mean) / sqrt(var + eps) * gamma + beta`` as one autodiff node.
+def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, per_channel: bool,
+               eps: float, op: str):
+    """``(x - mean) / sqrt(var + eps) * gamma + beta`` on arrays.
 
     ``x`` is viewed as (N, C); the statistics run per channel over the N rows
     (``per_channel``, batch norm) or per row over the C channels (layer
-    norm). Returns the output with the mean and the variance. A non-finite
-    statistic raises ``FloatingPointError``.
+    norm). Returns ``(out, backward, mean, var)``; ``backward(g)`` gives the
+    gradients at ``x``, ``gamma`` and ``beta``. A non-finite statistic raises
+    ``FloatingPointError``.
     """
-    x = _coerce(x)
     c = x.shape[-1]
-    _check_vectors((gamma, beta), c, x.dtype, op)
-    x2 = x.data.reshape(-1, c)
+    x2 = x.reshape(-1, c)
     ones_n, ones_c = np.ones(x2.shape[0], x2.dtype), np.ones(c, x2.dtype)
     if per_channel:
         n, total = x2.shape[0], lambda a: ones_n @ a
@@ -47,8 +50,8 @@ def _fused_norm(x: Tensor, gamma: Tensor, beta: Tensor, per_channel: bool, eps: 
         std = np.sqrt(v + eps)
     rstd = 1.0 / _guard_finite(std, op)
     xhat *= rstd
-    out = xhat * gamma.data
-    out += beta.data
+    out = xhat * gamma
+    out += beta
 
     def backward(g):
         g2 = g.reshape(x2.shape)
@@ -56,11 +59,11 @@ def _fused_norm(x: Tensor, gamma: Tensor, beta: Tensor, per_channel: bool, eps: 
         dgamma, dbeta = ones_n @ gx, ones_n @ g2
         # dx = rstd (gh - mean(gh) - x-hat mean(gh x-hat)) over the normalized
         # axis, where gh = g gamma is the gradient at x-hat
-        gh = g2 * gamma.data
+        gh = g2 * gamma
         if per_channel:  # gamma is constant down a column: reuse the parameter sums
-            sum_gh, sum_ghx = gamma.data * dbeta, gamma.data * dgamma
+            sum_gh, sum_ghx = gamma * dbeta, gamma * dgamma
         else:
-            gx *= gamma.data
+            gx *= gamma
             sum_gh, sum_ghx = total(gh), total(gx)
         np.multiply(xhat, sum_ghx / n, out=gx)
         gx += sum_gh / n
@@ -68,7 +71,16 @@ def _fused_norm(x: Tensor, gamma: Tensor, beta: Tensor, per_channel: bool, eps: 
         gh *= rstd
         return gh.reshape(x.shape), dgamma, dbeta
 
-    return _make(out.reshape(x.shape), (x, gamma, beta), backward, op), m, v
+    return out.reshape(x.shape), backward, m, v
+
+
+def _fused_norm(x: Tensor, gamma: Tensor, beta: Tensor, per_channel: bool, eps: float, op: str):
+    """:func:`_normalize` as one autodiff node over (x, gamma, beta); returns
+    the output with the mean and the variance."""
+    x = _coerce(x)
+    _check_vectors((gamma, beta), x.shape[-1], x.dtype, op)
+    out, backward, m, v = _normalize(x.data, gamma.data, beta.data, per_channel, eps, op)
+    return _make(out, (x, gamma, beta), backward, op), m, v
 
 
 def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -100,31 +112,44 @@ def batch_norm(x: Tensor, bn: BatchNorm2d) -> Tensor:
     :func:`conv_bn`.
     """
     y, m, v = _fused_norm(x, bn.gamma, bn.beta, True, BN_EPS, "batch_norm")
-    mom = BN_MOMENTUM
-    bn.running_mean = (1 - mom) * bn.running_mean + mom * m.astype(bn.running_mean.dtype)
-    bn.running_var = (1 - mom) * bn.running_var + mom * v.astype(bn.running_var.dtype)
+    _update_running(bn, m, v)
     return y
 
 
-def _running_norm(y: Tensor, bn: BatchNorm2d) -> Tensor:
-    """Inference batch norm as one autodiff node: ``y * scale + shift`` per
-    channel, with ``scale = gamma / sqrt(running_var + eps)`` and ``shift =
-    beta - running_mean * scale``, in ``y``'s dtype.
+def _update_running(bn: BatchNorm2d, m: np.ndarray, v: np.ndarray) -> None:
+    """Move the running buffers toward one batch's mean and variance."""
+    mom = BN_MOMENTUM
+    bn.running_mean = (1 - mom) * bn.running_mean + mom * m.astype(bn.running_mean.dtype)
+    bn.running_var = (1 - mom) * bn.running_var + mom * v.astype(bn.running_var.dtype)
 
-    The running buffers are constants, so rows of a batch stay independent
-    and the gradient reaches ``y``, gamma and beta only. A non-finite scale
+
+def _running_affine(bn: BatchNorm2d, c: int, dtype, op: str):
+    """Inference batch norm as per-channel arrays in ``dtype``: ``(scale,
+    shift, inv, rm)`` with ``inv = 1 / sqrt(running_var + eps)``, ``scale =
+    gamma * inv`` and ``shift = beta - rm * scale``, ``rm`` the running mean.
+
+    gamma and beta must fit ``c`` channels of ``dtype``. A non-finite ``inv``
     (a negative running variance, say) raises ``FloatingPointError``.
     """
-    op = "batch_norm_eval"
-    c = y.shape[-1]
-    _check_vectors((bn.gamma, bn.beta), c, y.dtype, op)
-    rm = bn.running_mean.astype(y.dtype, copy=False)
-    rv = bn.running_var.astype(y.dtype, copy=False)
+    _check_vectors((bn.gamma, bn.beta), c, dtype, op)
+    rm = bn.running_mean.astype(dtype, copy=False)
+    rv = bn.running_var.astype(dtype, copy=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / np.sqrt(rv + BN_EPS)
     _guard_finite(inv, op)
     scale = bn.gamma.data * inv
-    shift = bn.beta.data - rm * scale
+    return scale, bn.beta.data - rm * scale, inv, rm
+
+
+def _running_norm(y: Tensor, bn: BatchNorm2d) -> Tensor:
+    """Inference batch norm as one autodiff node: ``y * scale + shift`` per
+    channel, from :func:`_running_affine`, in ``y``'s dtype.
+
+    The running buffers are constants, so rows of a batch stay independent
+    and the gradient reaches ``y``, gamma and beta only.
+    """
+    c = y.shape[-1]
+    scale, shift, inv, rm = _running_affine(bn, c, y.dtype, "batch_norm_eval")
     out = y.data * scale
     out += shift
 
@@ -135,23 +160,62 @@ def _running_norm(y: Tensor, bn: BatchNorm2d) -> Tensor:
         dgamma = inv * (ones @ (g2 * y.data.reshape(-1, c)) - rm * dbeta)
         return g * scale, dgamma, dbeta
 
-    return _make(out, (y, bn.gamma, bn.beta), backward, op)
+    return _make(out, (y, bn.gamma, bn.beta), backward, "batch_norm_eval")
+
+
+def _conv_norm(conv, x: np.ndarray, w: Tensor, bn: BatchNorm2d, train: bool, op: str):
+    """A conv stage, then batch norm over its output channels, on arrays.
+
+    ``conv(x, w, start)`` is a stage of ``conv`` that returns ``(out,
+    backward)``, adding the (O,) ``start`` to its output. Training mode
+    normalizes the bias-free conv with batch statistics and moves the
+    running buffers, in :func:`batch_norm`'s op order. Inference mode folds
+    the norm into the conv: the kernel is ``w * scale`` per output channel,
+    O·C·kh·kw multiplies on a kernel far smaller than the map, and ``shift``
+    is the start. Returns ``(out, backward)``; ``backward(g)`` gives the
+    gradients at ``x``, ``w``, gamma and beta.
+    """
+    if train:
+        y, conv_backward = conv(x, w.data, None)
+        out, norm_backward, m, v = _normalize(y, bn.gamma.data, bn.beta.data, True, BN_EPS, op)
+        _update_running(bn, m, v)
+
+        def backward(g):
+            dy, dgamma, dbeta = norm_backward(g)
+            return (*conv_backward(dy), dgamma, dbeta)
+
+        return out, backward
+    c = w.shape[0]
+    scale, shift, inv, rm = _running_affine(bn, c, x.dtype, op)
+    per_out = scale.reshape((c,) + (1,) * (w.ndim - 1))
+    out, conv_backward = conv(x, w.data * per_out, shift)
+
+    def backward(g):
+        # the chain rule through w * scale and shift; a zero gamma divides nothing
+        dx, dw_folded = conv_backward(g)
+        dbeta = np.ones(g.size // c, g.dtype) @ g.reshape(-1, c)
+        dscale = (dw_folded * w.data).reshape(c, -1).sum(axis=1)
+        return dx, dw_folded * per_out, inv * (dscale - rm * dbeta), dbeta
+
+    return out, backward
 
 
 def conv_bn(
-    x: Tensor, w: Tensor, bn: BatchNorm2d, train: bool,
-    stride: int = 1, padding: int = 0, groups: int = 1,
+    x: Tensor, w: Tensor, bn: BatchNorm2d, train: bool, stride: int = 1, padding: int = 0,
 ) -> Tensor:
-    """``conv2d`` with no bias, which the batch mean would cancel, then batch
-    norm over its output channels.
+    """A dense ``conv2d`` with no bias, which the batch mean would cancel,
+    then batch norm over its output channels: the stem and the stage
+    transitions.
 
     Training mode normalizes with batch statistics (:func:`batch_norm`).
     Inference mode uses the running buffers (:func:`_running_norm`): one
-    per-channel ``scale`` and ``shift`` on the conv's output. Folding
-    ``scale`` into the kernel (``w * scale``) would allocate a kernel-sized
-    temporary on every call; on eval-T224 that left peak RSS bimodal from run
-    to run under glibc malloc (131-139 MB or 170-178 MB), where this form
-    stays at 131-139 MB.
+    per-channel ``scale`` and ``shift`` on the conv's output. MBConv's node
+    folds its two norms into its expand kernel and its depthwise taps
+    instead (:func:`_conv_norm`). Folding ``scale`` into every kernel on
+    each call, these dense 3x3 ones included, once left eval-T224's peak RSS
+    bimodal from launch to launch under glibc malloc (131-139 MB or 170-178
+    MB). MBConv's kernels are small next to its maps, and with its fold ten
+    eval-T224 launches read 116-123 MB (its parent 122-130 MB).
     """
-    y = conv2d(x, w, stride=stride, padding=padding, groups=groups)
+    y = conv2d(x, w, stride=stride, padding=padding)
     return batch_norm(y, bn) if train else _running_norm(y, bn)

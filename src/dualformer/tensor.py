@@ -200,8 +200,13 @@ def graph_records(root: Tensor):
 # -- op plumbing ----------------------------------------------------------
 
 
+def _recording(parents) -> bool:
+    """Whether an op over ``parents`` records a graph node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(out_data, parents, backward_fn, name) -> Tensor:
-    req = _grad_enabled and any(p.requires_grad for p in parents)
+    req = _recording(parents)
     node = OpNode(name, parents, backward_fn) if req else None
     return Tensor._wrap(out_data, req, node)
 
@@ -324,23 +329,46 @@ def sigmoid(a) -> Tensor:
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 _GELU_SAT = 1e4  # far past where the sigmoid of the GELU argument is exactly 0 or 1
+# elements per GELU chunk: its input, sigmoid and output stay in a core's L2
+_GELU_CHUNK = 1 << 15
 
 
-def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU's array math: ``(gelu(x), s)`` with ``s = sigmoid(2u)``, the
-    buffer :func:`_gelu_grad` reuses."""
+def _gelu_sigmoid(x: np.ndarray, s: np.ndarray) -> None:
+    """Write ``sigmoid(2u)`` of GELU's argument ``u`` at ``x`` into ``s``."""
     # -2u = x (-2c - 2cA x^2) by multiplies (float32 ``x**3`` takes numpy's
     # slow pow loop), in one buffer that becomes the sigmoid in place. x^2
     # overflows for huge |x|, but the sigmoid saturates to the right limit.
     with np.errstate(over="ignore"):
-        s = x * x
+        np.multiply(x, x, out=s)
         s *= -2.0 * _GELU_C * _GELU_A
         s -= 2.0 * _GELU_C
         s *= x
         np.exp(s, out=s)
         s += 1.0
         np.reciprocal(s, out=s)
-    return x * s, s
+
+
+def _gelu_into(x: np.ndarray, out: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+    """Write ``gelu(x) = x * sigmoid(2u)`` into ``out``, which may be ``x``
+    itself, in chunks of ``_GELU_CHUNK`` elements, so each of the passes runs
+    in cache. The sigmoid lands in ``s`` when given (the backward needs it),
+    else in one chunk-sized scratch buffer. Returns ``out``."""
+    xf, of = x.reshape(-1), out.reshape(-1)
+    n = xf.size
+    sf = np.empty(min(n, _GELU_CHUNK), x.dtype) if s is None else s.reshape(-1)
+    for i in range(0, n, _GELU_CHUNK):
+        j = min(n, i + _GELU_CHUNK)
+        sc = sf[:j - i] if s is None else sf[i:j]
+        _gelu_sigmoid(xf[i:j], sc)
+        np.multiply(xf[i:j], sc, out=of[i:j])
+    return out
+
+
+def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU's array math: ``(gelu(x), s)`` with ``s = sigmoid(2u)``, the
+    buffer :func:`_gelu_grad` reuses."""
+    s = np.empty(x.shape, x.dtype)
+    return _gelu_into(x, np.empty(x.shape, x.dtype), s), s
 
 
 def _gelu_grad(x: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -365,9 +393,11 @@ def gelu(a) -> Tensor:
     sigmoid form ``x * sigmoid(2u)``; forward and backward share the sigmoid.
 
     The sigmoid form keeps float32 relative accuracy for negative x, where
-    ``1 + tanh(u)`` cancels.
+    ``1 + tanh(u)`` cancels. With no graph to record, the sigmoid is not kept.
     """
     a = _coerce(a)
+    if not _recording((a,)):
+        return Tensor._wrap(_gelu_into(a.data, np.empty(a.shape, a.dtype)), False, None)
     out, s = _gelu_parts(a.data)
 
     def backward(g):

@@ -30,7 +30,7 @@ from dualformer.blocks import (
     mhpa_forward,
     patch_embed_forward,
 )
-from dualformer.conv import conv2d
+from dualformer.conv import _depthwise, conv2d
 from dualformer.data import make_shapes
 from dualformer.flops import (
     count_flops,
@@ -59,7 +59,7 @@ from dualformer.model import (
     named_parameters,
 )
 from dualformer.analysis import high_frequency_mean, radial_log_amplitude
-from dualformer.norms import batch_norm, conv_bn, layer_norm_channels, make_batch_norm
+from dualformer.norms import _conv_norm, batch_norm, conv_bn, layer_norm_channels, make_batch_norm
 from dualformer.partition import (
     NormVectors,
     kmeans_assign,
@@ -69,6 +69,7 @@ from dualformer.partition import (
 )
 from dualformer.tensor import (
     Tensor,
+    _make,
     add_bias,
     concat,
     constant,
@@ -315,6 +316,27 @@ def oracle_vanilla(x, wq, wk, wv):
     return out
 
 
+def oracle_depthwise(x, w, g, stride, padding):
+    """(out, dx, dw) of a depthwise conv, one output pixel and one tap at a
+    time; ``g`` is the gradient at the output."""
+    b, h, wd, c = x.shape
+    kh, kw = w.shape[2:]
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    ho, wo = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((b, ho, wo, c))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for n in range(b):
+        for i in range(ho):
+            for j in range(wo):
+                for u in range(kh):
+                    for v in range(kw):
+                        pix = xp[n, i * stride + u, j * stride + v]
+                        out[n, i, j] += pix * w[:, 0, u, v]
+                        dxp[n, i * stride + u, j * stride + v] += g[n, i, j] * w[:, 0, u, v]
+                        dw[:, 0, u, v] += g[n, i, j] * pix
+    return out, dxp[:, padding : padding + h, padding : padding + wd], dw
+
+
 def rand_head(r, d):
     dh = max(1, d // 4)
     t = lambda *s: constant(0.5 * r.normal(size=s))
@@ -331,8 +353,10 @@ def test_check_02_loop_oracle_equivalence():
     start = time.perf_counter()
     r = np.random.default_rng(42)
     worst = {name: 0.0 for name in
-             ("intra", "inter", "aggregate", "head", "channel_to_spatial", "lsh", "vanilla")}
+             ("intra", "inter", "aggregate", "head", "channel_to_spatial", "lsh", "vanilla",
+              "depthwise")}
     rt = np.random.default_rng(43)  # the head's tokens, so every other op keeps its draws
+    rd = np.random.default_rng(44)  # the depthwise stage's maps, for the same reason
     with precision.precision("f64"):
         for i in range(110):
             n = int(r.integers(1, 33))
@@ -395,6 +419,16 @@ def test_check_02_loop_oracle_equivalence():
             worst["vanilla"] = max(
                 worst["vanilla"], np.abs(got - oracle_vanilla(xa, wq, wk, wv)).max()
             )
+
+            # forward, dx and dw of the depthwise stage, at MBConv's stride 1
+            # and the attention downsample's 2 and 4, down to a 1x1 map
+            shape = (int(rd.integers(1, 3)), *rd.integers(1, 8, size=2), int(rd.integers(1, 5)))
+            stride = (1, 2, 4)[i % 3]
+            xd, wdw = rd.normal(size=shape), rd.normal(size=(shape[-1], 1, 3, 3))
+            out, backward = _depthwise(xd, wdw, stride, 1, True)
+            gd = rd.normal(size=out.shape)
+            for got, want in zip((out, *backward(gd)), oracle_depthwise(xd, wdw, gd, stride, 1)):
+                worst["depthwise"] = max(worst["depthwise"], np.abs(got - want).max())
     elapsed = time.perf_counter() - start
     bad = {k: v for k, v in worst.items() if v > ORACLE_ATOL}
     ok = not bad and elapsed < 60.0
@@ -443,11 +477,43 @@ def op_inventory(r):
         bn_conv.running_var = 0.5 + rs.random(4)
         bn_conv.gamma.data[:] = 1.0 + 0.3 * rs.normal(size=4)
         bn_conv.beta.data[:] = rs.normal(size=4)
-        return (
-            lambda x, w, g, b: conv_bn(x, w, bn_conv, train, stride, padding=1, groups=groups),
-            [map_leaf(r, 2, cin, 6, 6), leaf(r, 4, cin // groups, 3, 3), bn_conv.gamma,
-             bn_conv.beta],
-        )
+
+        def fn(x, w, g, b):
+            if groups == 1:
+                return conv_bn(x, w, bn_conv, train, stride, padding=1)
+            # a depthwise conv→BN runs inside MBConv's node, folded in eval
+            stage = lambda h, k, start: _depthwise(h, k, stride, 1, True, start)
+            out, backward = _conv_norm(stage, x.data, w, bn_conv, train, "folded")
+            return _make(out, (x, w, g, b), backward, "folded")
+
+        return fn, [map_leaf(r, 2, cin, 6, 6), leaf(r, 4, cin // groups, 3, 3), bn_conv.gamma,
+                    bn_conv.beta]
+
+    # the branch nodes from their own stream; nonzero terminals, and in eval
+    # off-default running buffers and a zero gamma entry, which the fold
+    # into the kernels must not divide by
+    rm = np.random.default_rng(37)
+
+    def branch_leaves(p):
+        for t in vars(p).values():
+            if isinstance(t, Tensor):
+                t.data[...] = 0.5 * rm.normal(size=t.shape)
+                t.requires_grad = True
+        return [t for t in vars(p).values() if isinstance(t, Tensor)]
+
+    def mbconv_case(train):
+        p = make_mbconv(2, rm)
+        for bn in (p.bn1, p.bn2):
+            bn.running_mean = rm.normal(size=8)
+            bn.running_var = 0.5 + rm.random(8)
+            bn.gamma.data[:] = 1.0 + 0.3 * rm.normal(size=8)
+            bn.gamma.data[0] = 0.0
+            bn.beta.data[:] = rm.normal(size=8)
+        weights = branch_leaves(p)
+        params = [weights[0], p.bn1.gamma, p.bn1.beta, weights[1], p.bn2.gamma, p.bn2.beta,
+                  *weights[2:]]
+        return (f"mbconv_{'train' if train else 'eval'}",
+                lambda x, *_: mbconv_forward(x, p, train), [map_leaf(rm, 2, 2, 3, 3), *params])
     # stacked-head leaves from their own stream, so every other entry keeps
     # the data it drew before
     rh = np.random.default_rng(23)
@@ -535,6 +601,10 @@ def op_inventory(r):
     for attend in skipped:
         cases.append(node_case(head, buckets, attend))
         cases.append(node_case(stacked, stacked_buckets, attend))
+    cases += [mbconv_case(True), mbconv_case(False)]
+    ffn = make_ffn(3, 5, rm)
+    cases.append(("ffn", lambda x, *_: ffn_forward(x, ffn),
+                  [map_leaf(rm, 2, 3, 3, 3), *branch_leaves(ffn)]))
     return cases
 
 

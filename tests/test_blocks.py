@@ -3,9 +3,12 @@
 Blocks take channels-last (B, H, W, C) maps; test maps are drawn as
 (B, C, H, W) and transposed at the call with ``nhwc``.
 """
+import copy
+
 import numpy as np
 import pytest
 
+from dualformer import precision
 from dualformer.blocks import (
     MBCONV_EXPANSION,
     MODES,
@@ -21,9 +24,23 @@ from dualformer.blocks import (
     mhpa_forward,
     patch_embed_forward,
 )
+from dualformer.conv import conv2d
 from dualformer.mhpa import MhpaConfig
-from dualformer.norms import layer_norm_channels
-from dualformer.tensor import ShapeError, concat, constant, narrow
+from dualformer.model import named_parameters
+from dualformer.norms import _running_norm, batch_norm, layer_norm_channels
+from dualformer.tensor import (
+    ShapeError,
+    Tensor,
+    add,
+    concat,
+    constant,
+    gelu,
+    graph_records,
+    mul,
+    narrow,
+    no_grad,
+    tsum,
+)
 
 
 def rng(seed=0):
@@ -79,6 +96,141 @@ def test_mbconv_nonzero_after_perturbation():
     assert out.shape == x.shape
 
 
+def composed_conv_bn(x, w, bn, train, padding=0, groups=1):
+    """A bias-free conv then batch norm, one op each: batch statistics in
+    train mode, the running buffers' scale and shift in eval."""
+    y = conv2d(x, w, padding=padding, groups=groups)
+    return batch_norm(y, bn) if train else _running_norm(y, bn)
+
+
+def composed_mbconv(x, p, train):
+    h = gelu(composed_conv_bn(x, p.expand_w, p.bn1, train))
+    h = gelu(composed_conv_bn(h, p.dw_w, p.bn2, train, padding=1, groups=h.shape[-1]))
+    return add(x, conv2d(h, p.proj_w, p.proj_b))
+
+
+def composed_ffn(x, p):
+    return conv2d(gelu(conv2d(x, p.w1, p.b1)), p.w2, p.b2)
+
+
+def awake_mbconv(r, c):
+    """f64 MBConv state with every tensor off init: a nonzero projection,
+    running buffers, and a gamma with a zero entry in each norm."""
+    p = make_mbconv(c, r)
+    for t in (p.expand_w, p.dw_w, p.proj_w, p.proj_b):
+        t.data = r.normal(size=t.shape)
+    for bn in (p.bn1, p.bn2):
+        n = bn.gamma.shape[0]
+        bn.gamma.data = 1.0 + 0.3 * r.normal(size=n)
+        bn.gamma.data[1] = 0.0
+        bn.beta.data = r.normal(size=n)
+        bn.running_mean = r.normal(size=n)
+        bn.running_var = 0.5 + r.random(n)
+    return p
+
+
+def awake_ffn(r, c, hidden):
+    p = make_ffn(c, hidden, r)
+    for t in (p.w1, p.b1, p.w2, p.b2):
+        t.data = r.normal(size=t.shape)
+    return p
+
+
+def node_and_composed(node, composed, params, x_shape, seed):
+    """Output and gradients at the input and at every tensor in ``params``
+    (a dataclass holding them), of the node and of the composed ops, each
+    run on its own copy of the state under one upstream gradient."""
+    r = rng(seed)
+    x_data = r.normal(size=x_shape)
+    results = []
+    for fn in (node, composed):
+        p = copy.deepcopy(params)
+        x = Tensor(x_data, requires_grad=True)
+        out = fn(x, p)
+        g = rng(seed + 1).normal(size=out.shape)
+        tsum(mul(out, constant(g))).backward()
+        tensors = [t for _, t in named_parameters(p)]
+        results.append((out.data, x.grad, [t.grad for t in tensors], p))
+    return results
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("shape", [(2, 5, 7, 3), (3, 1, 1, 2)], ids=["odd_map", "one_pixel"])
+def test_mbconv_node_matches_composed_ops(train, shape):
+    with precision.precision("f64"):
+        p = awake_mbconv(rng(40), shape[-1])
+        (out, dx, grads, pn), (want, want_dx, want_grads, pc) = node_and_composed(
+            lambda x, q: mbconv_forward(x, q, train), lambda x, q: composed_mbconv(x, q, train),
+            p, shape, 41)
+    for got, ref in zip((out, dx, *grads), (want, want_dx, *want_grads)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    if train:  # the op order of the composed ops, and the same running buffers
+        assert np.array_equal(out, want) and np.array_equal(dx, want_dx)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, want_grads))
+        for bn, ref_bn in ((pn.bn1, pc.bn1), (pn.bn2, pc.bn2)):
+            assert np.array_equal(bn.running_mean, ref_bn.running_mean)
+            assert np.array_equal(bn.running_var, ref_bn.running_var)
+    else:
+        assert np.array_equal(pn.bn1.running_mean, p.bn1.running_mean)
+
+
+def test_ffn_node_matches_composed_ops():
+    with precision.precision("f64"):
+        p = awake_ffn(rng(42), 3, 7)
+        (out, dx, grads, _), (want, want_dx, want_grads, _) = node_and_composed(
+            ffn_forward, composed_ffn, p, (2, 4, 5, 3), 43)
+    for got, ref in zip((out, dx, *grads), (want, want_dx, *want_grads)):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+def test_branch_nodes_are_one_node_each(train):
+    r = rng(44)
+    mb, ffn = make_mbconv(4, r), make_ffn(4, 9, r)
+    x = Tensor(nhwc(r.normal(size=(2, 4, 5, 5)).astype(np.float32)), requires_grad=True)
+    y = mbconv_forward(x, mb, train)
+    assert [op for op, _, _ in graph_records(y)] == ["mbconv"]
+    assert y._node.parents == (x, mb.expand_w, mb.bn1.gamma, mb.bn1.beta, mb.dw_w,
+                               mb.bn2.gamma, mb.bn2.beta, mb.proj_w, mb.proj_b)
+    z = ffn_forward(x, ffn)
+    assert [op for op, _, _ in graph_records(z)] == ["ffn"]
+    assert z._node.parents == (x, ffn.w1, ffn.b1, ffn.w2, ffn.b2)
+
+
+def test_branch_nodes_with_no_graph_match_recorded_ones():
+    # with nothing to record, the nodes run GELU over their own buffers
+    r = rng(45)
+    mb, ffn = awake_mbconv(r, 3), awake_ffn(r, 3, 8)
+    for p in (mb, ffn):
+        for _, t in named_parameters(p):
+            t.data = t.data.astype(np.float32)
+    for bn in (mb.bn1, mb.bn2):
+        bn.running_mean, bn.running_var = (a.astype(np.float32)
+                                           for a in (bn.running_mean, bn.running_var))
+    x = Tensor(nhwc(r.normal(size=(2, 3, 6, 6)).astype(np.float32)), requires_grad=True)
+    for fn in (lambda t: mbconv_forward(t, mb), lambda t: ffn_forward(t, ffn)):
+        recorded = fn(x)
+        with no_grad():
+            plain = fn(x)
+        assert plain._node is None and plain.data.tobytes() == recorded.data.tobytes()
+
+
+@pytest.mark.parametrize("c,bad", [(3, "expand_w"), (3, "proj_b"), (3, "dtype")])
+def test_mbconv_rejects_tensors_that_do_not_fit(c, bad):
+    p = make_mbconv(c, rng(46))
+    x = rand_map(rng(47), c)
+    if bad == "dtype":
+        p.dw_w.data = p.dw_w.data.astype(np.float64)
+        with pytest.raises(TypeError, match="mbconv"):
+            mbconv_forward(x, p)
+        return
+    t = getattr(p, bad)
+    t.data = np.zeros((t.shape[0] + 1,) + t.shape[1:], np.float32)
+    with pytest.raises(ShapeError, match="mbconv"):
+        mbconv_forward(x, p)
+
+
 # -- ffn -----------------------------------------------------------------
 
 
@@ -115,6 +267,13 @@ def test_block_exact_identity_at_init(mode):
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         make_dual_block(8, "both", block_cfg(), rng(12))
+
+
+@pytest.mark.parametrize("mode", ["intra_only", "inter_only"])
+def test_block_config_running_other_stages_rejected(mode):
+    # a "full" config would run both stages in a block whose mode names one
+    with pytest.raises(ValueError, match=mode):
+        make_dual_block(8, mode, block_cfg(mode="parallel"), rng(12))
 
 
 def perturb(p, r):

@@ -1,4 +1,5 @@
 """End-to-end runs of the installed command line tool."""
+import json
 import os
 import subprocess
 import sys
@@ -197,7 +198,7 @@ def run_script(script, *args, cwd=None):
     )
 
 
-@pytest.mark.parametrize("script", ["run_ablation.py"])
+@pytest.mark.parametrize("script", ["run_ablation.py", "bench_pairs.py"])
 def test_script_help(script):
     res = run_script(script, "--help")
     assert res.returncode == 0, res.stderr
@@ -213,3 +214,39 @@ def test_ablation_writes_its_csv_atomically(tmp_path):
     assert header == "mode,train_loss,val_loss,val_acc"
     assert row.startswith("parallel,") and len(row.split(",")) == 4
     assert list(tmp_path.iterdir()) == [out]  # no temp file left beside it
+
+
+STUB_RUN = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+rate = {rate} + seed % 3
+print("# env " + json.dumps({{"threads": 2}}))
+metrics = {{"items_per_s": rate, "op_ms_tail": 1000.0 / rate, "setup_s": 0.5,
+            "peak_rss_mb": 100.0 + seed % 2}}
+print(json.dumps({{"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": {{k: {{"value": v, "unit": "u"}} for k, v in metrics.items()}}}}))
+"""
+
+
+def test_bench_pairs_alternates_sides_and_counts_pair_wins(tmp_path):
+    trees = {}
+    for side, rate in (("parent", 10.0), ("change", 12.0)):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN.format(rate=rate))
+        trees[side] = tmp_path / side
+    out = tmp_path / "pairs.json"
+    out.write_text(json.dumps({"workloads": {"other": {"kept": True}}}))
+    res = run_script("bench_pairs.py", "--parent", trees["parent"], "--change", trees["change"],
+                     "--workload", "w", "--pairs", 3, "--seed0", 7, "--out", out)
+    assert res.returncode == 0, res.stderr
+    record = json.loads(out.read_text())
+    assert record["workloads"]["other"] == {"kept": True}
+    w = record["workloads"]["w"]
+    assert w["seeds"] == [7, 8, 9] and w["first"] == ["parent", "change", "parent"]
+    assert w["ops_attempted"] == {"parent": 12, "change": 12} and w["all_correct"]
+    rate = w["items_per_s"]
+    assert rate["parent_runs"] == [11.0, 12.0, 10.0] and rate["change_runs"] == [13.0, 14.0, 12.0]
+    assert rate["parent"] == {"median": 11.0, "q1": 10.5, "q3": 11.5}
+    assert rate["change_wins"] == "3/3" and rate["median_gap_over_parent_iqr"] == 2.0
+    assert w["op_ms_tail"]["change_wins"] == "3/3"  # lower is better there
+    assert w["setup_s"]["change_wins"] == "0/3"  # ties count for neither side
+    assert "items_per_s" in res.stdout and "change wins 3/3" in res.stdout

@@ -1,13 +1,15 @@
-"""conv2d against a six-loop reference implementation.
+"""conv2d against a six-loop reference implementation, and the depthwise
+stage against a per-pixel, per-tap loop and against whole-map per-tap sums.
 
-conv2d takes channels-last (B, H, W, C) maps; the oracle and the test data
-stay NCHW and are transposed at the call with ``nhwc``.
+conv2d takes channels-last (B, H, W, C) maps; the six-loop oracle and its
+test data stay NCHW and are transposed at the call with ``nhwc``.
 """
 import numpy as np
 import pytest
 
+from dualformer import conv as conv_module
 from dualformer import precision
-from dualformer.conv import conv2d, conv_out_size
+from dualformer.conv import _depthwise, conv2d, conv_out_size
 from dualformer.tensor import ShapeError, Tensor, constant, graph_records, tsum
 
 
@@ -198,3 +200,100 @@ def test_constant_input_gets_no_dx(shape, stride, padding, groups):
                 assert dx is None and x.grad is None
             grads.append(w.grad)
         assert np.array_equal(grads[0], grads[1])
+
+
+# -- the depthwise stage -----------------------------------------------------
+
+
+def depthwise_loop(x, w, g, stride, padding):
+    """(out, dx, dw) of a depthwise conv in f64, one output pixel and one tap
+    at a time; ``g`` is the gradient at the output."""
+    b, h, wd, c = x.shape
+    kh, kw = w.shape[2:]
+    xp = np.pad(x.astype(np.float64), ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    ho, wo = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((b, ho, wo, c))
+    dxp, dw = np.zeros_like(xp), np.zeros((c, 1, kh, kw))
+    for n, i, j in np.ndindex(b, ho, wo):
+        for u, v in np.ndindex(kh, kw):
+            pix = xp[n, i * stride + u, j * stride + v]
+            out[n, i, j] += pix * w[:, 0, u, v]
+            dxp[n, i * stride + u, j * stride + v] += g[n, i, j] * w[:, 0, u, v]
+            dw[:, 0, u, v] += g[n, i, j] * pix
+    return out, dxp[:, padding : padding + h, padding : padding + wd], dw
+
+
+def depthwise_per_tap(x, w, g, stride, padding):
+    """(out, dx, dw) by whole-map shifted products, one tap after another in
+    (u, v) order: the sums every depthwise output and dx element keep."""
+    c = x.shape[-1]
+    kh, kw = w.shape[2:]
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    ho, wo = g.shape[1:3]
+    taps = [(slice(None), slice(u, u + stride * ho, stride), slice(v, v + stride * wo, stride))
+            for u in range(kh) for v in range(kw)]
+    wd = np.ascontiguousarray(w.reshape(c, kh * kw).T)
+    out = xp[taps[0]] * wd[0]
+    for t in range(1, kh * kw):
+        out += xp[taps[t]] * wd[t]
+    dxp = np.zeros_like(xp)
+    dwd = np.empty_like(wd)
+    for t, sl in enumerate(taps):
+        dxp[sl] += g * wd[t]
+        dwd[t] = np.einsum("bijc,bijc->c", g, xp[sl])
+    dx = dxp[:, padding : padding + x.shape[1], padding : padding + x.shape[2]]
+    return out, dx, dwd.T.reshape(w.shape)
+
+
+# (map (B, H, W, C), stride): Micro's 1x1 stage-4 map, an odd width, a square
+# map, and a height of 11 rows, which 2-row blocks do not divide
+DEPTHWISE_CASES = [((2, 1, 1, 3), 1), ((1, 6, 7, 4), 1), ((2, 8, 8, 5), 2), ((1, 11, 5, 3), 1),
+                   ((2, 11, 9, 2), 2), ((1, 9, 9, 3), 4)]
+
+
+@pytest.fixture(params=[None, 2], ids=["one_block", "row_blocks"])
+def block_rows(request, monkeypatch):
+    """Blocks of the map's whole height, or of about two rows."""
+    if request.param is not None:
+        def two_rows(rows, row_bytes):
+            return max(1, min(rows, request.param))
+        monkeypatch.setattr(conv_module, "_row_block", two_rows)
+    return request.param
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,stride", DEPTHWISE_CASES)
+def test_depthwise_stage_matches_loop_oracle(shape, stride, dtype, block_rows):
+    r = rng(30 + stride)
+    x = r.normal(size=shape).astype(dtype)
+    w = r.normal(size=(shape[-1], 1, 3, 3)).astype(dtype)
+    out, backward = _depthwise(x, w, stride, 1, True)
+    g = r.normal(size=out.shape).astype(dtype)
+    dx, dw = backward(g)
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for got, want in zip((out, dx, dw), depthwise_loop(x, w, g, stride, 1)):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape,stride", DEPTHWISE_CASES)
+def test_depthwise_stage_keeps_the_per_tap_order_bitwise(shape, stride, block_rows):
+    # tiled tap rows and row blocks change which elements one multiply
+    # covers, not what each element sums or in which order
+    r = rng(40 + stride)
+    x = r.normal(size=shape).astype(np.float32)
+    w = r.normal(size=(shape[-1], 1, 3, 3)).astype(np.float32)
+    out, backward = _depthwise(x, w, stride, 1, True)
+    g = r.normal(size=out.shape).astype(np.float32)
+    for got, want in zip((out, *backward(g)), depthwise_per_tap(x, w, g, stride, 1)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_depthwise_stage_starts_the_sum_at_its_start():
+    r = rng(50)
+    x = r.normal(size=(2, 5, 6, 3))
+    w = r.normal(size=(3, 1, 3, 3))
+    start = r.normal(size=3)
+    got, _ = _depthwise(x, w, 1, 1, False, start)
+    want, _ = _depthwise(x, w, 1, 1, False)
+    assert np.abs(got - (want + start)).max() <= 1e-12

@@ -9,7 +9,7 @@ import pytest
 
 from dualformer import precision
 from dualformer.attention import vanilla_attention
-from dualformer.conv import conv2d
+from dualformer.conv import _depthwise, conv2d
 from dualformer.gradcheck import grad_check
 from dualformer.mhpa import (
     MhpaHeadParams,
@@ -19,7 +19,7 @@ from dualformer.mhpa import (
     intra_partition_attention,
     mhpa_head_forward,
 )
-from dualformer.norms import batch_norm, conv_bn, layer_norm_channels, make_batch_norm
+from dualformer.norms import _conv_norm, batch_norm, conv_bn, layer_norm_channels, make_batch_norm
 from dualformer.partition import NormVectors
 from dualformer.tensor import (
     Tensor,
@@ -176,9 +176,16 @@ def test_batch_norm_train_grad():
     check(lambda a, g, b: batch_norm(a, bn), [x, bn.gamma, bn.beta])
 
 
+def folded_depthwise_bn(x, w, bn, train):
+    """Depthwise conv→BN as MBConv's node runs it, one node over (x, w, gamma, beta)."""
+    stage = lambda h, k, start: _depthwise(h, k, 1, 1, True, start)
+    out, backward = _conv_norm(stage, x.data, w, bn, train, "folded")
+    return _make(out, (x, w, bn.gamma, bn.beta), backward, "folded")
+
+
 def test_batch_norm_eval_grad():
-    # eval-mode batch norm exists only inside conv_bn: a dense stride-2
-    # conv and a depthwise one
+    # eval-mode batch norm: a scale and shift after conv_bn's dense stride-2
+    # conv, and folded into the taps of a depthwise one
     r = np.random.default_rng(13)
     bn = make_batch_norm(4)
     bn.running_mean = r.normal(size=4)
@@ -188,10 +195,11 @@ def test_batch_norm_eval_grad():
     for stride, groups in ((2, 1), (1, 4)):
         x = map_leaf(r, (2, 4, 4, 4))
         w = leaf(r, (4, 4 // groups, 3, 3), scale=0.5)
-        check(
-            lambda a, ww, g, b: conv_bn(a, ww, bn, False, stride=stride, padding=1, groups=groups),
-            [x, w, bn.gamma, bn.beta],
-        )
+        if groups == 1:
+            fn = lambda a, ww, g, b: conv_bn(a, ww, bn, False, stride=stride, padding=1)
+        else:
+            fn = lambda a, ww, g, b: folded_depthwise_bn(a, ww, bn, False)
+        check(fn, [x, w, bn.gamma, bn.beta])
 
 
 def test_vanilla_attention_grad():

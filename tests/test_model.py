@@ -52,7 +52,7 @@ from dualformer.conv import conv2d
 from dualformer.init import INIT_STD, truncated_normal
 from dualformer.mhpa import MhpaConfig
 from dualformer.norms import BN_EPS
-from dualformer.tensor import ShapeError, constant, graph_records
+from dualformer.tensor import ShapeError, constant, gelu, graph_records
 from dualformer.train import cross_entropy
 
 
@@ -406,16 +406,17 @@ def test_frozen_assignment_of_one_head_rejected():
 
 
 # Micro's train graph from the loss, by op. Per block (4): the split's two
-# narrows and its concat; an MBConv of 2 conv_bn, 2 GELUs, the biased 1x1
-# projection and the residual add; an attention layer of 9 (layer norm,
-# downsample, head split, sigmoid gate, head batch, head merge, expansion,
-# unfold and skip add); the FFN's layer norm, 2 biased convs, GELU and
-# residual add. Then 5 conv_bn and a GELU in the stem and the transitions,
-# the head's mean, matmul and bias, and the loss.
+# narrows and its concat; one mbconv node, which adds its residual itself;
+# an attention layer of 9 (layer norm, downsample, head split, sigmoid
+# gate, head batch, head merge, expansion, unfold and skip add); then the
+# FFN's layer norm, one ffn node and the residual add. Then 5 conv_bn and
+# a GELU in the stem and the transitions, the head's mean, matmul and
+# bias, and the loss.
 MICRO_TRAIN_GRAPH = {
-    "conv2d": 33, "batch_norm": 13, "gelu": 13, "transpose": 12, "add": 12, "narrow": 8,
-    "layer_norm_channels": 8, "sigmoid": 4, "partition_attention": 4, "concat": 4,
-    "mean": 1, "matmul": 1, "add_bias": 1, "cross_entropy": 1,
+    "conv2d": 13, "batch_norm": 5, "gelu": 1, "add": 8, "mbconv": 4, "ffn": 4,
+    "transpose": 12, "narrow": 8, "layer_norm_channels": 8, "sigmoid": 4,
+    "partition_attention": 4, "concat": 4, "mean": 1, "matmul": 1, "add_bias": 1,
+    "cross_entropy": 1,
 }
 
 
@@ -426,7 +427,7 @@ def test_train_graph_runs_each_head_batch_as_one_node():
     x = np.random.default_rng(0).normal(size=(2, 3, 32, 32)).astype(np.float32)
     records = graph_records(cross_entropy(forward(model, x, train=True), np.arange(2)))
     assert collections.Counter(op for op, _, _ in records) == MICRO_TRAIN_GRAPH
-    assert len(records) == 115
+    assert len(records) == 79
     made_by = {out: (op, ins) for op, ins, out in records}
     nodes = [ins for op, ins, _ in records if op == "partition_attention"]
     assert len(nodes) == 4  # one attention layer per stage
@@ -714,7 +715,14 @@ def test_checkpoint_legacy_conv_biases_fold_into_running_mean(tmp_path, monkeypa
         scale = bn.gamma.data / np.sqrt(bn.running_var + BN_EPS)
         return constant((y - bn.running_mean) * scale + bn.beta.data)
 
+    def legacy_mbconv(x, p, train=False):
+        """MBConv composed from the ops, each conv→BN as it ran before."""
+        h = gelu(legacy_conv_bn(x, p.expand_w, p.bn1, train))
+        h = gelu(legacy_conv_bn(h, p.dw_w, p.bn2, train, padding=1, groups=h.shape[-1]))
+        return x + conv2d(h, p.proj_w, p.proj_b)
+
     monkeypatch.setattr(blocks_module, "conv_bn", legacy_conv_bn)
+    monkeypatch.setattr(blocks_module, "mbconv_forward", legacy_mbconv)
     want = forward(model, x).data
     monkeypatch.undo()
     path = tmp_path / "legacy.ckpt"

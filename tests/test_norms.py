@@ -1,20 +1,23 @@
 """Layer norm, batch norm and conv→BN on channels-last maps against
 per-channel loop oracles, and the fused norms' gradients against numpy
 oracles: the chain rule taken op by op through the composed norm in train
-mode, and a loop over the conv's windows in eval mode."""
+mode, and a loop over the conv's windows in eval mode, where a depthwise
+conv→BN is the fold into the taps that MBConv's node runs."""
 import numpy as np
 import pytest
 
 from dualformer import precision
+from dualformer.conv import _depthwise
 from dualformer.norms import (
     BN_EPS,
     LN_EPS,
+    _conv_norm,
     batch_norm,
     conv_bn,
     layer_norm_channels,
     make_batch_norm,
 )
-from dualformer.tensor import Tensor, constant, graph_records, tsum
+from dualformer.tensor import Tensor, _make, constant, graph_records, tsum
 
 
 @pytest.fixture(autouse=True)
@@ -84,6 +87,16 @@ def conv_bn_eval_grad_oracle(x, w, bn, g, stride, padding, groups):
 CONV_BN_CASES = [(3, 5, 3, 2, 1, 1), (4, 6, 1, 1, 0, 1), (5, 5, 3, 1, 1, 5)]
 
 
+def eval_conv_bn(x, w, bn, stride, padding, groups):
+    """Eval conv→BN: ``conv_bn`` for a dense conv; for a depthwise one, the
+    norm folded into the taps, as one node over (x, w, gamma, beta)."""
+    if groups == 1:
+        return conv_bn(x, w, bn, False, stride, padding)
+    stage = lambda h, k, start: _depthwise(h, k, stride, padding, x.requires_grad, start)
+    out, backward = _conv_norm(stage, x.data, w, bn, False, "folded")
+    return _make(out, (x, w, bn.gamma, bn.beta), backward, "folded")
+
+
 def test_batch_norm_eval_matches_loop_oracle():
     # eval-mode batch norm exists only inside conv_bn, after the conv
     r = np.random.default_rng(0)
@@ -92,7 +105,7 @@ def test_batch_norm_eval_matches_loop_oracle():
         x = 3.0 + 2.0 * r.normal(size=(2, 6, 5, cin))
         w = r.normal(size=(cout, cin // groups, k, k))
         want = conv_bn_eval_oracle(x, w, bn, stride, padding, groups)
-        got = conv_bn(constant(x), constant(w), bn, False, stride, padding, groups).data
+        got = eval_conv_bn(constant(x), constant(w), bn, stride, padding, groups).data
         assert np.abs(got - want).max() <= 1e-12, (cin, cout, k, stride, groups)
 
 
@@ -103,11 +116,11 @@ def test_batch_norm_eval_grads_match_loop_oracle(case):
     bn = off_default_bn(r, cout)
     x = Tensor(3.0 + 2.0 * r.normal(size=(2, 6, 5, cin)), requires_grad=True)
     w = Tensor(r.normal(size=(cout, cin // groups, k, k)), requires_grad=True)
-    out = conv_bn(x, w, bn, False, stride, padding, groups)
-    # one node after the conv, whose parents are the conv output, gamma, beta
-    conv_rec, bn_rec = graph_records(out)
-    assert (conv_rec[0], bn_rec[0]) == ("conv2d", "batch_norm_eval")
-    assert bn_rec[1] == (conv_rec[2], id(bn.gamma), id(bn.beta))
+    out = eval_conv_bn(x, w, bn, stride, padding, groups)
+    if groups == 1:  # one node after the conv, whose parents are the conv output, gamma, beta
+        conv_rec, bn_rec = graph_records(out)
+        assert (conv_rec[0], bn_rec[0]) == ("conv2d", "batch_norm_eval")
+        assert bn_rec[1] == (conv_rec[2], id(bn.gamma), id(bn.beta))
     g = r.normal(size=out.shape)
     tsum(out * constant(g)).backward()
     want = conv_bn_eval_grad_oracle(x.data, w.data, bn, g, stride, padding, groups)
@@ -122,8 +135,8 @@ def test_batch_norm_eval_leaves_buffers_and_is_rowwise():
     bn = off_default_bn(r, 3)
     rm, rv = bn.running_mean.copy(), bn.running_var.copy()
     x, w = r.normal(size=(3, 2, 2, 3)), constant(r.normal(size=(3, 1, 3, 3)))
-    whole = conv_bn(constant(x), w, bn, False, padding=1, groups=3).data
-    first = conv_bn(constant(x[:1]), w, bn, False, padding=1, groups=3).data
+    whole = eval_conv_bn(constant(x), w, bn, 1, 1, 3).data
+    first = eval_conv_bn(constant(x[:1]), w, bn, 1, 1, 3).data
     assert np.array_equal(whole[:1], first)
     assert np.array_equal(bn.running_mean, rm) and np.array_equal(bn.running_var, rv)
 

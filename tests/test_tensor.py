@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualformer import precision
+from dualformer import tensor as tensor_module
 from dualformer.tensor import _make, _softmax
 from dualformer.tensor import (
     GraphError,
@@ -166,6 +167,40 @@ def test_gelu_grad_where_the_square_overflows(dtype):
         tsum(gelu(x)).backward()
     assert x.grad.dtype == dtype
     assert x.grad.tolist() == [1.0, 0.0]
+
+
+def gelu_one_shot(x):
+    """GELU's arithmetic over the whole array at once: the sigmoid of 2u by
+    multiplies, its reciprocal, then one product."""
+    with np.errstate(over="ignore"):
+        s = x * x
+        s *= -2.0 * tensor_module._GELU_C * tensor_module._GELU_A
+        s -= 2.0 * tensor_module._GELU_C
+        s *= x
+        np.exp(s, out=s)
+        s += 1.0
+        np.reciprocal(s, out=s)
+    return x * s, s
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunked_gelu_is_bitwise_the_one_shot_form(dtype, monkeypatch):
+    # 7-element chunks do not divide the 1,000 values, so the last is short
+    monkeypatch.setattr(tensor_module, "_GELU_CHUNK", 7)
+    sat = tensor_module._GELU_SAT
+    edges = [0.0, -0.0, sat, -sat, np.nextafter(sat, 0), -np.nextafter(sat, 0), 1e20, -1e20,
+             np.finfo(dtype).max, -np.finfo(dtype).max, np.finfo(dtype).tiny]
+    x = np.concatenate([edges, 6.0 * rng(8).normal(size=1000 - len(edges))]).astype(dtype)
+    x = x.reshape(10, 100)
+    want, want_s = gelu_one_shot(x)
+    out, s = tensor_module._gelu_parts(x)
+    assert out.tobytes() == want.tobytes() and s.tobytes() == want_s.tobytes()
+    fresh = tensor_module._gelu_into(x, np.empty_like(x))
+    assert fresh.tobytes() == want.tobytes()
+    in_place = x.copy()
+    assert tensor_module._gelu_into(in_place, in_place) is in_place
+    assert in_place.tobytes() == want.tobytes()
+    assert gelu(constant(x, dtype=dtype)).data.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
