@@ -37,6 +37,7 @@ from .partition import NormVectors
 from .tensor import (
     ShapeError,
     Tensor,
+    _check_vectors,
     _coerce,
     _gelu_grad,
     _gelu_into,
@@ -91,18 +92,20 @@ def make_mbconv(channels: int, rng: np.random.Generator) -> MBConvParams:
     )
 
 
-def _check_branch(op: str, parents: tuple[Tensor, ...], shapes) -> None:
-    """A branch node's input must be a 4-d map, and each of its tensors after
-    the input must have its shape in ``shapes`` and the input's dtype."""
-    x, *tensors = parents
+def _check_branch(op: str, x: Tensor, kernels, vectors) -> None:
+    """A branch node's input must be a 4-d map, each of its ``(kernel,
+    shape)`` pairs must have that shape and the input's dtype, and each of
+    its ``(vectors, n)`` pairs must fit ``n`` channels (:func:`_check_vectors`)."""
     if x.ndim != 4:
         raise ShapeError(f"{op}: expected a 4-d map, got {x.shape}")
-    for t, shape in zip(tensors, shapes):
-        if t.shape != shape:
-            raise ShapeError(f"{op}: tensor {t.shape} does not fit {x.shape[-1]}-channel "
+    for w, shape in kernels:
+        if w.shape != shape:
+            raise ShapeError(f"{op}: kernel {w.shape} does not fit {x.shape[-1]}-channel "
                              f"input, {shape} expected")
-        if t.dtype != x.dtype:
-            raise TypeError(f"{op}: mixed dtypes: {x.dtype} vs {t.dtype}")
+        if w.dtype != x.dtype:
+            raise TypeError(f"{op}: mixed dtypes: {x.dtype} vs {w.dtype}")
+    for vs, n in vectors:
+        _check_vectors(vs, n, x.dtype, op)
 
 
 def _owned_gelu(h: np.ndarray, keep: bool):
@@ -132,8 +135,10 @@ def mbconv_forward(x: Tensor, p: MBConvParams, train: bool = False) -> Tensor:
     hidden, c = p.expand_w.shape[:2]
     parents = (x, p.expand_w, p.bn1.gamma, p.bn1.beta, p.dw_w, p.bn2.gamma, p.bn2.beta,
                p.proj_w, p.proj_b)
-    _check_branch(op, parents, ((hidden, c, 1, 1), (hidden,), (hidden,), (hidden, 1, 3, 3),
-                                (hidden,), (hidden,), (c, hidden, 1, 1), (c,)))
+    _check_branch(op, x, ((p.expand_w, (hidden, c, 1, 1)), (p.dw_w, (hidden, 1, 3, 3)),
+                          (p.proj_w, (c, hidden, 1, 1))),
+                  (((p.bn1.gamma, p.bn1.beta, p.bn2.gamma, p.bn2.beta), hidden),
+                   ((p.proj_b,), c)))
     keep = _recording(parents)
     expand = lambda h, w, start: _dense(h, w, 1, 0, x.requires_grad, start)
     depthwise = lambda h, w, start: _depthwise(h, w, 1, 1, True, start)
@@ -185,7 +190,8 @@ def ffn_forward(x: Tensor, p: FfnParams) -> Tensor:
     x = _coerce(x)
     hidden, c = p.w1.shape[:2]
     parents = (x, p.w1, p.b1, p.w2, p.b2)
-    _check_branch(op, parents, ((hidden, c, 1, 1), (hidden,), (c, hidden, 1, 1), (c,)))
+    _check_branch(op, x, ((p.w1, (hidden, c, 1, 1)), (p.w2, (c, hidden, 1, 1))),
+                  (((p.b1,), hidden), ((p.b2,), c)))
     h, in_backward = _dense(x.data, p.w1.data, 1, 0, x.requires_grad, p.b1.data)
     h, gelu_backward = _owned_gelu(h, _recording(parents))
     out, out_backward = _dense(h, p.w2.data, 1, 0, True, p.b2.data)

@@ -7,10 +7,11 @@ windows, which is already the order of ``w.reshape(O, -1)``; a 1x1 kernel
 uses the map itself as the columns. Depthwise convs shift and add over the
 kernel taps, forward and backward, so nothing here loops per pixel: each
 tap's (C,) weights are tiled to a (wo, C) row, so at stride 1 one multiply
-runs a whole contiguous output row, and the taps run over blocks of output
-rows (input rows for ``dx``) sized to stay in a core's L2 cache, through
-one reused product buffer. Every output element still sums its taps in
-kernel order.
+of the forward runs a whole contiguous output row, and the forward's taps
+run over blocks of output rows sized to stay in a core's L2 cache, through
+one reused product buffer. The backward multiplies the whole gradient map
+by one tap's (C,) weights at a time. Every output and ``dx`` element still
+sums its taps in kernel order.
 
 The array math is two stages, :func:`_dense` and :func:`_depthwise`, each
 returning ``(out, backward)``. :func:`conv2d` wraps them as one autodiff
@@ -107,7 +108,7 @@ def _depthwise(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     ho = conv_out_size(H, kh, stride, padding)
     wo = conv_out_size(W, kw, stride, padding)
     xp = _pad(x, padding)
-    wd = w.reshape(C, kh * kw).T  # (kh*kw, C): tap t is (u, v) = divmod(t, kw)
+    wd = np.ascontiguousarray(w.reshape(C, kh * kw).T)  # tap t is (u, v) = divmod(t, kw)
     rows = np.tile(wd[:, None, :], (1, wo, 1))  # each tap's weights as one output row
     block = _row_block(ho, B * wo * C * x.itemsize)
     buf = np.empty((B, block, wo, C), x.dtype)
@@ -134,23 +135,10 @@ def _depthwise(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
         dw = dwd.T.reshape(w.shape)
         if not need_dx:
             return None, dw
-        # blocks of input rows, so each dx element gets its taps in order
         dxp = np.zeros_like(xp)
-        hp = xp.shape[1]
-        step = _row_block(hp, dxp[:, 0].nbytes)
-        dbuf = np.empty((B, -(-step // stride), wo, C), x.dtype)
-        for r0 in range(0, hp, step):
-            r1 = min(hp, r0 + step)
-            for t in range(kh * kw):
-                u, v = divmod(t, kw)
-                # output rows i whose tap row u + stride*i lies in [r0, r1)
-                lo = max(0, -(-(r0 - u) // stride))
-                hi = min(ho, -(-(r1 - u) // stride))
-                if lo >= hi:
-                    continue
-                prod = np.multiply(g[:, lo:hi], rows[t], out=dbuf[:, : hi - lo])
-                dxp[:, u + stride * lo : u + stride * hi : stride,
-                    v : v + stride * wo : stride] += prod
+        for t in range(kh * kw):
+            u, v = divmod(t, kw)
+            dxp[:, u : u + stride * ho : stride, v : v + stride * wo : stride] += g * wd[t]
         dx = dxp[:, padding : padding + H, padding : padding + W]
         return np.ascontiguousarray(dx), dw
 

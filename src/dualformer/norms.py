@@ -123,15 +123,14 @@ def _update_running(bn: BatchNorm2d, m: np.ndarray, v: np.ndarray) -> None:
     bn.running_var = (1 - mom) * bn.running_var + mom * v.astype(bn.running_var.dtype)
 
 
-def _running_affine(bn: BatchNorm2d, c: int, dtype, op: str):
+def _running_affine(bn: BatchNorm2d, dtype, op: str):
     """Inference batch norm as per-channel arrays in ``dtype``: ``(scale,
     shift, inv, rm)`` with ``inv = 1 / sqrt(running_var + eps)``, ``scale =
     gamma * inv`` and ``shift = beta - rm * scale``, ``rm`` the running mean.
 
-    gamma and beta must fit ``c`` channels of ``dtype``. A non-finite ``inv``
-    (a negative running variance, say) raises ``FloatingPointError``.
+    The caller has checked gamma and beta against its map. A non-finite
+    ``inv`` (a negative running variance, say) raises ``FloatingPointError``.
     """
-    _check_vectors((bn.gamma, bn.beta), c, dtype, op)
     rm = bn.running_mean.astype(dtype, copy=False)
     rv = bn.running_var.astype(dtype, copy=False)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -149,7 +148,8 @@ def _running_norm(y: Tensor, bn: BatchNorm2d) -> Tensor:
     and the gradient reaches ``y``, gamma and beta only.
     """
     c = y.shape[-1]
-    scale, shift, inv, rm = _running_affine(bn, c, y.dtype, "batch_norm_eval")
+    _check_vectors((bn.gamma, bn.beta), c, y.dtype, "batch_norm_eval")
+    scale, shift, inv, rm = _running_affine(bn, y.dtype, "batch_norm_eval")
     out = y.data * scale
     out += shift
 
@@ -173,7 +173,7 @@ def _conv_norm(conv, x: np.ndarray, w: Tensor, bn: BatchNorm2d, train: bool, op:
     the norm into the conv: the kernel is ``w * scale`` per output channel,
     O·C·kh·kw multiplies on a kernel far smaller than the map, and ``shift``
     is the start. Returns ``(out, backward)``; ``backward(g)`` gives the
-    gradients at ``x``, ``w``, gamma and beta.
+    gradients at ``x``, ``w``, gamma and beta. The caller checks the tensors.
     """
     if train:
         y, conv_backward = conv(x, w.data, None)
@@ -186,7 +186,7 @@ def _conv_norm(conv, x: np.ndarray, w: Tensor, bn: BatchNorm2d, train: bool, op:
 
         return out, backward
     c = w.shape[0]
-    scale, shift, inv, rm = _running_affine(bn, c, x.dtype, op)
+    scale, shift, inv, rm = _running_affine(bn, x.dtype, op)
     per_out = scale.reshape((c,) + (1,) * (w.ndim - 1))
     out, conv_backward = conv(x, w.data * per_out, shift)
 
@@ -211,11 +211,15 @@ def conv_bn(
     Inference mode uses the running buffers (:func:`_running_norm`): one
     per-channel ``scale`` and ``shift`` on the conv's output. MBConv's node
     folds its two norms into its expand kernel and its depthwise taps
-    instead (:func:`_conv_norm`). Folding ``scale`` into every kernel on
-    each call, these dense 3x3 ones included, once left eval-T224's peak RSS
-    bimodal from launch to launch under glibc malloc (131-139 MB or 170-178
-    MB). MBConv's kernels are small next to its maps, and with its fold ten
-    eval-T224 launches read 116-123 MB (its parent 122-130 MB).
+    instead (:func:`_conv_norm`). These dense 3x3 kernels are not small
+    next to their maps: at T@224 on 2 images the last transition's kernel
+    has 737k weights and its output map 31k values, so a per-call fold
+    multiplies 24 times more and allocates a fresh 2.9 MB kernel. Folding
+    ``scale`` into every kernel on each call, these included, once left
+    eval-T224's peak RSS bimodal from launch to launch under glibc malloc
+    (131-139 MB or 170-178 MB). MBConv's kernels are small next to its maps,
+    and with its fold ten eval-T224 launches read 116-123 MB (its parent
+    122-130 MB).
     """
     y = conv2d(x, w, stride=stride, padding=padding)
     return batch_norm(y, bn) if train else _running_norm(y, bn)

@@ -353,6 +353,10 @@ def _gelu_into(x: np.ndarray, out: np.ndarray, s: np.ndarray | None = None) -> n
     itself, in chunks of ``_GELU_CHUNK`` elements, so each of the passes runs
     in cache. The sigmoid lands in ``s`` when given (the backward needs it),
     else in one chunk-sized scratch buffer. Returns ``out``."""
+    if x.size <= _GELU_CHUNK:  # one chunk: no flat views or loop
+        s = np.empty(x.shape, x.dtype) if s is None else s
+        _gelu_sigmoid(x, s)
+        return np.multiply(x, s, out=out)
     xf, of = x.reshape(-1), out.reshape(-1)
     n = xf.size
     sf = np.empty(min(n, _GELU_CHUNK), x.dtype) if s is None else s.reshape(-1)

@@ -183,10 +183,12 @@ def gelu_one_shot(x):
     return x * s, s
 
 
+@pytest.mark.parametrize("chunk", [7, 1 << 15])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_chunked_gelu_is_bitwise_the_one_shot_form(dtype, monkeypatch):
-    # 7-element chunks do not divide the 1,000 values, so the last is short
-    monkeypatch.setattr(tensor_module, "_GELU_CHUNK", 7)
+def test_chunked_gelu_is_bitwise_the_one_shot_form(dtype, chunk, monkeypatch):
+    # 7-element chunks do not divide the 1,000 values, so the last is short;
+    # the default chunk holds them all and takes the single-chunk path
+    monkeypatch.setattr(tensor_module, "_GELU_CHUNK", chunk)
     sat = tensor_module._GELU_SAT
     edges = [0.0, -0.0, sat, -sat, np.nextafter(sat, 0), -np.nextafter(sat, 0), 1e20, -1e20,
              np.finfo(dtype).max, -np.finfo(dtype).max, np.finfo(dtype).tiny]
