@@ -15,7 +15,8 @@ sums its taps in kernel order.
 
 The array math is two stages, :func:`_dense` and :func:`_depthwise`, each
 returning ``(out, backward)``. :func:`conv2d` wraps them as one autodiff
-node; the MBConv and FFN nodes in ``blocks`` call them directly.
+node; eval-mode ``norms.conv_bn`` and the MBConv and FFN nodes in ``blocks``
+call them directly.
 """
 from __future__ import annotations
 
@@ -145,6 +146,27 @@ def _depthwise(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     return out, backward
 
 
+def _stage(op: str, x: Tensor, w: Tensor, stride: int, padding: int, groups: int):
+    """The conv stage, :func:`_dense` or :func:`_depthwise`, that correlates
+    ``x`` with ``w`` at ``groups``, once their shapes and the stride and
+    padding are checked."""
+    if x.ndim != 4 or w.ndim != 4:
+        raise ShapeError(f"{op}: expected 4-d input and kernel, got {x.shape} and {w.shape}")
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"{op}: bad stride/padding ({stride}, {padding})")
+    C = x.shape[-1]
+    O, Cg = w.shape[:2]
+    if groups == 1:
+        if Cg != C:
+            raise ShapeError(f"{op}: kernel expects {Cg} channels, input has {C}")
+        return _dense
+    if groups == C:
+        if Cg != 1 or O != C:
+            raise ShapeError(f"{op}: depthwise kernel must be [{C},1,kh,kw], got {w.shape}")
+        return _depthwise
+    raise ShapeError(f"{op}: groups={groups} unsupported (use 1 or channels={C})")
+
+
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Correlate ``x[B,H,W,C]`` with ``w[O,C/groups,kh,kw]``.
 
@@ -153,25 +175,10 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     when given, is added per output channel in place, in the conv's own node.
     """
     x, w = _coerce(x), _coerce(w)
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {w.shape}")
-    if stride < 1 or padding < 0:
-        raise ShapeError(f"conv2d: bad stride/padding ({stride}, {padding})")
-    C = x.shape[-1]
-    O, Cg = w.shape[:2]
-    if groups == 1:
-        if Cg != C:
-            raise ShapeError(f"conv2d: kernel expects {Cg} channels, input has {C}")
-        stage = _dense
-    elif groups == C:
-        if Cg != 1 or O != C:
-            raise ShapeError(f"conv2d: depthwise kernel must be [{C},1,kh,kw], got {w.shape}")
-        stage = _depthwise
-    else:
-        raise ShapeError(f"conv2d: groups={groups} unsupported (use 1 or channels={C})")
+    stage = _stage("conv2d", x, w, stride, padding, groups)
     if b is not None:
         b = _coerce(b)
-        _check_vectors((b,), O, x.dtype, "conv2d")
+        _check_vectors((b,), w.shape[0], x.dtype, "conv2d")
     out, grads = stage(x.data, w.data, stride, padding, x.requires_grad)
     if b is None:
         return _make(out, (x, w), grads, "conv2d")

@@ -2,14 +2,14 @@
 
 Every norm is one autodiff node in both modes: train-mode batch norm and
 layer norm with the closed-form backward of Ioffe & Szegedy
-(arXiv:1502.03167), and eval-mode batch norm as a per-channel scale and
-shift. Each views the map as (N, C) and takes every per-channel sum (over
-the N rows) and every per-row sum (over the C channels) as one
-matrix-vector product against a ones vector: numpy's reductions over the
-leading axes of a map with few channels run several times slower than BLAS.
-The array math is shared with the MBConv node: :func:`_normalize`, the
-running buffers' :func:`_running_affine`, and :func:`_conv_norm`, a conv
-stage then batch norm, folded into the conv in eval.
+(arXiv:1502.03167), and eval-mode batch norm folded into the conv before
+it. Each views the map as (N, C) and takes every per-channel sum (over the
+N rows) and every per-row sum (over the C channels) as one matrix-vector
+product against a ones vector: numpy's reductions over the leading axes of
+a map with few channels run several times slower than BLAS. The array math
+is shared with the MBConv node: :func:`_normalize`, the running buffers'
+:func:`_running_affine`, and :func:`_conv_norm`, a conv stage then batch
+norm, folded into the conv in eval.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import conv2d
+from .conv import _stage, conv2d
 from .init import ones_param, zeros_param
 from .tensor import Tensor, _check_vectors, _coerce, _guard_finite, _make
 
@@ -140,29 +140,6 @@ def _running_affine(bn: BatchNorm2d, dtype, op: str):
     return scale, bn.beta.data - rm * scale, inv, rm
 
 
-def _running_norm(y: Tensor, bn: BatchNorm2d) -> Tensor:
-    """Inference batch norm as one autodiff node: ``y * scale + shift`` per
-    channel, from :func:`_running_affine`, in ``y``'s dtype.
-
-    The running buffers are constants, so rows of a batch stay independent
-    and the gradient reaches ``y``, gamma and beta only.
-    """
-    c = y.shape[-1]
-    _check_vectors((bn.gamma, bn.beta), c, y.dtype, "batch_norm_eval")
-    scale, shift, inv, rm = _running_affine(bn, y.dtype, "batch_norm_eval")
-    out = y.data * scale
-    out += shift
-
-    def backward(g):
-        g2 = g.reshape(-1, c)
-        ones = np.ones(g2.shape[0], g2.dtype)
-        dbeta = ones @ g2
-        dgamma = inv * (ones @ (g2 * y.data.reshape(-1, c)) - rm * dbeta)
-        return g * scale, dgamma, dbeta
-
-    return _make(out, (y, bn.gamma, bn.beta), backward, "batch_norm_eval")
-
-
 def _conv_norm(conv, x: np.ndarray, w: Tensor, bn: BatchNorm2d, train: bool, op: str):
     """A conv stage, then batch norm over its output channels, on arrays.
 
@@ -171,8 +148,7 @@ def _conv_norm(conv, x: np.ndarray, w: Tensor, bn: BatchNorm2d, train: bool, op:
     normalizes the bias-free conv with batch statistics and moves the
     running buffers, in :func:`batch_norm`'s op order. Inference mode folds
     the norm into the conv: the kernel is ``w * scale`` per output channel,
-    O·C·kh·kw multiplies on a kernel far smaller than the map, and ``shift``
-    is the start. Returns ``(out, backward)``; ``backward(g)`` gives the
+    O·C·kh·kw multiplies, and ``shift`` is the start. Returns ``(out, backward)``; ``backward(g)`` gives the
     gradients at ``x``, ``w``, gamma and beta. The caller checks the tensors.
     """
     if train:
@@ -203,23 +179,27 @@ def _conv_norm(conv, x: np.ndarray, w: Tensor, bn: BatchNorm2d, train: bool, op:
 def conv_bn(
     x: Tensor, w: Tensor, bn: BatchNorm2d, train: bool, stride: int = 1, padding: int = 0,
 ) -> Tensor:
-    """A dense ``conv2d`` with no bias, which the batch mean would cancel,
-    then batch norm over its output channels: the stem and the stage
-    transitions.
+    """A dense conv with no bias, which the batch mean would cancel, then
+    batch norm over its output channels: the stem and the stage transitions.
 
-    Training mode normalizes with batch statistics (:func:`batch_norm`).
-    Inference mode uses the running buffers (:func:`_running_norm`): one
-    per-channel ``scale`` and ``shift`` on the conv's output. MBConv's node
-    folds its two norms into its expand kernel and its depthwise taps
-    instead (:func:`_conv_norm`). These dense 3x3 kernels are not small
-    next to their maps: at T@224 on 2 images the last transition's kernel
-    has 737k weights and its output map 31k values, so a per-call fold
-    multiplies 24 times more and allocates a fresh 2.9 MB kernel. Folding
-    ``scale`` into every kernel on each call, these included, once left
-    eval-T224's peak RSS bimodal from launch to launch under glibc malloc
-    (131-139 MB or 170-178 MB). MBConv's kernels are small next to its maps,
-    and with its fold ten eval-T224 launches read 116-123 MB (its parent
-    122-130 MB).
+    Training mode is ``conv2d`` then :func:`batch_norm`, on batch statistics.
+    Inference mode is one ``conv_bn`` node over (x, w, gamma, beta), the norm
+    folded into the kernel by :func:`_conv_norm` as MBConv's node folds its
+    own. These dense 3x3 kernels are not small next to their maps: at T@224
+    on 2 images the last transition's kernel has 737k weights and its output
+    map 31k values, so the fold multiplies 24 times more than a scale and
+    shift on the output would, into a fresh 2.9 MB kernel on each call.
+    A per-call fold of every kernel once left eval-T224's peak RSS bimodal
+    from launch to launch under glibc malloc (131-139 MB or 170-178 MB);
+    since ``__init__._trim_heap``, twenty eval-T224 launches with this fold
+    and MBConv's read 117-129 MB, median 120 (the unfolded parent's ten
+    122-128 MB).
     """
-    y = conv2d(x, w, stride=stride, padding=padding)
-    return batch_norm(y, bn) if train else _running_norm(y, bn)
+    if train:
+        return batch_norm(conv2d(x, w, stride=stride, padding=padding), bn)
+    x, w = _coerce(x), _coerce(w)
+    stage = _stage("conv_bn", x, w, stride, padding, 1)
+    _check_vectors((bn.gamma, bn.beta), w.shape[0], x.dtype, "conv_bn")
+    conv = lambda a, k, start: stage(a, k, stride, padding, x.requires_grad, start)
+    out, backward = _conv_norm(conv, x.data, w, bn, False, "conv_bn")
+    return _make(out, (x, w, bn.gamma, bn.beta), backward, "conv_bn")

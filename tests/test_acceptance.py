@@ -467,7 +467,7 @@ def op_inventory(r):
     rb = np.random.default_rng(19)
     bn.gamma.data[:] = 1.0 + 0.3 * rb.normal(size=3)
     bn.beta.data[:] = rb.normal(size=3)
-    # eval mode applies the norm as a scale and shift on the conv; off-default
+    # eval mode folds the norm into the conv's kernel and start; off-default
     # buffers, gamma and beta (from their own stream) exercise every term
     rs = np.random.default_rng(17)
 

@@ -27,7 +27,7 @@ from dualformer.blocks import (
 from dualformer.conv import conv2d
 from dualformer.mhpa import MhpaConfig
 from dualformer.model import named_parameters
-from dualformer.norms import _running_norm, batch_norm, layer_norm_channels
+from dualformer.norms import BN_EPS, batch_norm, layer_norm_channels
 from dualformer.tensor import (
     ShapeError,
     Tensor,
@@ -39,6 +39,7 @@ from dualformer.tensor import (
     mul,
     narrow,
     no_grad,
+    transpose,
     tsum,
 )
 
@@ -97,10 +98,16 @@ def test_mbconv_nonzero_after_perturbation():
 
 
 def composed_conv_bn(x, w, bn, train, padding=0, groups=1):
-    """A bias-free conv then batch norm, one op each: batch statistics in
-    train mode, the running buffers' scale and shift in eval."""
+    """A bias-free conv then batch norm: batch statistics in train mode; in
+    eval, the running buffers' per-channel ``scale = gamma * inv`` and
+    ``shift = beta - mean * scale`` as a biased 1x1 depthwise conv."""
     y = conv2d(x, w, padding=padding, groups=groups)
-    return batch_norm(y, bn) if train else _running_norm(y, bn)
+    if train:
+        return batch_norm(y, bn)
+    c = y.shape[-1]
+    scale = mul(bn.gamma, constant(1.0 / np.sqrt(bn.running_var + BN_EPS)))
+    shift = add(bn.beta, mul(constant(-bn.running_mean), scale))
+    return conv2d(y, transpose(scale, (0,), out_shape=(c, 1, 1, 1)), shift, groups=c)
 
 
 def composed_mbconv(x, p, train):

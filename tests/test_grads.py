@@ -184,8 +184,8 @@ def folded_depthwise_bn(x, w, bn, train):
 
 
 def test_batch_norm_eval_grad():
-    # eval-mode batch norm: a scale and shift after conv_bn's dense stride-2
-    # conv, and folded into the taps of a depthwise one
+    # eval-mode batch norm folded into conv_bn's dense stride-2 kernel, and
+    # into the taps of a depthwise one
     r = np.random.default_rng(13)
     bn = make_batch_norm(4)
     bn.running_mean = r.normal(size=4)

@@ -17,7 +17,7 @@ from dualformer.norms import (
     layer_norm_channels,
     make_batch_norm,
 )
-from dualformer.tensor import Tensor, _make, constant, graph_records, tsum
+from dualformer.tensor import ShapeError, Tensor, _make, constant, graph_records, tsum
 
 
 @pytest.fixture(autouse=True)
@@ -117,10 +117,9 @@ def test_batch_norm_eval_grads_match_loop_oracle(case):
     x = Tensor(3.0 + 2.0 * r.normal(size=(2, 6, 5, cin)), requires_grad=True)
     w = Tensor(r.normal(size=(cout, cin // groups, k, k)), requires_grad=True)
     out = eval_conv_bn(x, w, bn, stride, padding, groups)
-    if groups == 1:  # one node after the conv, whose parents are the conv output, gamma, beta
-        conv_rec, bn_rec = graph_records(out)
-        assert (conv_rec[0], bn_rec[0]) == ("conv2d", "batch_norm_eval")
-        assert bn_rec[1] == (conv_rec[2], id(bn.gamma), id(bn.beta))
+    if groups == 1:  # one node, the norm folded into the conv
+        assert graph_records(out) == [("conv_bn", (id(x), id(w), id(bn.gamma), id(bn.beta)),
+                                       id(out))]
     g = r.normal(size=out.shape)
     tsum(out * constant(g)).backward()
     want = conv_bn_eval_grad_oracle(x.data, w.data, bn, g, stride, padding, groups)
@@ -157,6 +156,16 @@ def test_batch_norm_eval_rejects_negative_running_var():
     bn.running_var = np.array([1.0, -1.0])
     with pytest.raises(FloatingPointError):
         conv_bn(constant(np.ones((1, 2, 2, 2))), constant(np.ones((2, 2, 1, 1))), bn, False)
+
+
+def test_conv_bn_eval_checks_its_kernel_and_norm():
+    x = constant(np.ones((1, 3, 3, 2)))
+    with pytest.raises(ShapeError, match="conv_bn"):  # kernel for 3 channels
+        conv_bn(x, constant(np.ones((4, 3, 1, 1))), make_batch_norm(4), False)
+    with pytest.raises(ShapeError, match="conv_bn"):  # stride below 1
+        conv_bn(x, constant(np.ones((4, 2, 1, 1))), make_batch_norm(4), False, stride=0)
+    with pytest.raises(ShapeError, match="conv_bn"):  # norm for 3 of 4 output channels
+        conv_bn(x, constant(np.ones((4, 2, 1, 1))), make_batch_norm(3), False)
 
 
 def composed_norm(x, gamma, beta, g, axes, eps):
