@@ -37,6 +37,7 @@ from .partition import NormVectors
 from .tensor import (
     ShapeError,
     Tensor,
+    _channel_sum,
     _check_vectors,
     _coerce,
     _gelu_grad,
@@ -156,7 +157,7 @@ def mbconv_forward(x: Tensor, p: MBConvParams, train: bool = False) -> Tensor:
         if dx is not None:
             dx += g
         return (dx, dexpand_w, dgamma1, dbeta1, ddw_w, dgamma2, dbeta2, dproj_w,
-                g.sum(axis=(0, 1, 2)))
+                _channel_sum(g))
 
     return _make(out, parents, backward, op)
 
@@ -200,7 +201,7 @@ def ffn_forward(x: Tensor, p: FfnParams) -> Tensor:
         dh, dw2 = out_backward(g)
         dh = gelu_backward(dh)
         dx, dw1 = in_backward(dh)
-        return dx, dw1, dh.sum(axis=(0, 1, 2)), dw2, g.sum(axis=(0, 1, 2))
+        return dx, dw1, _channel_sum(dh), dw2, _channel_sum(g)
 
     return _make(out, parents, backward, op)
 

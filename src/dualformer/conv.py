@@ -2,16 +2,18 @@
 
 Activations are (B, H, W, C); kernels are OIHW. Kernels are applied without
 flipping. Only dense (groups=1) and depthwise (groups == in_channels)
-layouts are supported. Dense convs run as one matmul over (C, kh, kw)
-windows, which is already the order of ``w.reshape(O, -1)``; a 1x1 kernel
-uses the map itself as the columns. Depthwise convs shift and add over the
-kernel taps, forward and backward, so nothing here loops per pixel: each
-tap's (C,) weights are tiled to a (wo, C) row, so at stride 1 one multiply
-of the forward runs a whole contiguous output row, and the forward's taps
-run over blocks of output rows sized to stay in a core's L2 cache, through
-one reused product buffer. The backward multiplies the whole gradient map
-by one tap's (C,) weights at a time. Every output and ``dx`` element still
-sums its taps in kernel order.
+layouts are supported. Dense convs run as one matmul over windows read
+through a strided view of one zero-bordered copy of the map, tap-major
+(kh, kw, C) where the map outweighs the kernel, so each window copies in
+runs of kw*C contiguous values; a 1x1 kernel uses the map itself as the
+columns. Depthwise convs shift and add over the kernel taps, forward and
+backward, so nothing here loops per pixel: each tap's (C,) weights are
+tiled to a (wo, C) row, so at stride 1 one multiply of the forward runs a
+whole contiguous output row, and the forward's taps run over blocks of
+output rows sized to stay in a core's L2 cache, through one reused product
+buffer. The depthwise backward multiplies the whole gradient map by one
+tap's (C,) weights at a time. Every depthwise output and ``dx`` element
+still sums its taps in kernel order.
 
 The array math is two stages, :func:`_dense` and :func:`_depthwise`, each
 returning ``(out, backward)``. :func:`conv2d` wraps them as one autodiff
@@ -21,9 +23,9 @@ call them directly.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-from .tensor import ShapeError, Tensor, _check_vectors, _coerce, _make
+from .tensor import ShapeError, Tensor, _channel_sum, _check_vectors, _coerce, _make
 
 # bytes of one block of output rows in the depthwise stage; the block, its
 # product buffer and the input rows it reads stay within a core's L2 (2 MiB)
@@ -40,28 +42,55 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    """A C-contiguous copy of ``x[B,H,W,C]`` inside a zero border ``padding``
+    wide on both spatial axes; only the border is zeroed."""
+    if padding == 0:
+        return np.ascontiguousarray(x)
+    B, H, W, C = x.shape
+    p = padding
+    xp = np.empty((B, H + 2 * p, W + 2 * p, C), x.dtype)
+    xp[:, :p] = 0
+    xp[:, p + H :] = 0
+    xp[:, p : p + H, :p] = 0
+    xp[:, p : p + H, p + W :] = 0
+    xp[:, p : p + H, p : p + W] = x
+    return xp
 
 
 def _dense(x: np.ndarray, w: np.ndarray, stride: int, padding: int, need_dx: bool,
            start: np.ndarray | None = None):
     """Dense conv of ``x[B,H,W,C]`` with ``w[O,C,kh,kw]``, on arrays: one
-    matmul over the (C, kh, kw) windows, plus ``start`` (a (O,) bias) when
-    given. Returns ``(out, backward)``; ``backward(g)`` gives ``(dx, dw)``,
-    with ``dx`` None unless ``need_dx``.
+    matmul over the windows, plus ``start`` (a (O,) bias) when given.
+    Returns ``(out, backward)``; ``backward(g)`` gives ``(dx, dw)``, with
+    ``dx`` None unless ``need_dx``.
+
+    Windows are tap-major, (kh, kw, C), when there are at least as many
+    output pixels as output channels: each kernel row of a window is then kw*C
+    contiguous values of the zero-bordered map, and the copy saved outweighs
+    reordering the kernel forward and ``dw`` back. Otherwise they are
+    (C, kh, kw), the kernel's own order.
     """
     B, H, W, C = x.shape
     O, _, kh, kw = w.shape
     ho = conv_out_size(H, kh, stride, padding)
     wo = conv_out_size(W, kw, stride, padding)
     pointwise = kh == kw == 1 and stride == 1 and padding == 0
+    tap_major = not pointwise and B * ho * wo >= O
     if pointwise:
         cols = x.reshape(B * H * W, C)
     else:
         xp = _pad(x, padding)
-        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        cols = win.reshape(B * ho * wo, C * kh * kw)  # (C, kh, kw) per row
-    w2 = w.reshape(O, C * kh * kw)
+        # strides from the shape: numpy may report any stride for an axis of length 1
+        sc = xp.itemsize
+        sw = C * sc
+        sh = xp.shape[2] * sw
+        lead = (xp.shape[1] * sh, stride * sh, stride * sw)
+        if tap_major:
+            win = as_strided(xp, (B, ho, wo, kh, kw * C), lead + (sh, sc), writeable=False)
+        else:
+            win = as_strided(xp, (B, ho, wo, C, kh, kw), lead + (sc, sh, sw), writeable=False)
+        cols = win.reshape(B * ho * wo, C * kh * kw)
+    w2 = (w.transpose(0, 2, 3, 1) if tap_major else w).reshape(O, C * kh * kw)
     out = (cols @ w2.T).reshape(B, ho, wo, O)
     if start is not None:
         out += start
@@ -69,17 +98,33 @@ def _dense(x: np.ndarray, w: np.ndarray, stride: int, padding: int, need_dx: boo
     # like matmul, a constant input (the image at the stem) costs no dx
     def backward(g):
         g2 = g.reshape(B * ho * wo, O)
-        dw = (g2.T @ cols).reshape(w.shape)
+        dw = g2.T @ cols
+        if tap_major:
+            dw = np.ascontiguousarray(dw.reshape(O, kh, kw, C).transpose(0, 3, 1, 2))
+        else:
+            dw = dw.reshape(w.shape)
         if not need_dx:
             return None, dw
         dcols = g2 @ w2
         if pointwise:
             return dcols.reshape(x.shape), dw
-        dcols = dcols.reshape(B, ho, wo, C, kh * kw)
         dxp = np.zeros_like(xp)
-        for t in range(kh * kw):
-            u, v = divmod(t, kw)
-            dxp[:, u : u + stride * ho : stride, v : v + stride * wo : stride] += dcols[..., t]
+        if tap_major:
+            # the forward's window view, over dx: row u of the windows of
+            # every m-th output column covers kw*C contiguous values that no
+            # other window of the group touches, so a group adds in one pass
+            dwin = as_strided(dxp, win.shape, win.strides)
+            dcols = dcols.reshape(win.shape)
+            m = -(-kw // stride)
+            for u in range(kh):
+                for r in range(m):
+                    dwin[:, :, r::m, u] += dcols[:, :, r::m, u]
+        else:
+            dcols = dcols.reshape(B, ho, wo, C, kh, kw)
+            for u in range(kh):
+                for v in range(kw):
+                    dxp[:, u : u + stride * ho : stride, v : v + stride * wo : stride] += \
+                        dcols[..., u, v]
         dx = dxp[:, padding : padding + H, padding : padding + W]
         return np.ascontiguousarray(dx), dw
 
@@ -185,6 +230,6 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     out += b.data
 
     def backward(g):
-        return (*grads(g), g.sum(axis=(0, 1, 2)))
+        return (*grads(g), _channel_sum(g))
 
     return _make(out, (x, w, b), backward, "conv2d")

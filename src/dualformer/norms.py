@@ -19,7 +19,7 @@ import numpy as np
 
 from .conv import _stage, conv2d
 from .init import ones_param, zeros_param
-from .tensor import Tensor, _check_vectors, _coerce, _guard_finite, _make
+from .tensor import Tensor, _channel_sum, _check_vectors, _coerce, _guard_finite, _make
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
@@ -169,7 +169,7 @@ def _conv_norm(conv, x: np.ndarray, w: Tensor, bn: BatchNorm2d, train: bool, op:
     def backward(g):
         # the chain rule through w * scale and shift; a zero gamma divides nothing
         dx, dw_folded = conv_backward(g)
-        dbeta = np.ones(g.size // c, g.dtype) @ g.reshape(-1, c)
+        dbeta = _channel_sum(g)
         dscale = (dw_folded * w.data).reshape(c, -1).sum(axis=1)
         return dx, dw_folded * per_out, inv * (dscale - rm * dbeta), dbeta
 
@@ -190,10 +190,12 @@ def conv_bn(
     map 31k values, so the fold multiplies 24 times more than a scale and
     shift on the output would, into a fresh 2.9 MB kernel on each call.
     A per-call fold of every kernel once left eval-T224's peak RSS bimodal
-    from launch to launch under glibc malloc (131-139 MB or 170-178 MB);
-    since ``__init__._trim_heap``, twenty eval-T224 launches with this fold
-    and MBConv's read 117-129 MB, median 120 (the unfolded parent's ten
-    122-128 MB).
+    from launch to launch under glibc's default allocator (131-139 MB or
+    170-178 MB). Under the package's allocator policy (``__init__``: glibc's
+    mmap and trim thresholds pinned, the heap trimmed at full collections)
+    ten eval-T224 launches with this fold and MBConv's read 120-129 MB,
+    median 125; the same fold with the trim alone read 118-128 MB, median
+    125, and 117-129 MB over twenty launches before that.
     """
     if train:
         return batch_norm(conv2d(x, w, stride=stride, padding=padding), bn)

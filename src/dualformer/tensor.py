@@ -269,6 +269,14 @@ def _check_vectors(vectors, n: int, dtype, op: str) -> None:
             raise TypeError(f"{op}: mixed dtypes: {dtype} vs {v.dtype}")
 
 
+def _channel_sum(g: np.ndarray) -> np.ndarray:
+    """``g`` summed over every axis but the last, as one matrix-vector
+    product against a ones vector: numpy's reduction over the leading axes of
+    a map with few channels runs many times slower than BLAS."""
+    c = g.shape[-1]
+    return np.ones(g.size // c, g.dtype) @ g.reshape(-1, c)
+
+
 def _guard_finite(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise FloatingPointError(f"{op} produced non-finite values")

@@ -198,7 +198,7 @@ def run_script(script, *args, cwd=None):
     )
 
 
-@pytest.mark.parametrize("script", ["run_ablation.py", "bench_pairs.py"])
+@pytest.mark.parametrize("script", ["run_ablation.py", "bench_pairs.py", "fault_count.py"])
 def test_script_help(script):
     res = run_script(script, "--help")
     assert res.returncode == 0, res.stderr
@@ -250,3 +250,15 @@ def test_bench_pairs_alternates_sides_and_counts_pair_wins(tmp_path):
     assert w["op_ms_tail"]["change_wins"] == "3/3"  # lower is better there
     assert w["setup_s"]["change_wins"] == "0/3"  # ties count for neither side
     assert "items_per_s" in res.stdout and "change wins 3/3" in res.stdout
+
+
+def test_fault_count_reports_both_modes(tmp_path):
+    out = tmp_path / "faults.json"
+    res = run_script("fault_count.py", "--workload", "tokens-3136", "--ops", 2, "--warmup-s", 0,
+                     "--out", out)
+    assert res.returncode == 0, res.stderr
+    record = json.loads(out.read_text())
+    row = record["workloads"]["tokens-3136"]
+    assert row["warmed"]["ops"] == row["fresh"]["ops"] == 2
+    assert row["warmed"]["faults_per_op"] >= 0 and row["fresh"]["first_op"] >= 0
+    assert row["env"]["threads"] == 2 and json.loads(res.stdout) == record

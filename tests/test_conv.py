@@ -1,5 +1,7 @@
-"""conv2d against a six-loop reference implementation, and the depthwise
-stage against a per-pixel, per-tap loop and against whole-map per-tap sums.
+"""conv2d against a six-loop reference implementation, the dense stage's
+forward and backward in both window orders against a per-pixel loop, and
+the depthwise stage against a per-pixel, per-tap loop and against whole-map
+per-tap sums.
 
 conv2d takes channels-last (B, H, W, C) maps; the six-loop oracle and its
 test data stay NCHW and are transposed at the call with ``nhwc``.
@@ -9,7 +11,7 @@ import pytest
 
 from dualformer import conv as conv_module
 from dualformer import precision
-from dualformer.conv import _depthwise, conv2d, conv_out_size
+from dualformer.conv import _dense, _depthwise, conv2d, conv_out_size
 from dualformer.tensor import ShapeError, Tensor, constant, graph_records, tsum
 
 
@@ -119,7 +121,7 @@ def test_1x1_conv_matches_oracle():
 ])
 def test_bias_is_added_in_the_conv_node(shape, stride, padding, groups):
     # bitwise the biasless conv plus the bias, with the bias gradient summed
-    # over batch and map, in one node whose third parent is the bias
+    # over batch and map (to f32 rounding), in one node whose third parent is the bias
     r = rng(12)
     x = constant(nhwc(r.normal(size=(2, 3, 6, 6)).astype(np.float32)))
     w = Tensor(r.normal(size=shape).astype(np.float32), requires_grad=True)
@@ -132,7 +134,8 @@ def test_bias_is_added_in_the_conv_node(shape, stride, padding, groups):
     g = r.normal(size=y.shape).astype(np.float32)
     _, dw, db = y._node.backward_fn(g)
     assert np.array_equal(dw, plain._node.backward_fn(g)[1])
-    assert np.array_equal(db, g.sum(axis=(0, 1, 2)))
+    want = g.astype(np.float64).sum(axis=(0, 1, 2))
+    assert np.abs(db - want).max() <= 1e-5 * np.abs(want).max()
 
 
 def test_bias_must_fit_the_output_channels_and_the_input_dtype():
@@ -200,6 +203,52 @@ def test_constant_input_gets_no_dx(shape, stride, padding, groups):
                 assert dx is None and x.grad is None
             grads.append(w.grad)
         assert np.array_equal(grads[0], grads[1])
+
+
+# -- the dense stage ---------------------------------------------------------
+
+
+def dense_loop(x, w, g, stride, padding):
+    """(out, dx, dw) of a dense conv in f64, one output pixel at a time; ``g``
+    is the gradient at the output."""
+    b, h, wd, _ = x.shape
+    o, _, kh, kw = w.shape
+    xp = np.pad(x.astype(np.float64), ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    ho, wo = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((b, ho, wo, o))
+    dxp, dw = np.zeros_like(xp), np.zeros(w.shape)
+    for n, i, j in np.ndindex(b, ho, wo):
+        rows, cols = slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw)
+        window = xp[n, rows, cols].transpose(2, 0, 1)  # (C, kh, kw)
+        out[n, i, j] = np.einsum("ocuv,cuv->o", w, window)
+        dxp[n, rows, cols] += np.einsum("o,ocuv->uvc", g[n, i, j], w)
+        dw += g[n, i, j][:, None, None, None] * window
+    return out, dxp[:, padding : padding + h, padding : padding + wd], dw
+
+
+# (map (B, H, W, C), kernel (O, C, kh, kw), stride, padding): tap-major
+# windows where the output pixels are at least the output channels, (C, kh,
+# kw) windows where they are fewer; a 3-channel stem conv, a strided 1x1, a
+# 2x3 kernel, and a stride wider than the kernel
+DENSE_CASES = [((2, 6, 7, 3), (4, 3, 3, 3), 2, 1), ((1, 5, 5, 4), (6, 4, 3, 3), 1, 1),
+               ((2, 4, 4, 8), (40, 8, 3, 3), 2, 1), ((1, 6, 6, 3), (5, 3, 1, 1), 2, 0),
+               ((2, 5, 7, 3), (4, 3, 2, 3), 1, 0), ((1, 9, 9, 2), (3, 2, 3, 3), 4, 1),
+               ((2, 1, 1, 5), (7, 5, 1, 1), 1, 0)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,kernel,stride,padding", DENSE_CASES)
+def test_dense_stage_matches_loop_oracle(shape, kernel, stride, padding, dtype):
+    r = rng(60 + stride)
+    x = r.normal(size=shape).astype(dtype)
+    w = r.normal(size=kernel).astype(dtype)
+    out, backward = _dense(x, w, stride, padding, True)
+    g = r.normal(size=out.shape).astype(dtype)
+    dx, dw = backward(g)
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for got, want in zip((out, dx, dw), dense_loop(x, w, g, stride, padding)):
+        assert got.dtype == dtype and got.shape == want.shape and got.flags.c_contiguous
+        assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
 
 
 # -- the depthwise stage -----------------------------------------------------

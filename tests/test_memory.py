@@ -1,6 +1,8 @@
-"""Full garbage collections return the C heap's free pages to the OS."""
+"""The allocator policy: freed buffers stay in the C heap for reuse, and full
+garbage collections return the heap's free pages to the OS."""
 import gc
 import os
+import resource
 
 import numpy as np
 import pytest
@@ -38,3 +40,19 @@ def test_only_full_collections_trim(monkeypatch):
     assert calls == []
     gc.collect()
     assert calls == [0]
+
+
+@pytest.mark.skipif(not dualformer._heap_pinned, reason="needs glibc's mallopt")
+def test_freed_large_buffer_is_reused_without_page_faults():
+    # under glibc's default thresholds an 8 MiB block is mapped on its own and
+    # unmapped when freed, so filling the next one takes about 500 faults
+    gc.disable()  # a full collection would trim the freed block back to the OS
+    try:
+        np.ones(8 * MIB // 8)  # touched, then freed
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        buf = np.ones(8 * MIB // 8)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    finally:
+        gc.enable()
+    assert faults < 16
+    assert buf.sum() == buf.size
