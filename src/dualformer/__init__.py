@@ -9,10 +9,9 @@ mmap threshold and its trim threshold at ``_HEAP_THRESHOLD`` (1 GiB): every
 buffer the model allocates then comes from the heap and goes back to it when
 freed, where glibc's defaults map a block over 128 KiB to fresh pages, unmap
 it when it is freed, and trim the heap's free top, so a map-sized temporary
-paid its first-touch page faults on every call (about 8,000 per operation
-of perfbench's tokens-3136 loop, one per 4 KiB page). Free pages then go
-back to the OS in one place, ``_trim_heap``: every full garbage collection
-calls ``malloc_trim``, which also releases free pages below the heap's top.
+paid its first-touch page faults on every call. Free pages then go back to
+the OS in one place, ``_trim_heap``: every full garbage collection calls
+``malloc_trim``, which also releases free pages below the heap's top.
 """
 from __future__ import annotations
 
@@ -32,11 +31,10 @@ def _trim_heap(phase: str, info: dict) -> None:
     small-block caches keep a few freed buffers alive, and one that sits
     high in the heap keeps every free page below it resident: a large
     transient pass, such as an f64 forward over a model copy, then stays in
-    the resident set for the life of the process (about 40 MB after
-    perfbench's eval-T224 set-up, in some launches and not others).
-    ``malloc_trim`` releases free pages anywhere in the heap. CPython runs
-    a full collection rarely on its own, so the cost is a few page faults
-    now and then; ``gc.collect()`` asks for one.
+    the resident set for the life of the process. ``malloc_trim`` releases
+    free pages anywhere in the heap. CPython runs a full collection rarely
+    on its own, so the cost is a few page faults now and then;
+    ``gc.collect()`` asks for one.
     """
     if phase == "stop" and info["generation"] == 2:
         _malloc_trim(0)

@@ -38,11 +38,9 @@ from .tensor import (
     ShapeError,
     Tensor,
     _channel_sum,
-    _check_vectors,
+    _check_fit,
     _coerce,
-    _gelu_grad,
-    _gelu_into,
-    _gelu_parts,
+    _gelu,
     _make,
     _recording,
     concat,
@@ -93,31 +91,6 @@ def make_mbconv(channels: int, rng: np.random.Generator) -> MBConvParams:
     )
 
 
-def _check_branch(op: str, x: Tensor, kernels, vectors) -> None:
-    """A branch node's input must be a 4-d map, each of its ``(kernel,
-    shape)`` pairs must have that shape and the input's dtype, and each of
-    its ``(vectors, n)`` pairs must fit ``n`` channels (:func:`_check_vectors`)."""
-    if x.ndim != 4:
-        raise ShapeError(f"{op}: expected a 4-d map, got {x.shape}")
-    for w, shape in kernels:
-        if w.shape != shape:
-            raise ShapeError(f"{op}: kernel {w.shape} does not fit {x.shape[-1]}-channel "
-                             f"input, {shape} expected")
-        if w.dtype != x.dtype:
-            raise TypeError(f"{op}: mixed dtypes: {x.dtype} vs {w.dtype}")
-    for vs, n in vectors:
-        _check_vectors(vs, n, x.dtype, op)
-
-
-def _owned_gelu(h: np.ndarray, keep: bool):
-    """GELU of a buffer a node owns: ``(out, backward)``, written over ``h``
-    with no backward when no graph is kept."""
-    if not keep:
-        return _gelu_into(h, h), None
-    out, s = _gelu_parts(h)
-    return out, lambda g: _gelu_grad(h, s, g)
-
-
 def mbconv_forward(x: Tensor, p: MBConvParams, train: bool = False) -> Tensor:
     """Expand 1x1 -> BN -> GELU -> depthwise 3x3 -> BN -> GELU -> project
     1x1, added back onto the input, as one ``mbconv`` autodiff node whose
@@ -136,17 +109,16 @@ def mbconv_forward(x: Tensor, p: MBConvParams, train: bool = False) -> Tensor:
     hidden, c = p.expand_w.shape[:2]
     parents = (x, p.expand_w, p.bn1.gamma, p.bn1.beta, p.dw_w, p.bn2.gamma, p.bn2.beta,
                p.proj_w, p.proj_b)
-    _check_branch(op, x, ((p.expand_w, (hidden, c, 1, 1)), (p.dw_w, (hidden, 1, 3, 3)),
-                          (p.proj_w, (c, hidden, 1, 1))),
-                  (((p.bn1.gamma, p.bn1.beta, p.bn2.gamma, p.bn2.beta), hidden),
-                   ((p.proj_b,), c)))
+    _check_fit(op, x.dtype, zip(parents, (x.shape[:3] + (c,), (hidden, c, 1, 1), (hidden,),
+                                          (hidden,), (hidden, 1, 3, 3), (hidden,), (hidden,),
+                                          (c, hidden, 1, 1), (c,))))
     keep = _recording(parents)
     expand = lambda h, w, start: _dense(h, w, 1, 0, x.requires_grad, start)
     depthwise = lambda h, w, start: _depthwise(h, w, 1, 1, True, start)
     h, expand_backward = _conv_norm(expand, x.data, p.expand_w, p.bn1, train, op)
-    h, gelu1_backward = _owned_gelu(h, keep)
+    h, gelu1_backward = _gelu(h, keep, True)
     h, dw_backward = _conv_norm(depthwise, h, p.dw_w, p.bn2, train, op)
-    h, gelu2_backward = _owned_gelu(h, keep)
+    h, gelu2_backward = _gelu(h, keep, True)
     out, proj_backward = _dense(h, p.proj_w.data, 1, 0, True, p.proj_b.data)
     out += x.data
 
@@ -191,10 +163,10 @@ def ffn_forward(x: Tensor, p: FfnParams) -> Tensor:
     x = _coerce(x)
     hidden, c = p.w1.shape[:2]
     parents = (x, p.w1, p.b1, p.w2, p.b2)
-    _check_branch(op, x, ((p.w1, (hidden, c, 1, 1)), (p.w2, (c, hidden, 1, 1))),
-                  (((p.b1,), hidden), ((p.b2,), c)))
+    _check_fit(op, x.dtype, zip(parents, (x.shape[:3] + (c,), (hidden, c, 1, 1), (hidden,),
+                                          (c, hidden, 1, 1), (c,))))
     h, in_backward = _dense(x.data, p.w1.data, 1, 0, x.requires_grad, p.b1.data)
-    h, gelu_backward = _owned_gelu(h, _recording(parents))
+    h, gelu_backward = _gelu(h, _recording(parents), True)
     out, out_backward = _dense(h, p.w2.data, 1, 0, True, p.b2.data)
 
     def backward(g):

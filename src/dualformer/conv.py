@@ -17,15 +17,15 @@ still sums its taps in kernel order.
 
 The array math is two stages, :func:`_dense` and :func:`_depthwise`, each
 returning ``(out, backward)``. :func:`conv2d` wraps them as one autodiff
-node; eval-mode ``norms.conv_bn`` and the MBConv and FFN nodes in ``blocks``
-call them directly.
+node; ``norms.conv_bn`` and the MBConv and FFN nodes in ``blocks`` call
+them directly.
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import ShapeError, Tensor, _channel_sum, _check_vectors, _coerce, _make
+from .tensor import ShapeError, Tensor, _channel_sum, _check_fit, _coerce, _make
 
 # bytes of one block of output rows in the depthwise stage; the block, its
 # product buffer and the input rows it reads stay within a core's L2 (2 MiB)
@@ -192,23 +192,20 @@ def _depthwise(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
 
 
 def _stage(op: str, x: Tensor, w: Tensor, stride: int, padding: int, groups: int):
-    """The conv stage, :func:`_dense` or :func:`_depthwise`, that correlates
-    ``x`` with ``w`` at ``groups``, once their shapes and the stride and
-    padding are checked."""
+    """``(stage, shape)``: the conv stage, :func:`_dense` or :func:`_depthwise`,
+    that correlates the 4-d map ``x`` with the 4-d kernel ``w`` at ``groups``,
+    and the kernel shape that fits ``x`` there, once the stride, padding and
+    groups are checked."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"{op}: expected 4-d input and kernel, got {x.shape} and {w.shape}")
     if stride < 1 or padding < 0:
         raise ShapeError(f"{op}: bad stride/padding ({stride}, {padding})")
     C = x.shape[-1]
-    O, Cg = w.shape[:2]
+    O, _, kh, kw = w.shape
     if groups == 1:
-        if Cg != C:
-            raise ShapeError(f"{op}: kernel expects {Cg} channels, input has {C}")
-        return _dense
+        return _dense, (O, C, kh, kw)
     if groups == C:
-        if Cg != 1 or O != C:
-            raise ShapeError(f"{op}: depthwise kernel must be [{C},1,kh,kw], got {w.shape}")
-        return _depthwise
+        return _depthwise, (C, 1, kh, kw)
     raise ShapeError(f"{op}: groups={groups} unsupported (use 1 or channels={C})")
 
 
@@ -216,14 +213,17 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     """Correlate ``x[B,H,W,C]`` with ``w[O,C/groups,kh,kw]``.
 
     ``groups`` must be 1 (dense) or equal to the channel count (depthwise,
-    where ``w`` has shape ``[C,1,kh,kw]``). A bias ``b[O]`` in ``x``'s dtype,
-    when given, is added per output channel in place, in the conv's own node.
+    where ``w`` has shape ``[C,1,kh,kw]``). The kernel, and a bias ``b[O]``
+    when given, must have ``x``'s dtype; the bias is added per output channel
+    in place, in the conv's own node.
     """
     x, w = _coerce(x), _coerce(w)
-    stage = _stage("conv2d", x, w, stride, padding, groups)
+    stage, shape = _stage("conv2d", x, w, stride, padding, groups)
+    fits = [(w, shape)]
     if b is not None:
         b = _coerce(b)
-        _check_vectors((b,), w.shape[0], x.dtype, "conv2d")
+        fits.append((b, shape[:1]))
+    _check_fit("conv2d", x.dtype, fits)
     out, grads = stage(x.data, w.data, stride, padding, x.requires_grad)
     if b is None:
         return _make(out, (x, w), grads, "conv2d")

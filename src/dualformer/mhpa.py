@@ -46,8 +46,8 @@ from .partition import NormVectors, hash_codes
 from .tensor import (
     ShapeError,
     Tensor,
-    _gelu_grad,
-    _gelu_parts,
+    _check_fit,
+    _gelu,
     _guard_finite,
     _make,
     _softmax,
@@ -214,14 +214,14 @@ def inter_partition_attention(x_tilde: np.ndarray, buckets: np.ndarray, head: Mh
     descr = np.swapaxes(buckets, -1, -2) @ x_tilde
     descr *= inv
     z = descr @ w1 + r1
-    h, s = _gelu_parts(z)
+    h, gelu_backward = _gelu(z, True, True)
     scores = h @ w2 + r2  # (..., K, 1)
     coeff = _softmax(scores, -2, (counts > 0)[..., None])
     out = descr * coeff
 
     def backward(g):
         dscores = _softmax_grad(coeff, (g * descr).sum(axis=-1, keepdims=True), -2)
-        dz = _gelu_grad(z, s, dscores @ np.swapaxes(w2, -1, -2))
+        dz = gelu_backward(dscores @ np.swapaxes(w2, -1, -2))
         ddescr = g * coeff
         ddescr += dz @ np.swapaxes(w1, -1, -2)
         ddescr *= inv
@@ -267,20 +267,17 @@ def global_local_aggregate(intra, inter, buckets: np.ndarray, head: MhpaHeadPara
 
 def _check_node(op: str, parents: tuple[Tensor, ...], buckets: np.ndarray) -> None:
     """Every shape and dtype the stages rely on, checked once: ``parents`` are
-    the gate, the tokens and a head's tensors in ``_PAIRS`` order."""
+    the gate, the tokens and a head's tensors in ``_PAIRS`` order, each in
+    the bucket matrix's dtype."""
     gate, tokens, *head = parents
     d, lead, dh = tokens.shape[-1], head[0].shape[:-2], head[2].shape[-1]
-    if (gate.shape != tokens.shape or buckets.shape[:-1] != tokens.shape[:-1]
-            or tokens.shape[-2 - len(lead):-2] != lead):
-        raise ShapeError(f"{op}: gate {gate.shape}, bucket matrix {buckets.shape} and "
-                         f"head axes {lead} do not fit tokens {tokens.shape}")
+    if tokens.shape[-2 - len(lead):-2] != lead:
+        raise ShapeError(f"{op}: head axes {lead} do not fit tokens {tokens.shape}")
+    _check_fit(f"{op}: gate, tokens and bucket matrix {buckets.shape}", buckets.dtype,
+               ((gate, tokens.shape), (tokens, buckets.shape[:-1] + (d,))))
     for (wn, bn), w, b, shape in zip(_PAIRS, head[::2], head[1::2], head_shapes(d, dh)):
-        if w.shape != lead + shape or b.shape != (math.prod(lead) * shape[1],):
-            raise ShapeError(f"{op}: {wn} {w.shape} and {bn} {b.shape} do not fit "
-                             f"{d}-channel tokens, {lead + shape} expected")
-    for t in parents:
-        if t.dtype != buckets.dtype:
-            raise TypeError(f"{op}: mixed dtypes: {t.dtype} vs buckets {buckets.dtype}")
+        _check_fit(f"{op}: {wn} and {bn}", buckets.dtype,
+                   ((w, lead + shape), (b, (math.prod(lead) * shape[1],))))
 
 
 def partition_attention(gate: Tensor, tokens: Tensor, buckets: np.ndarray,

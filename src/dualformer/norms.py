@@ -1,15 +1,16 @@
 """Normalization layers over channels-last (B, H, W, C) feature maps.
 
-Every norm is one autodiff node in both modes: train-mode batch norm and
-layer norm with the closed-form backward of Ioffe & Szegedy
-(arXiv:1502.03167), and eval-mode batch norm folded into the conv before
-it. Each views the map as (N, C) and takes every per-channel sum (over the
-N rows) and every per-row sum (over the C channels) as one matrix-vector
-product against a ones vector: numpy's reductions over the leading axes of
-a map with few channels run several times slower than BLAS. The array math
-is shared with the MBConv node: :func:`_normalize`, the running buffers'
-:func:`_running_affine`, and :func:`_conv_norm`, a conv stage then batch
-norm, folded into the conv in eval.
+Every norm is one autodiff node in both modes: layer norm, and batch norm
+after a conv (:func:`conv_bn`), with the closed-form backward of Ioffe &
+Szegedy (arXiv:1502.03167) on batch statistics in training and folded into
+the conv in inference. Each views the map as (N, C) and takes every
+per-channel sum (over the N rows) and every per-row sum (over the C
+channels) as one matrix-vector product against a ones vector: numpy's
+reductions over the leading axes of a map with few channels run several
+times slower than BLAS. The array math is shared with the MBConv node:
+:func:`_normalize`, the running buffers' :func:`_running_affine`, and
+:func:`_conv_norm`, a conv stage then batch norm, folded into the conv in
+eval.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import _stage, conv2d
+from .conv import _stage
 from .init import ones_param, zeros_param
-from .tensor import Tensor, _channel_sum, _check_vectors, _coerce, _guard_finite, _make
+from .tensor import Tensor, _channel_sum, _check_fit, _coerce, _guard_finite, _make
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
@@ -78,7 +79,8 @@ def _fused_norm(x: Tensor, gamma: Tensor, beta: Tensor, per_channel: bool, eps: 
     """:func:`_normalize` as one autodiff node over (x, gamma, beta); returns
     the output with the mean and the variance."""
     x = _coerce(x)
-    _check_vectors((gamma, beta), x.shape[-1], x.dtype, op)
+    c = x.shape[-1:]
+    _check_fit(op, x.dtype, ((gamma, c), (beta, c)))
     out, backward, m, v = _normalize(x.data, gamma.data, beta.data, per_channel, eps, op)
     return _make(out, (x, gamma, beta), backward, op), m, v
 
@@ -108,8 +110,8 @@ def batch_norm(x: Tensor, bn: BatchNorm2d) -> Tensor:
     """Training-mode batch norm over (batch, height, width) per channel.
 
     Normalizes with (differentiable) batch statistics and updates the running
-    buffers as a side effect. Inference-mode batch norm is the eval branch of
-    :func:`conv_bn`.
+    buffers as a side effect. The model's batch norms run in this op order
+    inside :func:`conv_bn` and MBConv's node, through :func:`_conv_norm`.
     """
     y, m, v = _fused_norm(x, bn.gamma, bn.beta, True, BN_EPS, "batch_norm")
     _update_running(bn, m, v)
@@ -182,26 +184,16 @@ def conv_bn(
     """A dense conv with no bias, which the batch mean would cancel, then
     batch norm over its output channels: the stem and the stage transitions.
 
-    Training mode is ``conv2d`` then :func:`batch_norm`, on batch statistics.
-    Inference mode is one ``conv_bn`` node over (x, w, gamma, beta), the norm
-    folded into the kernel by :func:`_conv_norm` as MBConv's node folds its
-    own. These dense 3x3 kernels are not small next to their maps: at T@224
-    on 2 images the last transition's kernel has 737k weights and its output
-    map 31k values, so the fold multiplies 24 times more than a scale and
-    shift on the output would, into a fresh 2.9 MB kernel on each call.
-    A per-call fold of every kernel once left eval-T224's peak RSS bimodal
-    from launch to launch under glibc's default allocator (131-139 MB or
-    170-178 MB). Under the package's allocator policy (``__init__``: glibc's
-    mmap and trim thresholds pinned, the heap trimmed at full collections)
-    ten eval-T224 launches with this fold and MBConv's read 120-129 MB,
-    median 125; the same fold with the trim alone read 118-128 MB, median
-    125, and 117-129 MB over twenty launches before that.
+    One ``conv_bn`` node over (x, w, gamma, beta) in both modes, built by
+    :func:`_conv_norm` as MBConv's node builds its own: training mode runs
+    :func:`batch_norm`'s op order on batch statistics, and inference folds
+    the norm into the kernel. That fold writes a fresh kernel per call, at
+    the last transition larger than the output map, so it leans on the
+    package's allocator policy (``__init__``) to keep peak RSS steady.
     """
-    if train:
-        return batch_norm(conv2d(x, w, stride=stride, padding=padding), bn)
     x, w = _coerce(x), _coerce(w)
-    stage = _stage("conv_bn", x, w, stride, padding, 1)
-    _check_vectors((bn.gamma, bn.beta), w.shape[0], x.dtype, "conv_bn")
+    stage, shape = _stage("conv_bn", x, w, stride, padding, 1)
+    _check_fit("conv_bn", x.dtype, ((w, shape), (bn.gamma, shape[:1]), (bn.beta, shape[:1])))
     conv = lambda a, k, start: stage(a, k, stride, padding, x.requires_grad, start)
-    out, backward = _conv_norm(conv, x.data, w, bn, False, "conv_bn")
+    out, backward = _conv_norm(conv, x.data, w, bn, train, "conv_bn")
     return _make(out, (x, w, bn.gamma, bn.beta), backward, "conv_bn")

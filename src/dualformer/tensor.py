@@ -259,14 +259,15 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_vectors(vectors, n: int, dtype, op: str) -> None:
-    """Per-channel vectors (a bias, a norm's gamma and beta) must be (n,) and
-    of the map's ``dtype``, which mixing them in would promote or round."""
-    for v in vectors:
-        if v.shape != (n,):
-            raise ShapeError(f"{op}: vector {v.shape} does not fit {n} channels")
-        if v.dtype != dtype:
-            raise TypeError(f"{op}: mixed dtypes: {dtype} vs {v.dtype}")
+def _check_fit(op: str, dtype, fits) -> None:
+    """Each ``(tensor, shape)`` of ``fits`` must have that shape, else
+    ``ShapeError``, and ``dtype``, which mixing it in would promote or round,
+    else ``TypeError``."""
+    for t, shape in fits:
+        if t.shape != shape:
+            raise ShapeError(f"{op}: shape {t.shape} does not fit, {shape} expected")
+        if t.dtype != dtype:
+            raise TypeError(f"{op}: mixed dtypes: {dtype} vs {t.dtype}")
 
 
 def _channel_sum(g: np.ndarray) -> np.ndarray:
@@ -341,81 +342,68 @@ _GELU_SAT = 1e4  # far past where the sigmoid of the GELU argument is exactly 0 
 _GELU_CHUNK = 1 << 15
 
 
-def _gelu_sigmoid(x: np.ndarray, s: np.ndarray) -> None:
-    """Write ``sigmoid(2u)`` of GELU's argument ``u`` at ``x`` into ``s``."""
+def _gelu(x: np.ndarray, keep: bool, owned: bool):
+    """GELU's array stage, ``gelu(x) = x * sigmoid(2u)``: ``(out, backward)``.
+
+    The passes run over chunks of ``_GELU_CHUNK`` elements, so each stays in
+    cache. With ``keep`` the sigmoid is kept whole and ``backward(g)`` gives
+    the gradient at ``x``; without it ``backward`` is None, the sigmoid fills
+    one chunk-sized buffer, and ``out`` is written over ``x`` when the caller
+    ``owned`` it.
+    """
+    n = x.size
+    out = x if owned and not keep else np.empty(x.shape, x.dtype)
+    s = np.empty(n if keep else min(n, _GELU_CHUNK), x.dtype)
+    xf, of = x.reshape(-1), out.reshape(-1)
     # -2u = x (-2c - 2cA x^2) by multiplies (float32 ``x**3`` takes numpy's
     # slow pow loop), in one buffer that becomes the sigmoid in place. x^2
     # overflows for huge |x|, but the sigmoid saturates to the right limit.
     with np.errstate(over="ignore"):
-        np.multiply(x, x, out=s)
-        s *= -2.0 * _GELU_C * _GELU_A
-        s -= 2.0 * _GELU_C
-        s *= x
-        np.exp(s, out=s)
-        s += 1.0
-        np.reciprocal(s, out=s)
+        for i in range(0, n, _GELU_CHUNK):
+            j = min(n, i + _GELU_CHUNK)
+            xc = xf[i:j]
+            sc = s[i:j] if keep else s[:j - i]
+            np.multiply(xc, xc, out=sc)
+            sc *= -2.0 * _GELU_C * _GELU_A
+            sc -= 2.0 * _GELU_C
+            sc *= xc
+            np.exp(sc, out=sc)
+            sc += 1.0
+            np.reciprocal(sc, out=sc)
+            np.multiply(xc, sc, out=of[i:j])
+    if not keep:
+        return out, None
+    s = s.reshape(x.shape)
 
+    def backward(g):
+        # d/dx = s (1 + (1 - s) * 2c x (1 + 3A x^2)). Clamped so the
+        # polynomial cannot overflow into 0 * inf: past the clamp s(1 - s) is
+        # exactly zero in float32 and float64 alike.
+        xc = np.clip(x, -_GELU_SAT, _GELU_SAT)
+        dx = xc * xc
+        dx *= 6.0 * _GELU_C * _GELU_A
+        dx += 2.0 * _GELU_C
+        dx *= xc
+        dx *= 1.0 - s
+        dx += 1.0
+        dx *= s
+        dx *= g
+        return dx
 
-def _gelu_into(x: np.ndarray, out: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
-    """Write ``gelu(x) = x * sigmoid(2u)`` into ``out``, which may be ``x``
-    itself, in chunks of ``_GELU_CHUNK`` elements, so each of the passes runs
-    in cache. The sigmoid lands in ``s`` when given (the backward needs it),
-    else in one chunk-sized scratch buffer. Returns ``out``."""
-    if x.size <= _GELU_CHUNK:  # one chunk: no flat views or loop
-        s = np.empty(x.shape, x.dtype) if s is None else s
-        _gelu_sigmoid(x, s)
-        return np.multiply(x, s, out=out)
-    xf, of = x.reshape(-1), out.reshape(-1)
-    n = xf.size
-    sf = np.empty(min(n, _GELU_CHUNK), x.dtype) if s is None else s.reshape(-1)
-    for i in range(0, n, _GELU_CHUNK):
-        j = min(n, i + _GELU_CHUNK)
-        sc = sf[:j - i] if s is None else sf[i:j]
-        _gelu_sigmoid(xf[i:j], sc)
-        np.multiply(xf[i:j], sc, out=of[i:j])
-    return out
-
-
-def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU's array math: ``(gelu(x), s)`` with ``s = sigmoid(2u)``, the
-    buffer :func:`_gelu_grad` reuses."""
-    s = np.empty(x.shape, x.dtype)
-    return _gelu_into(x, np.empty(x.shape, x.dtype), s), s
-
-
-def _gelu_grad(x: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``g`` times GELU's derivative at ``x``, from the ``s`` of :func:`_gelu_parts`."""
-    # d/dx = s (1 + (1 - s) * 2c x (1 + 3A x^2)). Clamped so the polynomial
-    # cannot overflow into 0 * inf: past the clamp s(1 - s) is exactly zero
-    # in float32 and float64 alike.
-    xc = np.clip(x, -_GELU_SAT, _GELU_SAT)
-    dx = xc * xc
-    dx *= 6.0 * _GELU_C * _GELU_A
-    dx += 2.0 * _GELU_C
-    dx *= xc
-    dx *= 1.0 - s
-    dx += 1.0
-    dx *= s
-    dx *= g
-    return dx
+    return out, backward
 
 
 def gelu(a) -> Tensor:
     """Smooth GELU, ``0.5 x (1 + tanh(u))`` with ``u = c (x + A x^3)``, in its
-    sigmoid form ``x * sigmoid(2u)``; forward and backward share the sigmoid.
+    sigmoid form ``x * sigmoid(2u)`` (:func:`_gelu`); forward and backward
+    share the sigmoid.
 
     The sigmoid form keeps float32 relative accuracy for negative x, where
     ``1 + tanh(u)`` cancels. With no graph to record, the sigmoid is not kept.
     """
     a = _coerce(a)
-    if not _recording((a,)):
-        return Tensor._wrap(_gelu_into(a.data, np.empty(a.shape, a.dtype)), False, None)
-    out, s = _gelu_parts(a.data)
-
-    def backward(g):
-        return (_gelu_grad(a.data, s, g),)
-
-    return _make(out, (a,), backward, "gelu")
+    out, backward = _gelu(a.data, _recording((a,)), False)
+    return _make(out, (a,), lambda g: (backward(g),), "gelu")
 
 
 # -- reductions ---------------------------------------------------------------
@@ -528,7 +516,7 @@ def add_bias(a, b) -> Tensor:
     rank-promoting add."""
     a = _coerce(a)
     b = _coerce(b, like=a)
-    _check_vectors((b,), a.shape[-1], a.dtype, "add_bias")
+    _check_fit("add_bias", a.dtype, ((b, a.shape[-1:]),))
     out = a.data + b.data
     reduce_axes = tuple(range(a.ndim - 1))
 

@@ -238,6 +238,16 @@ def test_mbconv_rejects_tensors_that_do_not_fit(c, bad):
         mbconv_forward(x, p)
 
 
+@pytest.mark.parametrize("shape", [(2, 8, 8, 4), (8, 8, 3)], ids=["width", "rank"])
+def test_branch_nodes_reject_a_map_that_does_not_fit(shape):
+    # a map of another width would reach the kernels and fail inside numpy
+    x = constant(np.ones(shape, np.float32))
+    with pytest.raises(ShapeError, match="mbconv"):
+        mbconv_forward(x, make_mbconv(3, rng(48)))
+    with pytest.raises(ShapeError, match="ffn"):
+        ffn_forward(x, make_ffn(3, 12, rng(49)))
+
+
 # -- ffn -----------------------------------------------------------------
 
 

@@ -409,11 +409,11 @@ def test_frozen_assignment_of_one_head_rejected():
 # narrows and its concat; one mbconv node, which adds its residual itself;
 # an attention layer of 9 (layer norm, downsample, head split, sigmoid
 # gate, head batch, head merge, expansion, unfold and skip add); then the
-# FFN's layer norm, one ffn node and the residual add. Then 5 conv_bn and
-# a GELU in the stem and the transitions, the head's mean, matmul and
-# bias, and the loss.
+# FFN's layer norm, one ffn node and the residual add. Then 5 conv_bn
+# nodes and a GELU in the stem and the transitions, the head's mean,
+# matmul and bias, and the loss.
 MICRO_TRAIN_GRAPH = {
-    "conv2d": 13, "batch_norm": 5, "gelu": 1, "add": 8, "mbconv": 4, "ffn": 4,
+    "conv2d": 8, "conv_bn": 5, "gelu": 1, "add": 8, "mbconv": 4, "ffn": 4,
     "transpose": 12, "narrow": 8, "layer_norm_channels": 8, "sigmoid": 4,
     "partition_attention": 4, "concat": 4, "mean": 1, "matmul": 1, "add_bias": 1,
     "cross_entropy": 1,
@@ -427,7 +427,7 @@ def test_train_graph_runs_each_head_batch_as_one_node():
     x = np.random.default_rng(0).normal(size=(2, 3, 32, 32)).astype(np.float32)
     records = graph_records(cross_entropy(forward(model, x, train=True), np.arange(2)))
     assert collections.Counter(op for op, _, _ in records) == MICRO_TRAIN_GRAPH
-    assert len(records) == 79
+    assert len(records) == 74
     made_by = {out: (op, ins) for op, ins, out in records}
     nodes = [ins for op, ins, _ in records if op == "partition_attention"]
     assert len(nodes) == 4  # one attention layer per stage

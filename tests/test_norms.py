@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dualformer import precision
-from dualformer.conv import _depthwise
+from dualformer.conv import _depthwise, conv2d
 from dualformer.norms import (
     BN_EPS,
     LN_EPS,
@@ -158,14 +158,60 @@ def test_batch_norm_eval_rejects_negative_running_var():
         conv_bn(constant(np.ones((1, 2, 2, 2))), constant(np.ones((2, 2, 1, 1))), bn, False)
 
 
-def test_conv_bn_eval_checks_its_kernel_and_norm():
+def test_conv_bn_checks_its_kernel_and_norm():
     x = constant(np.ones((1, 3, 3, 2)))
-    with pytest.raises(ShapeError, match="conv_bn"):  # kernel for 3 channels
-        conv_bn(x, constant(np.ones((4, 3, 1, 1))), make_batch_norm(4), False)
-    with pytest.raises(ShapeError, match="conv_bn"):  # stride below 1
-        conv_bn(x, constant(np.ones((4, 2, 1, 1))), make_batch_norm(4), False, stride=0)
-    with pytest.raises(ShapeError, match="conv_bn"):  # norm for 3 of 4 output channels
-        conv_bn(x, constant(np.ones((4, 2, 1, 1))), make_batch_norm(3), False)
+    for train in (False, True):
+        with pytest.raises(ShapeError, match="conv_bn"):  # kernel for 3 channels
+            conv_bn(x, constant(np.ones((4, 3, 1, 1))), make_batch_norm(4), train)
+        with pytest.raises(ShapeError, match="conv_bn"):  # stride below 1
+            conv_bn(x, constant(np.ones((4, 2, 1, 1))), make_batch_norm(4), train, stride=0)
+        with pytest.raises(ShapeError, match="conv_bn"):  # norm for 3 of 4 output channels
+            conv_bn(x, constant(np.ones((4, 2, 1, 1))), make_batch_norm(3), train)
+
+
+@pytest.mark.parametrize("op,groups,train", [("conv2d", 1, None), ("conv2d", 2, None),
+                                             ("conv_bn", 1, True), ("conv_bn", 1, False)],
+                         ids=["dense", "depthwise", "conv_bn_train", "conv_bn_eval"])
+def test_kernel_of_another_dtype_is_rejected(op, groups, train):
+    # an f64 kernel would promote the f32 map, or be rounded to f32
+    with precision.precision("f32"):
+        x = constant(np.ones((1, 4, 4, 2)))
+        bn = make_batch_norm(3)
+    w = constant(np.ones((3, 2, 3, 3) if groups == 1 else (2, 1, 3, 3)))
+    with pytest.raises(TypeError, match=f"{op}: mixed dtypes"):
+        if op == "conv2d":
+            conv2d(x, w, padding=1, groups=groups)
+        else:
+            conv_bn(x, w, bn, train, padding=1)
+
+
+@pytest.mark.parametrize("name", ["f32", "f64"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_bn_train_is_bitwise_the_composed_ops(stride, name):
+    # one conv_bn node runs conv2d then batch_norm's op order, forward and back
+    r = np.random.default_rng(6)
+    x0, w0 = 1.0 + r.normal(size=(2, 7, 6, 3)), r.normal(size=(5, 3, 3, 3))
+    results = []
+    with precision.precision(name):
+        for composed in (False, True):
+            x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+            bn = off_default_bn(np.random.default_rng(7), 5)
+            bn.running_mean = bn.running_mean.astype(x.dtype)
+            bn.running_var = bn.running_var.astype(x.dtype)
+            if composed:
+                out = batch_norm(conv2d(x, w, stride=stride, padding=1), bn)
+            else:
+                out = conv_bn(x, w, bn, True, stride=stride, padding=1)
+                assert graph_records(out) == [
+                    ("conv_bn", (id(x), id(w), id(bn.gamma), id(bn.beta)), id(out))]
+            g = np.random.default_rng(8).normal(size=out.shape)
+            tsum(out * constant(g)).backward()
+            results.append((out.data, x.grad, w.grad, bn.gamma.grad, bn.beta.grad,
+                            bn.running_mean, bn.running_var))
+    for what, got, want in zip(("out", "dx", "dw", "dgamma", "dbeta", "running_mean",
+                                "running_var"), *results):
+        assert got.dtype == want.dtype == x.dtype, what
+        assert got.tobytes() == want.tobytes(), what
 
 
 def composed_norm(x, gamma, beta, g, axes, eps):

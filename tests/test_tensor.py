@@ -183,25 +183,50 @@ def gelu_one_shot(x):
     return x * s, s
 
 
+def gelu_grad_one_shot(x, s, g):
+    """``g`` times GELU's derivative ``s (1 + (1 - s) 2c x (1 + 3A x^2))``
+    over the whole array at once, ``x`` clamped at the saturation point."""
+    c, a = tensor_module._GELU_C, tensor_module._GELU_A
+    xc = np.clip(x, -tensor_module._GELU_SAT, tensor_module._GELU_SAT)
+    dx = xc * xc
+    dx *= 6.0 * c * a
+    dx += 2.0 * c
+    dx *= xc
+    dx *= 1.0 - s
+    dx += 1.0
+    dx *= s
+    dx *= g
+    return dx
+
+
 @pytest.mark.parametrize("chunk", [7, 1 << 15])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_chunked_gelu_is_bitwise_the_one_shot_form(dtype, chunk, monkeypatch):
     # 7-element chunks do not divide the 1,000 values, so the last is short;
-    # the default chunk holds them all and takes the single-chunk path
+    # the default chunk holds them all in one pass of the same loop
     monkeypatch.setattr(tensor_module, "_GELU_CHUNK", chunk)
     sat = tensor_module._GELU_SAT
     edges = [0.0, -0.0, sat, -sat, np.nextafter(sat, 0), -np.nextafter(sat, 0), 1e20, -1e20,
              np.finfo(dtype).max, -np.finfo(dtype).max, np.finfo(dtype).tiny]
     x = np.concatenate([edges, 6.0 * rng(8).normal(size=1000 - len(edges))]).astype(dtype)
     x = x.reshape(10, 100)
+    g = rng(9).normal(size=x.shape).astype(dtype)
     want, want_s = gelu_one_shot(x)
-    out, s = tensor_module._gelu_parts(x)
-    assert out.tobytes() == want.tobytes() and s.tobytes() == want_s.tobytes()
-    fresh = tensor_module._gelu_into(x, np.empty_like(x))
-    assert fresh.tobytes() == want.tobytes()
-    in_place = x.copy()
-    assert tensor_module._gelu_into(in_place, in_place) is in_place
-    assert in_place.tobytes() == want.tobytes()
+    want_dx = gelu_grad_one_shot(x, want_s, g)
+    for keep in (False, True):
+        for owned in (False, True):
+            arg = x.copy()
+            out, backward = tensor_module._gelu(arg, keep, owned)
+            assert out.tobytes() == want.tobytes(), (keep, owned)
+            # the stage writes over x only when the caller owns it and keeps no graph
+            in_place = owned and not keep
+            assert (out is arg) == in_place, (keep, owned)
+            if not in_place:
+                assert arg.tobytes() == x.tobytes(), (keep, owned)
+            if not keep:
+                assert backward is None
+                continue
+            assert backward(g).tobytes() == want_dx.tobytes(), owned
     assert gelu(constant(x, dtype=dtype)).data.tobytes() == want.tobytes()
 
 
